@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     OutOfDomain,
@@ -49,7 +47,7 @@ def _green_raw(a: float, b: float, sigma: float, mu: float, x, y, mu_switch: flo
     For mu > mu_switch all exponents have the form -(2 mu / sigma^2) * (positive
     length), so the evaluation never overflows and keeps full relative accuracy
     via expm1.  For |mu| <= mu_switch the drift-free product form is used with
-    its first-order drift correction (1 + alpha |y - x| / 2); the neglected
+    its first-order drift correction (1 + alpha (y - x) / 2); the neglected
     second-order term is below (2 mu L / sigma^2)^2 / 6 ~ 7e-9 at the switch
     point.  Negative drift is evaluated through the reflection symmetry
     g_{sigma,mu}(x, y) = g_{sigma,-mu}(a+b-x, a+b-y).
@@ -64,7 +62,7 @@ def _green_raw(a: float, b: float, sigma: float, mu: float, x, y, mu_switch: flo
     alpha = 2.0 * mu / sigma**2
     if abs(mu) <= mu_switch:
         g0 = 2.0 * (lo - a) * (b - hi) / (sigma**2 * L)
-        return g0 * (1.0 + 0.5 * alpha * (hi - lo))
+        return g0 * (1.0 + 0.5 * alpha * (y - x))
     left = -np.expm1(-alpha * (lo - a))
     right = -np.expm1(-alpha * (b - hi))
     denom = -np.expm1(-alpha * L)
@@ -96,23 +94,29 @@ def _green_profile(spec: ProcessSpec, ys: np.ndarray,
     return out
 
 
-@lru_cache(maxsize=256)
-def _invariant_norm(spec: ProcessSpec, config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """Normalizer of the invariant density by adaptive quadrature.
-
-    Atom locations are quadrature breakpoints; the integrand is smooth
-    between them.
+def _exit_time_raw(a: float, b: float, sigma: float, mu: float, x: float,
+                   mu_switch: float) -> float:
+    """Closed-form y-integral of :func:`_green_raw`, with u = x - a, v = b - x:
+    (L (1 - exp(-alpha u)) / (1 - exp(-alpha L)) - u) / mu above the drift
+    switch, u v (1 + alpha (v - u) / 6) / sigma^2 below it (the first-order
+    branch), and the Green's function's reflection for negative drift.
     """
-    val, _ = quad(
-        lambda y: float(_green_profile(spec, np.asarray(y), config)),
-        spec.a,
-        spec.b,
-        points=list(spec.nu.locations),
-        epsabs=0.0,
-        epsrel=config.quad_rel_tol,
-        limit=config.quad_limit,
-    )
-    return val
+    if mu < -mu_switch:
+        return _exit_time_raw(a, b, sigma, -mu, a + b - x, mu_switch)
+    L = b - a
+    u = x - a
+    alpha = 2.0 * mu / sigma**2
+    if abs(mu) <= mu_switch:
+        v = b - x
+        return u * v * (1.0 + alpha * (v - u) / 6.0) / sigma**2
+    return (L * -math.expm1(-alpha * u) / -math.expm1(-alpha * L) - u) / mu
+
+
+def _invariant_norm(spec: ProcessSpec, config: SolverConfig = DEFAULT_CONFIG) -> float:
+    """Normalizer of the invariant density: sum_i w_i E_{x_i}[exit time]."""
+    mu_switch = config.mu_switch_scale * spec.sigma**2 / spec.length
+    return sum(w_i * _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i, mu_switch)
+               for x_i, w_i in spec.nu.atoms)
 
 
 def mean_exit_time(spec: ProcessSpec, x: float,
@@ -120,16 +124,7 @@ def mean_exit_time(spec: ProcessSpec, x: float,
     """E_x of the first exit time, as the y-integral of the Green's function."""
     _require_inside(spec.interval, x)
     mu_switch = config.mu_switch_scale * spec.sigma**2 / spec.length
-    val, _ = quad(
-        lambda y: float(_green_raw(spec.a, spec.b, spec.sigma, spec.mu, x, y, mu_switch)),
-        spec.a,
-        spec.b,
-        points=[x],
-        epsabs=0.0,
-        epsrel=config.quad_rel_tol,
-        limit=config.quad_limit,
-    )
-    return val
+    return _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x, mu_switch)
 
 
 def invariant_density(spec: ProcessSpec, y: float,
@@ -174,24 +169,6 @@ def dirichlet_bottom(spec: ProcessSpec, interval_override: Interval | None = Non
     return spec.sigma**2 * math.pi**2 / (2.0 * L**2) + spec.mu**2 / (2.0 * spec.sigma**2)
 
 
-def _survival_terms(spec: ProcessSpec, u: float, L: float, n_terms: int):
-    """Term magnitudes shared by the scalar and grid survival evaluations.
-
-    Returns (omega, lam, coeff_minus, coeff_plus) with the k-th survival term
-        (2/L) sin(omega_k u) * omega_k / (beta^2 + omega_k^2)
-            * [exp(-beta u - lam_k t) - (-1)^k exp(beta (L - u) - lam_k t)].
-    Exponents are combined before exponentiation so large drifts cannot
-    overflow prematurely.
-    """
-    beta = spec.mu / spec.sigma**2
-    k = np.arange(1, n_terms + 1, dtype=float)
-    omega = k * math.pi / L
-    lam = 0.5 * spec.sigma**2 * omega**2 + spec.mu**2 / (2.0 * spec.sigma**2)
-    base = (2.0 / L) * np.sin(omega * u) * omega / (beta**2 + omega**2)
-    sign = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
-    return beta, omega, lam, base, sign
-
-
 def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None = None,
                     interval: Interval | None = None,
                     config: SolverConfig = DEFAULT_CONFIG) -> float:
@@ -208,20 +185,14 @@ def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None =
     Raises:
         OutOfDomain: x outside the (possibly overridden) open interval.
     """
-    iv = interval or spec.interval
-    _require_inside(iv, x)
     if t < 0.0:
         raise OutOfDomain("time must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    n = n_terms or config.survival_n_terms
-    L = iv.length
-    u = x - iv.a
-    beta, omega, lam, base, sign = _survival_terms(spec, u, L, n)
-    val = float(np.sum(base * (np.exp(-beta * u - lam * t)
-                               - sign * np.exp(beta * (L - u) - lam * t))))
-    _warn_survival_tail(spec, u, L, n, t, config)
-    return min(1.0, max(0.0, val))
+    val = float(_survival_grid(spec, x, np.array([t]), n_terms, interval, config)[0])
+    if t > 0.0:
+        iv = interval or spec.interval
+        n = n_terms or config.survival_n_terms
+        _warn_survival_tail(spec, x - iv.a, iv.length, n, t, config)
+    return val
 
 
 def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float,
@@ -247,14 +218,28 @@ def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float,
 def killed_survival_grid(spec: ProcessSpec, x: float, ts: np.ndarray,
                          n_terms: int | None = None, interval: Interval | None = None,
                          config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorized :func:`killed_survival` over an array of times."""
+    """Vectorized :func:`killed_survival`; silent, as the tail bound diverges at t = 0."""
+    return _survival_grid(spec, x, ts, n_terms, interval, config)
+
+
+def _survival_grid(spec, x, ts, n_terms, interval, config) -> np.ndarray:
+    """Eigenexpansion shared by both survival functions; the k-th term is
+        (2/L) sin(omega_k u) * omega_k / (beta^2 + omega_k^2)
+            * [exp(-beta u - lam_k t) - (-1)^k exp(beta (L - u) - lam_k t)].
+    Exponents are combined before exponentiation so large drifts cannot
+    overflow prematurely.
+    """
     iv = interval or spec.interval
     _require_inside(iv, x)
     ts = np.asarray(ts, dtype=float)
     n = n_terms or config.survival_n_terms
     L = iv.length
     u = x - iv.a
-    beta, omega, lam, base, sign = _survival_terms(spec, u, L, n)
+    beta = spec.mu / spec.sigma**2
+    omega = np.arange(1, n + 1, dtype=float) * math.pi / L
+    lam = 0.5 * spec.sigma**2 * omega**2 + spec.mu**2 / (2.0 * spec.sigma**2)
+    base = (2.0 / L) * np.sin(omega * u) * omega / (beta**2 + omega**2)
+    sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
     tt = ts[:, None]
     vals = np.sum(base * (np.exp(-beta * u - lam * tt) - sign * np.exp(beta * (L - u) - lam * tt)),
                   axis=1)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from dataclasses import replace
 
 from .errors import ConfigError, JumpdiffError
-from .experiments import EXPERIMENTS, run, validate_config
+from .experiments import CONFIG_KEYS, EXPERIMENTS, run, validate_config
 
 _EPILOG = """\
 experiments and their CSV columns (12 significant digits, '#' comment header):
@@ -23,8 +24,7 @@ experiments and their CSV columns (12 significant digits, '#' comment header):
 
 config JSON: {"spec": {"a": 0.0, "b": 1.0, "sigma": 1.0, "mu": 12.0,
               "nu": [[0.5, 1.0]]}, "experiment": "gap-sweep", ...knobs...}
-knobs: mu_grid, dt, n_paths, bins, t_grid, seed, start_x, start_y, n_values,
-j_halfwidth, re_max, im_max, grid_points, fit_window, out.
+""" + textwrap.fill("knobs: " + ", ".join(CONFIG_KEYS[2:]) + ".", 79) + """
 Unknown keys are rejected (exit code 2).
 """
 
@@ -42,8 +42,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel experiment cells (results are "
-                             "deterministic regardless)")
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -53,7 +52,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if "experiment" not in raw:
+    # a non-object is left for validate_config to reject
+    if isinstance(raw, dict) and "experiment" not in raw:
         raw = dict(raw, experiment=args.experiment)
     try:
         cfg = validate_config(raw)
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         cfg = replace(cfg, seed=args.seed)
 
     try:
-        return run(cfg, out_dir=args.out, threads=max(1, args.threads))
+        return run(cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

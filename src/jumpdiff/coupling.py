@@ -30,6 +30,7 @@ import numpy as np
 
 from .analytic import killed_survival_grid
 from .errors import (
+    ConfigError,
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
@@ -360,10 +361,11 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
     The fitted rate is the empirical lower-bound certificate for the spectral
     gap.  The fit window is chosen automatically on the resolved tail:
     survival at most 0.4 (past the stage transient) with at least 25
-    surviving pairs (above the binomial noise floor).
+    surviving pairs (above the binomial noise floor).  Fewer than 10^4 pairs
+    raise ConfigError.
     """
     if n_paths < 10_000:
-        raise ValueError("tail estimation needs at least 10^4 pairs")
+        raise ConfigError("tail estimation needs at least 10^4 pairs")
     t_grid = sorted(float(t) for t in t_grid)
     _, _, tau_c, _ = coupling_records(spec, x, y, n_paths, dt, seed,
                                       horizon=t_grid[-1], config=config)

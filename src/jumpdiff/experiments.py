@@ -2,8 +2,7 @@
 
 Every experiment is a deterministic function of (config, seed); CSVs are
 RFC-4180 with a ``#``-prefixed comment header echoing the full configuration,
-12 significant digits throughout, so reruns are byte-identical regardless of
-thread count.
+12 significant digits throughout, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -36,125 +34,141 @@ EXPERIMENTS = (
     "convolution-check",
 )
 
-_ALLOWED_KEYS = {
-    "spec", "experiment", "mu_grid", "dt", "n_paths", "bins", "t_grid", "seed",
-    "start_x", "start_y", "n_values", "j_halfwidth", "re_max", "im_max",
-    "grid_points", "fit_window", "out",
-}
-
 # fraction of the interval length excluded around each restart atom and ahead
 # of the drift-side boundary when comparing against the large-drift limit
 # (the finite-drift density has a boundary layer there for every drift)
 EDGE_MARGIN = 0.05
 
 
+# ---------------------------------------------------------------------------
+# Config schema: each ExperimentConfig field is one config key, carrying the
+# parser of its raw JSON value and the rule that echoes it into CSV headers
+# ---------------------------------------------------------------------------
+
+def _number(cast, positive: bool = False):
+    """Parser of one finite number, optionally required to be positive."""
+    def parse(value):
+        val = cast(value)
+        if not math.isfinite(val):
+            raise ValueError(f"{value!r} is not finite")
+        if positive and not val > 0:
+            raise ValueError("must be positive")
+        return val
+    return parse
+
+
+_float = _number(float)
+_positive_float = _number(float, positive=True)
+_positive_int = _number(int, positive=True)
+
+
+def _experiment(value) -> str:
+    if value not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {value!r}; choose from {', '.join(EXPERIMENTS)}")
+    return value
+
+
+def _increasing(value) -> tuple[float, ...]:
+    grid = tuple(_float(v) for v in value)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("must be strictly increasing")
+    return grid
+
+
+def _time_grid(value) -> tuple[float, ...]:
+    grid = _increasing(value)
+    if any(v <= 0 for v in grid):
+        raise ValueError("must be positive")
+    return grid
+
+
+def _start_y(value) -> float | str:
+    return value if value == "invariant" else _float(value)
+
+
+def _n_values(value) -> tuple[int, ...]:
+    vals = tuple(int(v) for v in value)
+    if any(v < 1 for v in vals):
+        raise ValueError("must be positive integers")
+    return vals
+
+
+def _fit_window(value) -> tuple[float, float]:
+    lo, hi = (_float(v) for v in value)
+    if not lo < hi:
+        raise ValueError("must satisfy t_min < t_max")
+    return (lo, hi)
+
+
+def _if_set(cfg, value) -> bool:
+    # knobs that always carry a value (n_paths, seed, out, ...) are always echoed
+    return value is not None and value != ()
+
+
+def _for_lemma6(cfg, value) -> bool:
+    return cfg.experiment == "lemma6-check"
+
+
+def _key(parse, echo=_if_set, **default):
+    return field(metadata={"parse": parse, "echo": echo}, **default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment request (strict key set, positive knobs)."""
 
-    spec: ProcessSpec
-    experiment: str
-    mu_grid: tuple[float, ...] = ()
-    dt: float | None = None
-    n_paths: int = 100_000
-    bins: int = 64
-    t_grid: tuple[float, ...] = ()
-    seed: int = 20240808
-    start_x: float | None = None
-    start_y: float | str | None = None
-    n_values: tuple[int, ...] = (1, 2)
-    j_halfwidth: float | None = None
-    re_max: float | None = None
-    im_max: float | None = None
-    grid_points: int = 256
-    fit_window: tuple[float, float] | None = None
-    out: str = "out"
+    spec: ProcessSpec = _key(ProcessSpec.from_json_dict)
+    experiment: str = _key(_experiment)
+    mu_grid: tuple[float, ...] = _key(_increasing, default=())
+    dt: float | None = _key(_positive_float, default=None)
+    n_paths: int = _key(_positive_int, default=100_000)
+    bins: int = _key(_positive_int, default=64)
+    t_grid: tuple[float, ...] = _key(_time_grid, default=())
+    seed: int = _key(_number(int), default=20240808)
+    start_x: float | None = _key(_float, default=None)
+    start_y: float | str | None = _key(_start_y, default=None)
+    n_values: tuple[int, ...] = _key(_n_values, _for_lemma6, default=(1, 2))
+    j_halfwidth: float | None = _key(_positive_float, default=None)
+    re_max: float | None = _key(_positive_float, default=None)
+    im_max: float | None = _key(_positive_float, default=None)
+    grid_points: int = _key(_positive_int, default=256)
+    fit_window: tuple[float, float] | None = _key(_fit_window, default=None)
+    out: str = _key(str, default="out")
 
     def resolved_dt(self) -> float:
         return self.dt if self.dt is not None else DEFAULT_CONFIG.default_dt(self.spec)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "spec": self.spec.to_json_dict(),
-            "experiment": self.experiment,
-            "n_paths": self.n_paths,
-            "bins": self.bins,
-            "seed": self.seed,
-            "grid_points": self.grid_points,
-            "out": self.out,
-        }
-        if self.mu_grid:
-            d["mu_grid"] = list(self.mu_grid)
-        if self.dt is not None:
-            d["dt"] = self.dt
-        if self.t_grid:
-            d["t_grid"] = list(self.t_grid)
-        for key in ("start_x", "start_y", "j_halfwidth", "re_max", "im_max"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        if self.experiment == "lemma6-check":
-            d["n_values"] = list(self.n_values)
-        if self.fit_window is not None:
-            d["fit_window"] = list(self.fit_window)
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["echo"](self, value):
+                if isinstance(value, ProcessSpec):
+                    value = value.to_json_dict()
+                d[f.name] = list(value) if isinstance(value, tuple) else value
         return d
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Strict-parse a raw config dict; unknown keys are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _ALLOWED_KEYS
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("spec", "experiment"):
-        if key not in raw:
-            raise ConfigError(f"missing config key: {key}")
-    if raw["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {raw['experiment']!r}; "
-                          f"choose from {', '.join(EXPERIMENTS)}")
-    try:
-        spec = ProcessSpec.from_json_dict(raw["spec"])
-    except JumpdiffError as exc:
-        raise ConfigError(f"invalid spec: {exc}") from exc
-
-    kwargs: dict = {"spec": spec, "experiment": raw["experiment"]}
-    if "mu_grid" in raw:
-        grid = tuple(float(v) for v in raw["mu_grid"])
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("mu_grid must be strictly increasing")
-        kwargs["mu_grid"] = grid
-    for key, caster, positive in (
-        ("dt", float, True), ("n_paths", int, True), ("bins", int, True),
-        ("seed", int, False), ("grid_points", int, True),
-        ("j_halfwidth", float, True), ("re_max", float, True),
-        ("im_max", float, True), ("start_x", float, False),
-    ):
-        if key in raw:
-            val = caster(raw[key])
-            if positive and not val > 0:
-                raise ConfigError(f"{key} must be positive")
-            kwargs[key] = val
-    if "start_y" in raw:
-        v = raw["start_y"]
-        kwargs["start_y"] = v if v == "invariant" else float(v)
-    if "t_grid" in raw:
-        grid = tuple(float(v) for v in raw["t_grid"])
-        if any(v <= 0 for v in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("t_grid must be positive and strictly increasing")
-        kwargs["t_grid"] = grid
-    if "n_values" in raw:
-        vals = tuple(int(v) for v in raw["n_values"])
-        if any(v < 1 for v in vals):
-            raise ConfigError("n_values must be positive integers")
-        kwargs["n_values"] = vals
-    if "fit_window" in raw:
-        lo, hi = (float(v) for v in raw["fit_window"])
-        if not lo < hi:
-            raise ConfigError("fit_window must satisfy t_min < t_max")
-        kwargs["fit_window"] = (lo, hi)
-    if "out" in raw:
-        kwargs["out"] = str(raw["out"])
+    kwargs = {}
+    for f in fields(ExperimentConfig):
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ConfigError(f"missing config key: {f.name}")
+            continue
+        try:
+            kwargs[f.name] = f.metadata["parse"](raw[f.name])
+        except (JumpdiffError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {f.name}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 
@@ -308,7 +322,7 @@ def invariant_limit_distance(spec: ProcessSpec, grid_points: int = 256
 # Experiment bodies (each returns header, rows, summary, plot spec)
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(spec_base: ProcessSpec, mu: float, cfg: ExperimentConfig) -> SweepRow:
+def _sweep_cell(spec_base: ProcessSpec, mu: float) -> SweepRow:
     spec = spec_base.with_mu(mu)
     rep = find_spectrum(spec, auto_re_max(spec))
     centered = spec.is_centered_delta
@@ -323,15 +337,10 @@ def _sweep_cell(spec_base: ProcessSpec, mu: float, cfg: ExperimentConfig) -> Swe
     )
 
 
-def _run_gap_sweep(cfg: ExperimentConfig, threads: int):
+def _run_gap_sweep(cfg: ExperimentConfig):
     if not cfg.mu_grid:
         raise ConfigError("gap-sweep needs mu_grid")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda mu: _sweep_cell(cfg.spec, mu, cfg), cfg.mu_grid))
-    else:
-        rows = [_sweep_cell(cfg.spec, mu, cfg) for mu in cfg.mu_grid]
-    rows.sort(key=lambda r: r.mu)
+    rows = [_sweep_cell(cfg.spec, mu) for mu in cfg.mu_grid]
     target = rows[0].theoretical_gap
     thr = rows[0].conjectured_threshold
     plateau = [r.gap_numeric for r in rows if r.mu >= 1.4 * thr]
@@ -352,7 +361,7 @@ def _run_gap_sweep(cfg: ExperimentConfig, threads: int):
     return header, table, summary, plot
 
 
-def _run_spectrum(cfg: ExperimentConfig, threads: int):
+def _run_spectrum(cfg: ExperimentConfig):
     spec = cfg.spec
     re_max = cfg.re_max if cfg.re_max is not None else auto_re_max(spec)
     rep = find_spectrum(spec, re_max, cfg.im_max)
@@ -366,7 +375,7 @@ def _run_spectrum(cfg: ExperimentConfig, threads: int):
     return header, table, summary, None
 
 
-def _run_invariant(cfg: ExperimentConfig, threads: int):
+def _run_invariant(cfg: ExperimentConfig):
     if not cfg.mu_grid:
         raise ConfigError("invariant needs mu_grid")
     header = ["mu", "y", "density", "limit_density", "abs_diff"]
@@ -398,7 +407,7 @@ def _default_t_grid(cfg: ExperimentConfig) -> tuple[float, ...]:
     return tuple(0.02 * k * scale for k in range(1, 16))
 
 
-def _run_tv_decay(cfg: ExperimentConfig, threads: int):
+def _run_tv_decay(cfg: ExperimentConfig):
     x = cfg.start_x if cfg.start_x is not None else cfg.spec.a + 0.25 * cfg.spec.length
     y = cfg.start_y if cfg.start_y is not None else cfg.spec.a + 0.75 * cfg.spec.length
     grid = _default_t_grid(cfg)
@@ -430,7 +439,7 @@ def _fit_summary(times, values, window, hi_cut: float, floor: float) -> str:
             f"on window [{window[0]:g}, {window[1]:g}] ({fit.n_points} points)")
 
 
-def _run_coupling_tail(cfg: ExperimentConfig, threads: int):
+def _run_coupling_tail(cfg: ExperimentConfig):
     x = cfg.start_x if cfg.start_x is not None else cfg.spec.a + 0.25 * cfg.spec.length
     y = cfg.start_y if cfg.start_y is not None else cfg.spec.a + 0.75 * cfg.spec.length
     if isinstance(y, str):
@@ -450,7 +459,7 @@ def _run_coupling_tail(cfg: ExperimentConfig, threads: int):
     return header, table, summary, plot
 
 
-def _run_lemma6(cfg: ExperimentConfig, threads: int):
+def _run_lemma6(cfg: ExperimentConfig):
     header = ["n", "t_n", "fraction_x_in_A", "fraction_y_in_A", "n_accepted"]
     table = []
     ok = True
@@ -465,7 +474,7 @@ def _run_lemma6(cfg: ExperimentConfig, threads: int):
     return header, table, summary, None
 
 
-def _run_convolution(cfg: ExperimentConfig, threads: int):
+def _run_convolution(cfg: ExperimentConfig):
     grid = _default_t_grid(cfg)
     rows, holds = convolution_bound_check(cfg.spec, cfg.j_halfwidth, grid,
                                           cfg.n_paths, cfg.seed)
@@ -490,14 +499,14 @@ _BODIES = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1) -> int:
+def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Dispatch an experiment; write CSV (and SVG where meaningful).
 
     Returns 0 on success, 2 on validation errors, 3 on solver errors; the
     one-line summary goes to stdout.
     """
     try:
-        header, table, summary, plot = _BODIES[cfg.experiment](cfg, threads)
+        header, table, summary, plot = _BODIES[cfg.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2

@@ -257,13 +257,10 @@ class RateFit:
 class SolverConfig:
     """Every tolerance in one record, for reproducible golden outputs.
 
-    Fields group as: quadrature (quad_*), eigenexpansion truncation,
-    Green-function drift switch, eigensolver contour/polish knobs, and
-    simulator defaults.
+    Fields group as: eigenexpansion truncation, Green-function drift switch,
+    eigensolver contour/polish knobs, and simulator defaults and budgets.
     """
 
-    quad_rel_tol: float = 1e-10
-    quad_limit: int = 10_000
     survival_n_terms: int = 64
     survival_tail_warn: float = 1e-8
     mu_switch_scale: float = 1e-4          # drift-free Green below mu_switch_scale * sigma^2 / L
@@ -284,8 +281,6 @@ class SolverConfig:
     cluster_rel_diag: float = 1e-5         # scale-relative part of the same cutoff
     im_aspect: float = 4.0                 # default im_max = 4 * re_max
     dt_scale: float = 1e-4                 # default dt = dt_scale * (L / sigma)^2
-    default_bins: int = 64
-    default_n_paths: int = 100_000
     exit_step_budget: int = 1_000_000_000
     stage_step_budget: int = 100_000_000
     rejection_min_accept: float = 1e-6

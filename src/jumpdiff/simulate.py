@@ -24,6 +24,7 @@ import numpy as np
 from .analytic import invariant_density_grid, killed_survival
 from .errors import (
     BelowNoiseFloor,
+    ConfigError,
     HorizonExceeded,
     NonpositiveDt,
     OutOfDomain,
@@ -372,11 +373,13 @@ def ensemble_tv(spec: ProcessSpec, x: float, y_or_invariant, times, n_paths: int
     The first ensemble starts at x (stream 0), the second at y or from
     invariant-density draws (stream 1); TV at each time is half the L1
     distance between the bin-mass histograms.  Error bars scale like
-    sqrt(bins / n_paths).
+    sqrt(bins / n_paths).  Fewer than 1000 paths or 32 bins raise ConfigError.
     """
     times = sorted(float(t) for t in times)
     if n_paths < 1000:
-        raise ValueError("n_paths must be at least 1000")
+        raise ConfigError("n_paths must be at least 1000")
+    if bins < 32:
+        raise ConfigError("need at least 32 bins")
     snaps_x = ensemble_snapshots(spec, x, times, n_paths, bins, dt, RngStream(seed, 0))
     snaps_y = ensemble_snapshots(spec, y_or_invariant, times, n_paths, bins, dt,
                                  RngStream(seed, 1))

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+import jumpdiff
 from jumpdiff.analytic import (
+    _invariant_norm,
     conjectured_threshold,
     coupling_tail_bound_rate,
     dirichlet_bottom,
@@ -100,10 +105,71 @@ def test_green_reflection_symmetry(rng):
 def test_green_continuous_across_drift_switch():
     # the drift-free branch takes over at mu_switch = 1e-4 sigma^2 / L; the
     # two formulas must agree there to the documented accuracy
-    mu_switch = 1e-4
-    g_lo = green_function(make_spec(mu=mu_switch * (1 - 1e-9)), 0.3, 0.6)
-    g_hi = green_function(make_spec(mu=mu_switch * (1 + 1e-9)), 0.3, 0.6)
-    assert g_lo == pytest.approx(g_hi, rel=1e-8)
+    # on both sides of zero drift and for y on either side of x
+    for mu_switch in (1e-4, -1e-4):
+        for x, y in ((0.3, 0.6), (0.6, 0.3)):
+            g_lo = green_function(make_spec(mu=mu_switch * (1 - 1e-9)), x, y)
+            g_hi = green_function(make_spec(mu=mu_switch * (1 + 1e-9)), x, y)
+            assert g_lo == pytest.approx(g_hi, rel=1e-8)
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jumpdiff.__file__)))
+    code = "import sys, jumpdiff; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# (a, b, sigma, mu, atoms): both drift branches, reflection for mu < 0,
+# one to three atoms, a long interval and a non-unit sigma
+EXIT_CASES = [
+    (0.0, 1.0, 1.0, 0.0, ((0.5, 1.0),)),
+    (0.0, 1.0, 1.0, 5e-5, ((0.3, 1.0),)),
+    (0.0, 1.0, 1.3, -5e-5, ((0.2, 0.4), (0.7, 0.6))),
+    (0.0, 1.0, 1.0, 3.0, ((0.25, 0.5), (0.75, 0.5))),
+    (0.0, 1.0, 1.0, -30.0, ((0.2, 0.3), (0.45, 0.5), (0.8, 0.2))),
+    (0.0, 10.0, 1.0, 5.0, ((5.0, 1.0),)),
+    (0.0, 10.0, 1.3, -0.7, ((2.0, 0.4), (7.0, 0.6))),
+    (-0.5, 1.5, 1.3, 20.0, ((0.1, 0.25), (0.5, 0.25), (1.2, 0.5))),
+]
+
+
+def green_integral(spec, x):
+    val, _ = quad(lambda y: green_function(spec, x, y), spec.a, spec.b, points=[x],
+                  epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+@pytest.mark.parametrize("a,b,sigma,mu,atoms", EXIT_CASES)
+def test_mean_exit_time_matches_green_quadrature(a, b, sigma, mu, atoms):
+    spec = make_spec(a=a, b=b, sigma=sigma, mu=mu, atoms=atoms)
+    for x in list(spec.nu.locations) + [a + 0.13 * (b - a), a + 0.91 * (b - a)]:
+        assert mean_exit_time(spec, x) == pytest.approx(green_integral(spec, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b,sigma,mu,atoms", EXIT_CASES)
+def test_invariant_norm_matches_green_quadrature(a, b, sigma, mu, atoms):
+    spec = make_spec(a=a, b=b, sigma=sigma, mu=mu, atoms=atoms)
+    want = sum(w * green_integral(spec, x) for x, w in atoms)
+    assert _invariant_norm(spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_mean_exit_time_continuous_across_drift_switch():
+    for mu_switch in (1e-4, -1e-4):
+        for x in (0.3, 0.6):
+            lo = mean_exit_time(make_spec(mu=mu_switch * (1 - 1e-9)), x)
+            hi = mean_exit_time(make_spec(mu=mu_switch * (1 + 1e-9)), x)
+            assert lo == pytest.approx(hi, rel=1e-8)
+
+
+def test_mean_exit_time_large_drift():
+    # the drift carries the path to the drift-side edge at speed |mu|
+    for x in (0.3, 0.7):
+        assert mean_exit_time(unit_spec(500.0), x) == pytest.approx((1.0 - x) / 500.0,
+                                                                    rel=1e-12)
+        assert mean_exit_time(unit_spec(-500.0), x) == pytest.approx(x / 500.0, rel=1e-12)
 
 
 def test_green_occupation_identity():
@@ -215,6 +281,21 @@ def test_killed_survival_truncation_warning(spec0):
         warnings.simplefilter("always")
         killed_survival(spec0, 0.5, 1e-5, n_terms=4)
     assert any(issubclass(w.category, TruncationWarning) for w in caught)
+
+
+def test_killed_survival_is_one_point_grid(spec20):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for t in (0.0, 1e-3, 0.05, 0.4):
+            for x in (0.2, 0.5, 0.8):
+                assert killed_survival(spec20, x, t) == killed_survival_grid(spec20, x, [t])[0]
+
+
+def test_killed_survival_grid_does_not_warn_from_zero(spec0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        vals = killed_survival_grid(spec0, 0.5, [0.0, 1e-5, 0.1], n_terms=4)
+    assert vals[0] == 1.0
 
 
 def test_killed_survival_interval_override(spec20):

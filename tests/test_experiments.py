@@ -1,12 +1,14 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
 from jumpdiff.cli import main
 from jumpdiff.errors import ConfigError
 from jumpdiff.experiments import (
+    ExperimentConfig,
     invariant_limit_distance,
     report_corollary3,
     threshold_locate,
@@ -64,6 +66,50 @@ def test_valid_config_roundtrip():
     assert cfg.spec == unit_spec(0.0)
 
 
+FULL_RAW = {"spec": dict(BASE_SPEC, mu=3.0), "mu_grid": [0, 2.5], "dt": 2e-4,
+            "n_paths": 1234, "bins": 40, "t_grid": [0.01, 0.02], "seed": 5,
+            "start_x": 0.2, "start_y": 0.7, "n_values": [1, 3], "j_halfwidth": 0.1,
+            "re_max": 50, "im_max": 60, "grid_points": 17, "fit_window": [0.01, 0.02],
+            "out": "somewhere"}
+SPEC3_ECHO = '"spec": {"a": 0.0, "b": 1.0, "mu": 3.0, "nu": [[0.5, 1.0]], "sigma": 1.0}'
+
+
+@pytest.mark.parametrize("raw,echo", [
+    (dict(FULL_RAW, experiment="lemma6-check"),
+     '{"bins": 40, "dt": 0.0002, "experiment": "lemma6-check", "fit_window": [0.01, 0.02], '
+     '"grid_points": 17, "im_max": 60.0, "j_halfwidth": 0.1, "mu_grid": [0.0, 2.5], '
+     '"n_paths": 1234, "n_values": [1, 3], "out": "somewhere", "re_max": 50.0, "seed": 5, '
+     + SPEC3_ECHO + ', "start_x": 0.2, "start_y": 0.7, "t_grid": [0.01, 0.02]}'),
+    # n_values is echoed for lemma6-check only
+    (dict(FULL_RAW, experiment="tv-decay"),
+     '{"bins": 40, "dt": 0.0002, "experiment": "tv-decay", "fit_window": [0.01, 0.02], '
+     '"grid_points": 17, "im_max": 60.0, "j_halfwidth": 0.1, "mu_grid": [0.0, 2.5], '
+     '"n_paths": 1234, "out": "somewhere", "re_max": 50.0, "seed": 5, '
+     + SPEC3_ECHO + ', "start_x": 0.2, "start_y": 0.7, "t_grid": [0.01, 0.02]}'),
+    ({"spec": FULL_RAW["spec"], "experiment": "gap-sweep"},
+     '{"bins": 64, "experiment": "gap-sweep", "grid_points": 256, "n_paths": 100000, '
+     '"out": "out", "seed": 20240808, ' + SPEC3_ECHO + '}'),
+], ids=["lemma6-all-keys", "tv-decay-all-keys", "defaults"])
+def test_config_echo_bytes_pinned(raw, echo):
+    assert json.dumps(validate_config(raw).to_json_dict(), sort_keys=True) == echo
+
+
+def test_config_with_every_field_survives_echo_roundtrip():
+    cfg = validate_config(dict(FULL_RAW, experiment="lemma6-check"))
+    assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
+    echoed = json.loads(json.dumps(cfg.to_json_dict()))
+    assert set(echoed) == {f.name for f in fields(cfg)}
+    assert validate_config(echoed) == cfg
+
+
+def test_help_lists_every_config_key(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    for f in fields(ExperimentConfig):
+        assert f.name in text
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_gap_sweep_end_to_end(tmp_path):
@@ -93,6 +139,31 @@ def test_cli_rejects_experiment_mismatch(tmp_path):
 def test_cli_missing_required_knob(tmp_path):
     cfg = write_config(tmp_path, out=str(tmp_path / "out"))  # no mu_grid
     assert main(["gap-sweep", "--config", cfg]) == 2
+
+
+TV_SMALL = {"experiment": "tv-decay", "t_grid": [0.01], "dt": 1e-3, "n_paths": 2000}
+
+
+@pytest.mark.parametrize("experiment,config", [
+    ("tv-decay", dict(TV_SMALL, dt="abc")),
+    ("tv-decay", dict(TV_SMALL, spec=dict(BASE_SPEC, a="x"))),
+    ("tv-decay", dict(TV_SMALL, fit_window=[1, 2, 3])),
+    ("tv-decay", dict(TV_SMALL, start_y="foo")),
+    ("tv-decay", dict(TV_SMALL, t_grid=5)),
+    ("gap-sweep", [1, 2]),
+    ("coupling-tail", dict(TV_SMALL, experiment="coupling-tail", n_paths=5000)),
+    ("tv-decay", dict(TV_SMALL, n_paths=500)),
+    ("tv-decay", dict(TV_SMALL, bins=16)),
+    ("gap-sweep", {"mu_grid": [0, float("nan")]}),
+], ids=["dt-string", "spec-string", "fit-window-3", "start-y-word", "t-grid-scalar",
+        "top-level-list", "coupling-few-pairs", "tv-few-paths", "tv-few-bins",
+        "mu-grid-nan"])
+def test_cli_malformed_config_exits_2(tmp_path, experiment, config):
+    if isinstance(config, dict):
+        config = dict({"spec": BASE_SPEC}, **config)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_solver_error_exit_code(tmp_path):
