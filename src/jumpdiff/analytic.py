@@ -21,6 +21,7 @@ from .errors import (
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
+    SeriesOverflow,
     TruncationWarning,
 )
 from .model import DEFAULT_CONFIG, Interval, JumpDistribution, ProcessSpec, SolverConfig
@@ -184,6 +185,8 @@ def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None =
 
     Raises:
         OutOfDomain: x outside the (possibly overridden) open interval.
+        SeriesOverflow: a term exceeds double range at t > 0 (large
+            mu (L - u) / sigma^2 at small t).
     """
     if t < 0.0:
         raise OutOfDomain("time must be nonnegative")
@@ -241,8 +244,15 @@ def _survival_grid(spec, x, ts, n_terms, interval, config) -> np.ndarray:
     base = (2.0 / L) * np.sin(omega * u) * omega / (beta**2 + omega**2)
     sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
     tt = ts[:, None]
-    vals = np.sum(base * (np.exp(-beta * u - lam * tt) - sign * np.exp(beta * (L - u) - lam * tt)),
-                  axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.sum(base * (np.exp(-beta * u - lam * tt)
+                              - sign * np.exp(beta * (L - u) - lam * tt)), axis=1)
+    bad = (ts > 0.0) & ~np.isfinite(vals)
+    if bad.any():
+        t = float(ts[bad][0])
+        top = max(-beta * u, beta * (L - u)) - lam[0] * t
+        raise SeriesOverflow(f"survival series overflows at t = {t:.6g}: largest exponent "
+                             f"{top:.1f} (exp overflows above 709.8)")
     vals = np.clip(vals, 0.0, 1.0)
     return np.where(ts == 0.0, 1.0, vals)
 

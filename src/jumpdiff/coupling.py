@@ -44,7 +44,7 @@ from .model import (
     RateFit,
     SolverConfig,
 )
-from .simulate import RngStream, _as_generator, exit_time_ensemble, fit_rate
+from .simulate import RngStream, _advance, _as_generator, _crosses, exit_time_ensemble, fit_rate
 
 STAGE_LABELS = {1: "I", 2: "II", 3: "III"}
 
@@ -95,11 +95,6 @@ class _CouplingResult:
         self.tau_2 = np.full(n, np.inf)
         self.tau_c = np.full(n, np.inf)
         self.coalesced_stage = np.zeros(n, dtype=np.int8)
-
-
-def _bridge_prob(d0, d1, two_var_dt):
-    """One-sided crossing probability for an affine-in-noise gap process."""
-    return np.exp(-2.0 * np.maximum(d0, 0.0) * np.maximum(d1, 0.0) / two_var_dt)
 
 
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
@@ -171,9 +166,9 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
             x_new = x_old + drift + dw[s1]
             y_new = y_old + drift - dw[s1]
             d_old, d_new = y_old - x_old, y_new - x_new
-            meet = (d_new <= tol0) | (u_meet[s1] < _bridge_prob(d_old, d_new, gap2dt))
-            hit_a = (x_new <= a) | (u_xb[s1] < _bridge_prob(x_old - a, x_new - a, sig2dt))
-            hit_b = (y_new >= b) | (u_yb[s1] < _bridge_prob(b - y_old, b - y_new, sig2dt))
+            meet = (d_new <= tol0) | _crosses(d_old, d_new, gap2dt, u_meet[s1])
+            hit_a = _crosses(x_old - a, x_new - a, sig2dt, u_xb[s1])
+            hit_b = _crosses(b - y_old, b - y_new, sig2dt, u_yb[s1])
             xs[s1], ys[s1] = x_new, y_new
             glue = s1[meet]
             if glue.size:
@@ -206,22 +201,21 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
             # restart produces
             g_old = y_old - x_old
             g_mid = y_mid - x_mid
-            hit0 = (g_old * g_mid <= 0.0) | (np.abs(g_mid) <= tol0) | \
-                (u_meet[s2] < _bridge_prob(np.abs(g_old), np.abs(g_mid), gap2dt))
-            jump_x = (x_mid >= b) | (x_mid <= a) | \
-                (u_xb[s2] < _bridge_prob(b - x_old, b - x_mid, sig2dt))
-            jump_y = (y_mid >= b) | (y_mid <= a) | \
-                (u_yb[s2] < _bridge_prob(b - y_old, b - y_mid, sig2dt))
+            d_old, d_mid = np.abs(g_old), np.abs(g_mid)
+            hit0 = (g_old * g_mid <= 0.0) | (d_mid <= tol0) | \
+                _crosses(d_old, d_mid, gap2dt, u_meet[s2])
+            # restarts go through b only; a is a hard exit without a bridge
+            jump_x = _crosses(b - x_old, b - x_mid, sig2dt, u_xb[s2]) | (x_mid <= a)
+            jump_y = _crosses(b - y_old, b - y_mid, sig2dt, u_yb[s2]) | (y_mid <= a)
             x_new = np.where(jump_x & ~hit0, x0, x_mid)
             y_new = np.where(jump_y & ~hit0, x0, y_mid)
             xs[s2], ys[s2] = x_new, y_new
             jumped = (jump_x | jump_y) & ~hit0
             d_new = np.abs(y_new - x_new)
             hit0 |= d_new <= tol0       # e.g. both copies restarted together
-            hit_half = ~hit0 & (d_new >= half)
-            quiet = ~jumped & ~hit0 & ~hit_half
-            bridge_half = quiet & (u_gap[s2] < _bridge_prob(
-                half - np.abs(g_old), half - np.abs(g_mid), gap2dt))
+            # a restart takes the gap off its affine path: only the step end counts
+            to_half = ~hit0 & np.where(
+                jumped, d_new >= half, _crosses(half - d_old, half - d_mid, gap2dt, u_gap[s2]))
             glue = s2[hit0]
             if glue.size:
                 pos = np.clip(0.5 * (xs[glue] + ys[glue]), a + 1e-12, b - 1e-12)
@@ -229,7 +223,7 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
                 ys[glue] = pos
                 stage[glue] = 4
                 _record(res, orig[glue], None, t, t, 2)
-            to3 = s2[hit_half | bridge_half]
+            to3 = s2[to_half]
             if to3.size:
                 stage[to3] = 3
                 res.tau_2[orig[to3]] = t
@@ -244,12 +238,8 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         if s3.size:
             upper_old = np.where(upper_is_x[s3], xs[s3], ys[s3])
             upper_new = upper_old + drift + dw[s3]
-            exit_up = (upper_new >= b) | \
-                (u_xb[s3] < _bridge_prob(b - upper_old, b - upper_new, sig2dt))
-            exit_lo = (upper_new - half <= a) | \
-                (u_yb[s3] < _bridge_prob(upper_old - half - a,
-                                         upper_new - half - a, sig2dt))
-            done = exit_up | exit_lo
+            done = _crosses(b - upper_old, b - upper_new, sig2dt, u_xb[s3]) | \
+                _crosses(upper_old - half - a, upper_new - half - a, sig2dt, u_yb[s3])
             glue = s3[done]
             move = s3[~done]
             if move.size:
@@ -266,12 +256,8 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         if snapshot_step is not None:
             s4 = np.flatnonzero(in_stage == 4)
             if s4.size:
-                x_old = xs[s4]
-                x_new = x_old + drift + dw[s4]
-                ex = (x_new >= b) | (x_new <= a) | \
-                    (u_xb[s4] < _bridge_prob(b - x_old, b - x_new, sig2dt)) | \
-                    (u_yb[s4] < _bridge_prob(x_old - a, x_new - a, sig2dt))
-                x_new = np.where(ex, x0, x_new)
+                x_new, code = _advance(xs[s4], spec, dt, z[s4], u_xb[s4], u_yb[s4])
+                x_new = np.where(code >= 0, x0, x_new)
                 xs[s4] = x_new
                 ys[s4] = x_new
             if step + 1 == snapshot_step:
@@ -421,25 +407,19 @@ def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
         u4 = gen.random(n_paths)
         bm1 = bm + sqrt_dt * z
 
-        cross = sgn * bm1 >= sgn * m
-        bridge = u_meet < _bridge_prob(sgn * (m - bm), sgn * (m - bm1), dt)
-        newly_met = ~met & (cross | bridge)
+        newly_met = ~met & _crosses(sgn * (m - bm), sgn * (m - bm1), dt, u_meet)
         glued = met | newly_met
 
         # process started at the center: x0 + B throughout
         co = x0 + bm
         cn = x0 + bm1
-        exit_c = (cn >= b) | (cn <= a) | \
-            (u3 < _bridge_prob(b - co, b - cn, dt)) | \
-            (u4 < _bridge_prob(co - a, cn - a, dt))
+        exit_c = _crosses(b - co, b - cn, dt, u3) | _crosses(co - a, cn - a, dt, u4)
 
         # process started at y: y - B until met; one path (the center one)
         # after gluing, so glued pairs share a single exit decision
         xo = y - bm
         xn = y - bm1
-        exit_x = (xn >= b) | (xn <= a) | \
-            (u1 < _bridge_prob(b - xo, b - xn, dt)) | \
-            (u2 < _bridge_prob(xo - a, xn - a, dt))
+        exit_x = _crosses(b - xo, b - xn, dt, u1) | _crosses(xo - a, xn - a, dt, u2)
         exit_x = np.where(glued, exit_c, exit_x)
 
         tau_y[np.isinf(tau_y) & exit_x] = t

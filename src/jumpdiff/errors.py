@@ -42,6 +42,10 @@ class RequiresCenteredDelta(JumpdiffError):
     """Quantity is only defined for a single atom at the interval midpoint."""
 
 
+class SeriesOverflow(JumpdiffError):
+    """Eigenexpansion terms overflow double precision at the requested time."""
+
+
 class TruncationWarning(Warning):
     """Eigenexpansion tail bound exceeded the reporting threshold."""
 

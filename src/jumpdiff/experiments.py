@@ -225,12 +225,6 @@ def write_csv(path_or_buf, header: list[str], rows: list[tuple],
             fh.close()
 
 
-def csv_text(header: list[str], rows: list[tuple], config_echo: dict | None = None) -> str:
-    buf = io.StringIO(newline="")
-    write_csv(buf, header, rows, config_echo)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Operations built on the sweep
 # ---------------------------------------------------------------------------

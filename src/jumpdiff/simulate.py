@@ -9,9 +9,9 @@ that grid time.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
-and distinct stream ids give independent streams.  Per step each engine
-draws, in order: standard normals, right-bridge uniforms, left-bridge
-uniforms, then restart uniforms for exited paths only.
+and distinct stream ids give independent streams.  The per-step draw order of
+each engine is listed beside :func:`_crosses`, the one crossing rule they all
+share.
 """
 
 from __future__ import annotations
@@ -110,32 +110,51 @@ class TVCurve:
 # ---------------------------------------------------------------------------
 # Stepping kernels
 # ---------------------------------------------------------------------------
+# Every sampler detects barrier hits with _crosses.  Per step they draw:
+#   exit times, histograms, step_with_exit, simulate_path (by chunks): normal,
+#     right-bridge, left-bridge, then restart uniforms for exited paths only;
+#   staged coupling: normal, meet, x-edge, y-edge, gap uniforms;
+#   mirror coupling: normal, meet, y-right, y-left, centre-right, centre-left;
+#   conditioned paths (lemma): normal, window-right, window-left, x-restart,
+#     y-restart uniforms.
 
-def _advance(x, spec: ProcessSpec, dt: float, z, u_right, u_left, bridge: bool = True):
+def _crosses(d0, d1, var_dt, u):
+    """Bridge-corrected hit of a barrier by a step whose distance to it goes d0 -> d1.
+
+    u < exp(-2 d0 d1 / var_dt), the one-sided Brownian-bridge crossing
+    probability (Gobet 2000); var_dt is the step variance of the distance.
+    The factor is exactly 1 once d1 <= 0 and u lies in [0, 1), so a step
+    that ends on or past the barrier always crosses.  d0 * d1 is formed
+    first so a huge d0 with d1 = 0 gives 0, not inf * 0 = NaN.  One buffer
+    is updated in place: d0 and d1 stay alive during the call, and a fresh
+    temporary per operation made the conditioned-path check about 12% slower
+    (2-vCPU Xeon VM).
+    """
+    e = np.maximum(d0, 0.0)
+    e *= np.maximum(d1, 0.0)
+    e *= -2.0
+    e /= var_dt
+    return u < np.exp(e)
+
+
+def _exit_code(spec: ProcessSpec, x, x1, var_dt: float, u_right, u_left) -> np.ndarray:
+    """-1, LEFT or RIGHT per step x -> x1; ending at or below a is LEFT even if
+    the right bridge fires."""
+    code = np.full(np.shape(x1), -1, dtype=np.int8)
+    code[_crosses(x - spec.a, x1 - spec.a, var_dt, u_left)] = LEFT
+    code[_crosses(spec.b - x, spec.b - x1, var_dt, u_right) & (x1 > spec.a)] = RIGHT
+    return code
+
+
+def _advance(x, spec: ProcessSpec, dt: float, z, u_right, u_left):
     """One step for an array of positions.
 
     Returns (x_new, exit_code) with exit_code -1 for interior, 0 for a left
     exit, 1 for a right exit; x_new for exited entries is the pre-restart
     proposal (callers overwrite it with the restart draw).
     """
-    a, b = spec.a, spec.b
-    sig2dt = spec.sigma**2 * dt
     x1 = x + spec.mu * dt + spec.sigma * math.sqrt(dt) * z
-    right = x1 >= b
-    left = x1 <= a
-    inside = ~(right | left)
-    if bridge:
-        p_right = np.exp(-2.0 * np.maximum(b - x, 0.0) * np.maximum(b - x1, 0.0) / sig2dt)
-        hit_right = inside & (u_right < p_right)
-        p_left = np.exp(-2.0 * np.maximum(x - a, 0.0) * np.maximum(x1 - a, 0.0) / sig2dt)
-        hit_left = inside & ~hit_right & (u_left < p_left)
-    else:
-        hit_right = np.zeros_like(inside)
-        hit_left = np.zeros_like(inside)
-    exit_code = np.full(x.shape, -1, dtype=np.int8)
-    exit_code[left | hit_left] = LEFT
-    exit_code[right | hit_right] = RIGHT
-    return x1, exit_code
+    return x1, _exit_code(spec, x, x1, spec.sigma**2 * dt, u_right, u_left)
 
 
 def _restart_positions(spec: ProcessSpec, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -147,23 +166,25 @@ def _restart_positions(spec: ProcessSpec, n: int, gen: np.random.Generator) -> n
     return locs[np.minimum(idx, len(locs) - 1)]
 
 
-def step_with_exit(x: float, dt: float, spec: ProcessSpec, rng,
-                   bridge: bool = True) -> tuple[float, str | None]:
+def _check_start(spec: ProcessSpec, x0: float, dt: float) -> None:
+    if not dt > 0.0:
+        raise NonpositiveDt(f"dt must be positive, got {dt}")
+    if not spec.interval.contains(x0):
+        raise OutOfDomain(f"start {x0} outside open interval")
+
+
+def step_with_exit(x: float, dt: float, spec: ProcessSpec, rng) -> tuple[float, str | None]:
     """Single Euler/exact-Gaussian step with bridge-corrected exit detection.
 
     Returns the new position and None, or the (unchanged proposal, boundary
-    label) when the step exits.  ``bridge=False`` disables the within-step
-    crossing correction (test instrumentation only; biases exits late).
+    label) when the step exits.
     """
-    if not dt > 0.0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
-    if not spec.interval.contains(x):
-        raise OutOfDomain(f"start {x} outside open interval")
+    _check_start(spec, x, dt)
     gen = _as_generator(rng)
     z = gen.standard_normal(1)
     u1 = gen.random(1)
     u2 = gen.random(1)
-    x1, code = _advance(np.array([x]), spec, dt, z, u1, u2, bridge=bridge)
+    x1, code = _advance(np.array([x]), spec, dt, z, u1, u2)
     if code[0] < 0:
         return float(x1[0]), None
     return float(x1[0]), SIDE_LABELS[code[0]]
@@ -173,18 +194,15 @@ def step_with_exit(x: float, dt: float, spec: ProcessSpec, rng,
 # Path simulation
 # ---------------------------------------------------------------------------
 
-def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float, rng,
-                  bridge: bool = True) -> PathRealization:
+def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float,
+                  rng) -> PathRealization:
     """Restarted-diffusion path sampled on the uniform grid of step dt.
 
     On each detected exit the path restarts from an atom of the restart
     measure at the end of the step; that grid sample records the post-jump
     state.
     """
-    if not dt > 0.0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
-    if not spec.interval.contains(x0):
-        raise OutOfDomain(f"start {x0} outside open interval")
+    _check_start(spec, x0, dt)
     gen = _as_generator(rng)
     n_steps = int(round(horizon / dt))
     positions = np.empty(n_steps + 1)
@@ -195,6 +213,7 @@ def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float, rng,
     chunk = 8192
     x = x0
     step = 0
+    sig2dt = spec.sigma**2 * dt
     while step < n_steps:
         m = min(chunk, n_steps - step)
         z = gen.standard_normal(m)
@@ -205,18 +224,8 @@ def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float, rng,
         while start < m:
             path = x + np.cumsum(incr[start:])
             prev = np.concatenate(([x], path[:-1]))
-            sig2dt = spec.sigma**2 * dt
-            crossed = (path >= spec.b).astype(np.int8) - (path <= spec.a).astype(np.int8)
-            if bridge:
-                interior = crossed == 0
-                p_r = np.exp(-2.0 * np.maximum(spec.b - prev, 0.0)
-                             * np.maximum(spec.b - path, 0.0) / sig2dt)
-                p_l = np.exp(-2.0 * np.maximum(prev - spec.a, 0.0)
-                             * np.maximum(path - spec.a, 0.0) / sig2dt)
-                bridge_r = interior & (u1[start:] < p_r)
-                bridge_l = interior & ~bridge_r & (u2[start:] < p_l)
-                crossed = np.where(bridge_r, 1, np.where(bridge_l, -1, crossed))
-            hits = np.flatnonzero(crossed != 0)
+            code = _exit_code(spec, prev, path, sig2dt, u1[start:], u2[start:])
+            hits = np.flatnonzero(code >= 0)
             if hits.size == 0:
                 positions[step + start + 1: step + m + 1] = path
                 x = float(path[-1])
@@ -224,11 +233,10 @@ def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float, rng,
             else:
                 i = int(hits[0])
                 positions[step + start + 1: step + start + i + 1] = path[:i]
-                side = RIGHT if crossed[i] > 0 else LEFT
                 restart = float(_restart_positions(spec, 1, gen)[0])
                 positions[step + start + i + 1] = restart
                 jump_times.append((step + start + i + 1) * dt)
-                exited_at.append(SIDE_LABELS[side])
+                exited_at.append(SIDE_LABELS[code[i]])
                 x = restart
                 start = start + i + 1
         step += m
@@ -242,49 +250,24 @@ def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float, rng,
     )
 
 
-def sample_exit_time(spec: ProcessSpec, x0: float, dt: float, rng,
-                     config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, str]:
-    """First-exit time (step-end attribution) and boundary side from x0."""
-    if not dt > 0.0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
-    if not spec.interval.contains(x0):
-        raise OutOfDomain(f"start {x0} outside open interval")
-    gen = _as_generator(rng)
-    x = np.array([x0])
-    for step in range(config.exit_step_budget):
-        z = gen.standard_normal(1)
-        u1 = gen.random(1)
-        u2 = gen.random(1)
-        x, code = _advance(x, spec, dt, z, u1, u2)
-        if code[0] >= 0:
-            return (step + 1) * dt, SIDE_LABELS[code[0]]
-    raise HorizonExceeded(f"no exit within {config.exit_step_budget} steps")
+def _exit_loop(spec: ProcessSpec, x0: float, n: int, dt: float, gen: np.random.Generator,
+               max_steps: int, bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """March n paths from x0 until they exit or max_steps pass.
 
-
-def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float, rng,
-                       horizon: float = np.inf,
-                       bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exit sampling: (exit times, sides) over n_paths starts at x0.
-
-    Paths still alive at the horizon get tau = +inf and side = -1 (censored).
+    Returns (exit times, sides); paths still alive get tau = +inf, side = -1.
     """
-    if not dt > 0.0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
-    if not spec.interval.contains(x0):
-        raise OutOfDomain(f"start {x0} outside open interval")
-    gen = _as_generator(rng)
-    taus = np.full(n_paths, np.inf)
-    sides = np.full(n_paths, -1, dtype=np.int8)
-    idx = np.arange(n_paths)
-    x = np.full(n_paths, float(x0))
+    taus = np.full(n, np.inf)
+    sides = np.full(n, -1, dtype=np.int8)
+    idx = np.arange(n)
+    x = np.full(n, float(x0))
     step = 0
-    censoring = np.isfinite(horizon)
-    max_steps = int(round(horizon / dt)) if censoring else DEFAULT_CONFIG.exit_step_budget
     while idx.size and step < max_steps:
         z = gen.standard_normal(idx.size)
         u1 = gen.random(idx.size)
         u2 = gen.random(idx.size)
-        x, code = _advance(x, spec, dt, z, u1, u2, bridge=bridge)
+        x, code = _advance(x, spec, dt, z, u1, u2)
+        if not bridge:      # instrumentation: only steps that end outside exit
+            code = np.select([x >= spec.b, x <= spec.a], [RIGHT, LEFT], -1)
         step += 1
         done = code >= 0
         if done.any():
@@ -293,7 +276,33 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float, rn
             keep = ~done
             idx = idx[keep]
             x = x[keep]
-    if idx.size and not censoring:
+    return taus, sides
+
+
+def sample_exit_time(spec: ProcessSpec, x0: float, dt: float, rng,
+                     config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, str]:
+    """First-exit time (step-end attribution) and boundary side from x0."""
+    _check_start(spec, x0, dt)
+    taus, sides = _exit_loop(spec, x0, 1, dt, _as_generator(rng), config.exit_step_budget)
+    if sides[0] < 0:
+        raise HorizonExceeded(f"no exit within {config.exit_step_budget} steps")
+    return float(taus[0]), SIDE_LABELS[sides[0]]
+
+
+def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float, rng,
+                       horizon: float = np.inf,
+                       bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized exit sampling: (exit times, sides) over n_paths starts at x0.
+
+    Paths still alive at the horizon get tau = +inf and side = -1 (censored).
+    ``bridge=False`` counts only steps that end outside, so exits are detected
+    late (test instrumentation for the size of the bridge correction).
+    """
+    _check_start(spec, x0, dt)
+    censoring = np.isfinite(horizon)
+    max_steps = int(round(horizon / dt)) if censoring else DEFAULT_CONFIG.exit_step_budget
+    taus, sides = _exit_loop(spec, x0, n_paths, dt, _as_generator(rng), max_steps, bridge)
+    if not censoring and (sides < 0).any():
         raise HorizonExceeded("exit sampling ran past the step budget")
     return taus, sides
 
@@ -504,12 +513,8 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
             u_x = gen.random(batch)
             u_y = gen.random(batch)
             bm1 = bm + sqrt_dt * z
-            hit = (bm1 >= half_j) | (bm1 <= -half_j)
-            p_r = np.exp(-2.0 * np.maximum(half_j - bm, 0.0)
-                         * np.maximum(half_j - bm1, 0.0) / dt)
-            p_l = np.exp(-2.0 * np.maximum(bm + half_j, 0.0)
-                         * np.maximum(bm1 + half_j, 0.0) / dt)
-            alive &= ~(hit | (u_r < p_r) | (u_l < p_l))
+            alive &= ~(_crosses(half_j - bm, half_j - bm1, dt, u_r)
+                       | _crosses(bm + half_j, bm1 + half_j, dt, u_l))
             incr = spec.mu * dt + spec.sigma * sqrt_dt * z
             xs = _drive_restarted(spec, xs, incr, u_x, dt)
             ys = _drive_restarted(spec, ys, incr, u_y, dt)
@@ -536,9 +541,6 @@ def _check_lemma_inputs(spec: ProcessSpec, dt: float) -> None:
 def _drive_restarted(spec: ProcessSpec, x: np.ndarray, incr: np.ndarray,
                      u: np.ndarray, dt: float) -> np.ndarray:
     """Advance the restarted diffusion with shared increments (upper exits only)."""
-    x0 = spec.nu.locations[0]
     x1 = x + incr
-    p_r = np.exp(-2.0 * np.maximum(spec.b - x, 0.0)
-                 * np.maximum(spec.b - x1, 0.0) / (spec.sigma**2 * dt))
-    jump = (x1 >= spec.b) | (u < p_r)
-    return np.where(jump, x0, x1)
+    jump = _crosses(spec.b - x, spec.b - x1, spec.sigma**2 * dt, u)
+    return np.where(jump, spec.nu.locations[0], x1)

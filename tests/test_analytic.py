@@ -28,9 +28,10 @@ from jumpdiff.errors import (
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
+    SeriesOverflow,
     TruncationWarning,
 )
-from jumpdiff.model import Interval, JumpDistribution, unit_spec
+from jumpdiff.model import Interval, JumpDistribution, ProcessSpec, unit_spec
 from jumpdiff.simulate import RngStream, exit_time_ensemble
 from tests.test_model import make_spec
 
@@ -289,6 +290,18 @@ def test_killed_survival_is_one_point_grid(spec20):
         for t in (0.0, 1e-3, 0.05, 0.4):
             for x in (0.2, 0.5, 0.8):
                 assert killed_survival(spec20, x, t) == killed_survival_grid(spec20, x, [t])[0]
+
+
+def test_killed_survival_overflow_raises_instead_of_nan():
+    # beta (L - u) - lam_1 t is about 2.7e3 here: exp overflows and inf - inf
+    # would be NaN, where the true survival is about 1
+    spec = ProcessSpec(Interval(0.0, 3.79), 0.305, 77.4, JumpDistribution.delta(1.895))
+    with pytest.raises(SeriesOverflow, match="t = 0.0064"):
+        killed_survival(spec, 0.25, 0.0064)
+    with pytest.raises(SeriesOverflow, match="t = 0.0064"):
+        killed_survival_grid(spec, 0.25, [0.0, 0.0064, 0.1])
+    # at t = 0 the value is 1 by definition and nothing is raised
+    assert killed_survival_grid(spec, 0.25, [0.0])[0] == 1.0
 
 
 def test_killed_survival_grid_does_not_warn_from_zero(spec0):

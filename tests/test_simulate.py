@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jumpdiff.analytic import invariant_density_grid, mean_exit_time
 from jumpdiff.errors import (
@@ -13,7 +15,11 @@ from jumpdiff.errors import (
 )
 from jumpdiff.model import unit_spec
 from jumpdiff.simulate import (
+    LEFT,
+    SIDE_LABELS,
     RngStream,
+    _advance,
+    _crosses,
     ensemble_snapshots,
     ensemble_tv,
     exit_time_ensemble,
@@ -51,16 +57,39 @@ def test_step_exit_vanishes_for_small_dt(spec0):
         assert side is None
 
 
+def _crossing_frequency(d0, d1, var_dt, n=1_000_000):
+    # share of an evenly spaced grid of n uniforms in [0, 1) on which the
+    # library's crossing rule fires: the bridge factor to within 1/n
+    return float(_crosses(d0, d1, var_dt, np.arange(n) / n).mean())
+
+
 def test_bridge_crossing_probability_value():
     # the one-sided bridge factor at the documented corner case
     b, x, x1, dt = 1.0, 0.999, 0.9995, 1e-4
-    p = math.exp(-2.0 * (b - x) * (b - x1) / dt)
+    p = _crossing_frequency(b - x, b - x1, dt)
     assert p == pytest.approx(0.990, abs=5e-4)
+
+
+@given(d0=st.floats(allow_nan=False, allow_infinity=False),
+       d1=st.floats(max_value=0.0, allow_nan=False),
+       var_dt=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+       u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_step_ending_past_the_barrier_always_crosses(d0, d1, var_dt, u):
+    # the samplers test no sure crossing beside _crosses; this is why
+    assert _crosses(d0, d1, var_dt, u)
+
+
+def test_step_ending_below_a_is_a_left_exit(spec0):
+    # from just below b a step far past a is a left exit even when the right
+    # bridge uniform fires too
+    x1, code = _advance(np.array([0.999]), spec0, 1e-2, np.array([-20.0]),
+                        np.array([0.0]), np.array([0.5]))
+    assert x1[0] < spec0.a and code[0] == LEFT
 
 
 def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
     # simulate dense Brownian bridges between fixed endpoints and compare the
-    # empirical crossing frequency with the closed-form factor
+    # empirical crossing frequency with that of the library's crossing rule
     b, x, x1, dt = 1.0, 0.95, 0.96, 2.5e-3
     m, n, batch = 2048, 40_000, 4_000
     k = np.arange(1, m + 1) / m
@@ -73,7 +102,7 @@ def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
         bridge = x + (x1 - x) * k[None, :] + (w - w[:, -1][:, None] * k[None, :])
         crossed += int((bridge.max(axis=1) >= barrier).sum())
     p_hat = crossed / n
-    p = math.exp(-2.0 * (b - x) * (b - x1) / dt)
+    p = _crossing_frequency(b - x, b - x1, dt)
     se = math.sqrt(p * (1 - p) / n)
     assert p_hat == pytest.approx(p, abs=3 * se + 0.004)
 
@@ -83,6 +112,14 @@ def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
 def test_sample_exit_time_scalar(spec0):
     tau, side = sample_exit_time(spec0, 0.5, 1e-3, RngStream(3))
     assert tau > 0.0 and side in ("left", "right")
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_sample_exit_time_is_first_path_of_ensemble(seed):
+    spec = unit_spec(3.0)
+    tau, side = sample_exit_time(spec, 0.4, 1e-3, RngStream(seed))
+    taus, sides = exit_time_ensemble(spec, 0.4, 1, 1e-3, RngStream(seed))
+    assert (tau, side) == (taus[0], SIDE_LABELS[sides[0]])
 
 
 def test_exit_time_mean_matches_green(spec0):
