@@ -24,7 +24,11 @@ from .errors import (
     SeriesOverflow,
     TruncationWarning,
 )
-from .model import DEFAULT_CONFIG, Interval, JumpDistribution, ProcessSpec, SolverConfig
+from .model import Interval, JumpDistribution, ProcessSpec
+
+SURVIVAL_N_TERMS = 64          # default truncation of the survival eigenexpansion
+SURVIVAL_TAIL_WARN = 1e-8      # tail bound above which killed_survival warns
+MU_SWITCH_SCALE = 1e-4         # drift-free Green below MU_SWITCH_SCALE * sigma^2 / L
 
 
 def _require_inside(iv: Interval, *points: float) -> None:
@@ -36,6 +40,10 @@ def _require_inside(iv: Interval, *points: float) -> None:
 def _require_centered(spec: ProcessSpec) -> None:
     if not spec.is_centered_delta:
         raise RequiresCenteredDelta("spec must restart from a single midpoint atom")
+
+
+def _mu_switch(spec: ProcessSpec) -> float:
+    return MU_SWITCH_SCALE * spec.sigma**2 / spec.length
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +79,7 @@ def _green_raw(a: float, b: float, sigma: float, mu: float, x, y, mu_switch: flo
     return skew * left * right / (mu * denom)
 
 
-def green_function(spec: ProcessSpec, x: float, y: float,
-                   config: SolverConfig = DEFAULT_CONFIG) -> float:
+def green_function(spec: ProcessSpec, x: float, y: float) -> float:
     """Expected occupation density at y for the killed diffusion started at x.
 
     Integrating over y yields the expected exit time from (a, b).
@@ -81,14 +88,12 @@ def green_function(spec: ProcessSpec, x: float, y: float,
         OutOfDomain: x or y outside the open interval.
     """
     _require_inside(spec.interval, x, y)
-    mu_switch = config.mu_switch_scale * spec.sigma**2 / spec.length
-    return float(_green_raw(spec.a, spec.b, spec.sigma, spec.mu, x, y, mu_switch))
+    return float(_green_raw(spec.a, spec.b, spec.sigma, spec.mu, x, y, _mu_switch(spec)))
 
 
-def _green_profile(spec: ProcessSpec, ys: np.ndarray,
-                   config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+def _green_profile(spec: ProcessSpec, ys: np.ndarray) -> np.ndarray:
     """Unnormalized invariant density: sum_i w_i g(x_i, y) on an array of y."""
-    mu_switch = config.mu_switch_scale * spec.sigma**2 / spec.length
+    mu_switch = _mu_switch(spec)
     out = np.zeros_like(np.asarray(ys, dtype=float))
     for x_i, w_i in spec.nu.atoms:
         out = out + w_i * _green_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i, ys, mu_switch)
@@ -113,40 +118,36 @@ def _exit_time_raw(a: float, b: float, sigma: float, mu: float, x: float,
     return (L * -math.expm1(-alpha * u) / -math.expm1(-alpha * L) - u) / mu
 
 
-def _invariant_norm(spec: ProcessSpec, config: SolverConfig = DEFAULT_CONFIG) -> float:
+def _invariant_norm(spec: ProcessSpec) -> float:
     """Normalizer of the invariant density: sum_i w_i E_{x_i}[exit time]."""
-    mu_switch = config.mu_switch_scale * spec.sigma**2 / spec.length
+    mu_switch = _mu_switch(spec)
     return sum(w_i * _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i, mu_switch)
                for x_i, w_i in spec.nu.atoms)
 
 
-def mean_exit_time(spec: ProcessSpec, x: float,
-                   config: SolverConfig = DEFAULT_CONFIG) -> float:
+def mean_exit_time(spec: ProcessSpec, x: float) -> float:
     """E_x of the first exit time, as the y-integral of the Green's function."""
     _require_inside(spec.interval, x)
-    mu_switch = config.mu_switch_scale * spec.sigma**2 / spec.length
-    return _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x, mu_switch)
+    return _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x, _mu_switch(spec))
 
 
-def invariant_density(spec: ProcessSpec, y: float,
-                      config: SolverConfig = DEFAULT_CONFIG) -> float:
+def invariant_density(spec: ProcessSpec, y: float) -> float:
     """Stationary density of the restarted process at y.
 
     Ratio of the atom-weighted Green profile to its integral over (a, b);
     integrates to one.
     """
     _require_inside(spec.interval, y)
-    num = float(_green_profile(spec, np.asarray(y), config))
-    return num / _invariant_norm(spec, config)
+    num = float(_green_profile(spec, np.asarray(y)))
+    return num / _invariant_norm(spec)
 
 
-def invariant_density_grid(spec: ProcessSpec, ys: np.ndarray,
-                           config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+def invariant_density_grid(spec: ProcessSpec, ys: np.ndarray) -> np.ndarray:
     """Vectorized :func:`invariant_density` on interior grid points."""
     ys = np.asarray(ys, dtype=float)
     if np.any(ys <= spec.a) or np.any(ys >= spec.b):
         raise OutOfDomain("grid points must lie strictly inside the interval")
-    return _green_profile(spec, ys, config) / _invariant_norm(spec, config)
+    return _green_profile(spec, ys) / _invariant_norm(spec)
 
 
 def invariant_density_limit(nu: JumpDistribution, interval: Interval, y: float) -> float:
@@ -171,16 +172,15 @@ def dirichlet_bottom(spec: ProcessSpec, interval_override: Interval | None = Non
 
 
 def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None = None,
-                    interval: Interval | None = None,
-                    config: SolverConfig = DEFAULT_CONFIG) -> float:
+                    interval: Interval | None = None) -> float:
     """P_x(exit time > t) by eigenexpansion of the killed drifted generator.
 
     Eigenvalues sigma^2 k^2 pi^2 / (2 L^2) + mu^2 / (2 sigma^2) with
     eigenfunctions exp(-mu (x-a)/sigma^2) sin(k pi (x-a)/L); the projection
     weights are the closed-form integrals of exp(+mu (y-a)/sigma^2)
-    sin(k pi (y-a)/L).  Truncated at ``n_terms``; emits
-    :class:`TruncationWarning` when the geometric tail bound exceeds the
-    configured threshold.  ``interval`` restricts the exit problem to a
+    sin(k pi (y-a)/L).  Truncated at ``n_terms`` (default
+    ``SURVIVAL_N_TERMS``); emits :class:`TruncationWarning` when the
+    geometric tail bound exceeds ``SURVIVAL_TAIL_WARN``.  ``interval`` restricts the exit problem to a
     sub-interval (the restart measure is irrelevant to the killed process).
 
     Raises:
@@ -190,16 +190,15 @@ def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None =
     """
     if t < 0.0:
         raise OutOfDomain("time must be nonnegative")
-    val = float(_survival_grid(spec, x, np.array([t]), n_terms, interval, config)[0])
+    val = float(_survival_grid(spec, x, np.array([t]), n_terms, interval)[0])
     if t > 0.0:
         iv = interval or spec.interval
-        n = n_terms or config.survival_n_terms
-        _warn_survival_tail(spec, x - iv.a, iv.length, n, t, config)
+        n = n_terms or SURVIVAL_N_TERMS
+        _warn_survival_tail(spec, x - iv.a, iv.length, n, t)
     return val
 
 
-def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float,
-                        config: SolverConfig) -> None:
+def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float) -> None:
     beta = spec.mu / spec.sigma**2
     w1 = (n + 1) * math.pi / L
     lam1 = 0.5 * spec.sigma**2 * w1**2 + spec.mu**2 / (2.0 * spec.sigma**2)
@@ -213,19 +212,19 @@ def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float,
     if ratio >= 1.0:
         warnings.warn(TruncationWarning("survival tail bound diverges at this t"))
         return
-    if m1 / (1.0 - ratio) > config.survival_tail_warn:
+    if m1 / (1.0 - ratio) > SURVIVAL_TAIL_WARN:
         warnings.warn(TruncationWarning(
             f"survival tail bound {m1 / (1.0 - ratio):.3e} above threshold"))
 
 
 def killed_survival_grid(spec: ProcessSpec, x: float, ts: np.ndarray,
-                         n_terms: int | None = None, interval: Interval | None = None,
-                         config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+                         n_terms: int | None = None,
+                         interval: Interval | None = None) -> np.ndarray:
     """Vectorized :func:`killed_survival`; silent, as the tail bound diverges at t = 0."""
-    return _survival_grid(spec, x, ts, n_terms, interval, config)
+    return _survival_grid(spec, x, ts, n_terms, interval)
 
 
-def _survival_grid(spec, x, ts, n_terms, interval, config) -> np.ndarray:
+def _survival_grid(spec, x, ts, n_terms, interval) -> np.ndarray:
     """Eigenexpansion shared by both survival functions; the k-th term is
         (2/L) sin(omega_k u) * omega_k / (beta^2 + omega_k^2)
             * [exp(-beta u - lam_k t) - (-1)^k exp(beta (L - u) - lam_k t)].
@@ -235,7 +234,7 @@ def _survival_grid(spec, x, ts, n_terms, interval, config) -> np.ndarray:
     iv = interval or spec.interval
     _require_inside(iv, x)
     ts = np.asarray(ts, dtype=float)
-    n = n_terms or config.survival_n_terms
+    n = n_terms or SURVIVAL_N_TERMS
     L = iv.length
     u = x - iv.a
     beta = spec.mu / spec.sigma**2

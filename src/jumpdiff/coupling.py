@@ -36,17 +36,20 @@ from .errors import (
     RequiresPositiveDrift,
     StageBudgetExceeded,
 )
-from .model import (
-    DEFAULT_CONFIG,
-    Interval,
-    JumpDistribution,
-    ProcessSpec,
-    RateFit,
-    SolverConfig,
+from .model import Interval, JumpDistribution, ProcessSpec, RateFit
+from .simulate import (
+    RngStream,
+    _advance,
+    _as_generator,
+    _crosses,
+    default_dt,
+    exit_time_ensemble,
+    fit_rate,
 )
-from .simulate import RngStream, _advance, _as_generator, _crosses, exit_time_ensemble, fit_rate
 
 STAGE_LABELS = {1: "I", 2: "II", 3: "III"}
+STAGE_STEP_BUDGET = 100_000_000     # pair-steps one coupling run may take
+COALESCE_TOL_STEPS = 0.5            # meet tolerance = COALESCE_TOL_STEPS * sigma * sqrt(dt)
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ class _CouplingResult:
 
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
                   gen: np.random.Generator, horizon: float,
-                  trace: list | None = None, snapshot_step: int | None = None,
-                  config: SolverConfig = DEFAULT_CONFIG):
+                  trace: list | None = None, snapshot_step: int | None = None):
     """March n coupled pairs to the horizon.
 
     Coalesced pairs are dropped from the working set (the aggregation is a
@@ -115,7 +117,7 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     sqrt_dt = math.sqrt(dt)
     sig2dt = sig**2 * dt
     gap2dt = 4.0 * sig**2 * dt          # distance process has volatility 2 sigma
-    tol0 = config.coalesce_tol_steps * sig * sqrt_dt
+    tol0 = COALESCE_TOL_STEPS * sig * sqrt_dt
     drift = spec.mu * dt
 
     res = _CouplingResult(n)
@@ -144,9 +146,8 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         # the budget guards the coupling stages; the post-coalescence march
         # in snapshot mode is bounded by n * snapshot_step by construction
         work += int((stage < 4).sum()) if snapshot_step is not None else m
-        if work > config.stage_step_budget:
-            raise StageBudgetExceeded(
-                f"coupling exceeded the step budget {config.stage_step_budget}")
+        if work > STAGE_STEP_BUDGET:
+            raise StageBudgetExceeded(f"coupling exceeded the step budget {STAGE_STEP_BUDGET}")
         z = gen.standard_normal(m)
         u_meet = gen.random(m)
         u_xb = gen.random(m)
@@ -294,8 +295,7 @@ def _check_staged_inputs(spec: ProcessSpec, x: float, y: float) -> None:
 
 
 def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng,
-                    trace: bool = False,
-                    config: SolverConfig = DEFAULT_CONFIG):
+                    trace: bool = False):
     """One coupled pair from (x, y); returns its :class:`CouplingRecord`.
 
     With ``trace=True`` also returns the per-step rows
@@ -306,7 +306,7 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng,
     rows: list | None = [] if trace else None
     # coalescence happens on the diffusive time scale; 64 of them is plenty
     horizon = 64.0 * spec.length**2 / spec.sigma**2
-    res, _ = _run_coupling(spec, x, y, 1, dt, gen, horizon, trace=rows, config=config)
+    res, _ = _run_coupling(spec, x, y, 1, dt, gen, horizon, trace=rows)
     if not np.isfinite(res.tau_c[0]):
         raise StageBudgetExceeded("pair did not coalesce within the step budget")
     record = CouplingRecord(
@@ -318,30 +318,26 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng,
 
 
 def coupling_records(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: float,
-                     seed: int, horizon: float,
-                     config: SolverConfig = DEFAULT_CONFIG):
+                     seed: int, horizon: float):
     """Vectorized stage times for n_pairs couples (inf where censored)."""
     _check_staged_inputs(spec, x, y)
     gen = RngStream(seed, 0).generator()
-    res, _ = _run_coupling(spec, x, y, n_pairs, dt, gen, horizon, config=config)
+    res, _ = _run_coupling(spec, x, y, n_pairs, dt, gen, horizon)
     return res.tau_1, res.tau_2, res.tau_c, res.coalesced_stage
 
 
 def coupling_marginal(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: float,
-                      seed: int, t: float,
-                      config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+                      seed: int, t: float) -> np.ndarray:
     """x-marginal of the coupled construction at time t (law check support)."""
     _check_staged_inputs(spec, x, y)
     gen = RngStream(seed, 0).generator()
     step = int(round(t / dt))
-    st, snap = _run_coupling(spec, x, y, n_pairs, dt, gen, t, snapshot_step=step,
-                             config=config)
+    _, snap = _run_coupling(spec, x, y, n_pairs, dt, gen, t, snapshot_step=step)
     return snap
 
 
 def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float,
-                  t_grid, seed: int,
-                  config: SolverConfig = DEFAULT_CONFIG) -> tuple[TailTable, RateFit]:
+                  t_grid, seed: int) -> tuple[TailTable, RateFit]:
     """Empirical coalescence-time survival and its fitted exponential rate.
 
     The fitted rate is the empirical lower-bound certificate for the spectral
@@ -353,8 +349,7 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
     if n_paths < 10_000:
         raise ConfigError("tail estimation needs at least 10^4 pairs")
     t_grid = sorted(float(t) for t in t_grid)
-    _, _, tau_c, _ = coupling_records(spec, x, y, n_paths, dt, seed,
-                                      horizon=t_grid[-1], config=config)
+    _, _, tau_c, _ = coupling_records(spec, x, y, n_paths, dt, seed, horizon=t_grid[-1])
     surv = np.array([(tau_c > t).mean() for t in t_grid])
     table = TailTable(thresholds=tuple(t_grid), survival=tuple(surv.tolist()), n=n_paths)
     usable = (surv <= 0.4) & (surv * n_paths >= 25.0)
@@ -436,8 +431,7 @@ def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
 # ---------------------------------------------------------------------------
 
 def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid,
-                            n_paths: int, seed: int, min_survivors: int = 10,
-                            config: SolverConfig = DEFAULT_CONFIG):
+                            n_paths: int, seed: int):
     """Empirical two-sided comparison of the exit-time convolution inequality.
 
     Left side: the analytic fast-exit survival on (a, x0) (supremum over
@@ -446,8 +440,8 @@ def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid
     side: the empirical window-exit survival itself.  Returns
     (rows, holds) where rows are (t, lhs, rhs, ratio, survivors) and holds
     is True when every supported ratio is below one.  Grid times where fewer
-    than ``min_survivors`` samples survive carry ratio NaN and are excluded
-    from the verdict (their true survival is below Monte Carlo resolution).
+    than 10 samples survive carry ratio NaN and are excluded from the verdict
+    (their true survival is below Monte Carlo resolution).
     """
     if not spec.mu > 0.0:
         raise RequiresPositiveDrift("convolution comparison needs mu > 0")
@@ -455,7 +449,7 @@ def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid
     h = j_halfwidth if j_halfwidth is not None else (spec.b - x0) / (4.0 * spec.sigma)
     t_grid = sorted(float(t) for t in t_grid)
     window_spec = ProcessSpec(Interval(-h, h), 1.0, 0.0, JumpDistribution.delta(0.0))
-    taus, _ = exit_time_ensemble(window_spec, 0.0, n_paths, config.default_dt(window_spec),
+    taus, _ = exit_time_ensemble(window_spec, 0.0, n_paths, default_dt(window_spec),
                                  RngStream(seed, 0), horizon=4.0 * t_grid[-1])
 
     sub = Interval(spec.a, x0)
@@ -475,7 +469,7 @@ def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid
                              0.0).mean())
         survivors = int((taus > t).sum())
         rhs = survivors / n_paths
-        if survivors >= min_survivors:
+        if survivors >= 10:
             ratio = lhs / rhs
             supported_ratios.append(ratio)
         else:

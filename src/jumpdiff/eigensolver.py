@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -118,22 +118,14 @@ class CharDeterminant:
 
     whose leading exponential appears in exactly one term, so every value is
     computed at full relative accuracy for arbitrarily large |lambda|.
-    Negative drift is evaluated through interval reflection (an eigenvalue-
-    preserving row operation; flips the overall sign).
+    The whole sum is further scaled by exp(-s), s = max(0, (Re q - g) (b - a)),
+    a positive factor that keeps magnitudes O(1) without moving zeros or
+    phases.  Negative drift is evaluated through interval reflection (an
+    eigenvalue-preserving row operation; flips the overall sign).
     """
 
     spec: ProcessSpec
     config: SolverConfig = DEFAULT_CONFIG
-    scaling: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "scaling",
-            "hyperbolic basis {exp(-g d) cosh(q d), exp(-g d) sinh(q d)/q}, "
-            "g = mu/sigma^2, which absorbs the 1/(r1 - r2) normalizer "
-            "analytically; the determinant is further scaled by exp(-s) with "
-            "s = max(0, (Re q - g) (b - a)), a positive factor that keeps "
-            "magnitudes O(1) without moving zeros or phases.")
 
     def _sinch(self, q, dist, shift):
         """exp(shift) * sinh(q dist) / q with a series branch near q = 0.
@@ -404,13 +396,7 @@ def _locate_zeros(f: CharDeterminant, box: Box, count: int,
     cluster_diag = max(config.cluster_box_diag,
                        config.cluster_rel_diag * (1.0 + abs(box.center)))
     if box.diag <= cluster_diag:
-        z, r = _polish(f, box.center, count, config)
-        if count > 1 and box.im_min <= 0.0 <= box.im_max:
-            # conjugate symmetry: an unresolved cluster straddling the real
-            # axis is indistinguishable from a real m-fold zero
-            z = complex(z.real, 0.0)
-            r = abs(complex(f(np.asarray([z], dtype=complex))[0]))
-        out.append((z, count, r))
+        _append_cluster(f, box, count, config, out)
         return
     if count == 1:
         z, r = _polish(f, box.center, 1, config)
@@ -445,13 +431,21 @@ def _locate_zeros(f: CharDeterminant, box: Box, count: int,
         # every split line failed on a small box: the contents are one
         # cluster below floating-point resolution (an m-fold zero whose
         # determinant values are noise at this scale)
-        z, r = _polish(f, box.center, count, config)
-        if count > 1 and box.im_min <= 0.0 <= box.im_max:
-            z = complex(z.real, 0.0)
-            r = abs(complex(f(np.asarray([z], dtype=complex))[0]))
-        out.append((z, count, r))
+        _append_cluster(f, box, count, config, out)
         return
     raise ContourThroughZero(f"no usable split line for box {box}: {last}")
+
+
+def _append_cluster(f: CharDeterminant, box: Box, count: int,
+                    config: SolverConfig, out: list) -> None:
+    """Report an unresolvable box as one zero of multiplicity ``count``."""
+    z, r = _polish(f, box.center, count, config)
+    if count > 1 and box.im_min <= 0.0 <= box.im_max:
+        # conjugate symmetry: an unresolved cluster straddling the real
+        # axis is indistinguishable from a real m-fold zero
+        z = complex(z.real, 0.0)
+        r = abs(complex(f(np.asarray([z], dtype=complex))[0]))
+    out.append((z, count, r))
 
 
 def _assemble_eigenvalues(raw: list, re_max: float,

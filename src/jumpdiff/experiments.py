@@ -20,8 +20,8 @@ from . import analytic
 from .coupling import convolution_bound_check, coupling_tail
 from .errors import ConfigError, JumpdiffError, NoPlateauFound
 from .eigensolver import auto_re_max, find_spectrum
-from .model import DEFAULT_CONFIG, ProcessSpec, SolverConfig
-from .simulate import ensemble_tv, fit_rate, verify_pathwise_lemma
+from .model import ProcessSpec
+from .simulate import default_dt, ensemble_tv, fit_rate, verify_pathwise_lemma
 from .svgplot import line_plot
 
 EXPERIMENTS = (
@@ -136,7 +136,7 @@ class ExperimentConfig:
     out: str = _key(str, default="out")
 
     def resolved_dt(self) -> float:
-        return self.dt if self.dt is not None else DEFAULT_CONFIG.default_dt(self.spec)
+        return self.dt if self.dt is not None else default_dt(self.spec)
 
     def to_json_dict(self) -> dict:
         d = {}
@@ -229,8 +229,7 @@ def write_csv(path_or_buf, header: list[str], rows: list[tuple],
 # Operations built on the sweep
 # ---------------------------------------------------------------------------
 
-def threshold_locate(spec_base: ProcessSpec, tol: float,
-                     config: SolverConfig = DEFAULT_CONFIG) -> ThresholdResult:
+def threshold_locate(spec_base: ProcessSpec, tol: float) -> ThresholdResult:
     """Bisect for the smallest drift whose gap sits on the plateau.
 
     The predicate is |gap(mu) - plateau| < tol * plateau; the bracket is
@@ -247,7 +246,7 @@ def threshold_locate(spec_base: ProcessSpec, tol: float,
 
     def on_plateau(mu: float) -> bool:
         spec = spec_base.with_mu(mu)
-        rep = find_spectrum(spec, auto_re_max(spec), config=config)
+        rep = find_spectrum(spec, auto_re_max(spec))
         return abs(rep.gap - target) < tol * target
 
     if not on_plateau(upper):

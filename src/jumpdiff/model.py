@@ -223,16 +223,6 @@ class PathRealization:
         if any(t2 <= t1 for t1, t2 in zip(self.jump_times, self.jump_times[1:])):
             raise ValueError("jump_times must be strictly increasing")
 
-    @property
-    def holding_times(self) -> tuple[float, ...]:
-        """Durations between consecutive restarts."""
-        prev = 0.0
-        out = []
-        for t in self.jump_times:
-            out.append(t - prev)
-            prev = t
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -255,15 +245,19 @@ class RateFit:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Every tolerance in one record, for reproducible golden outputs.
+    """Tolerances of the eigensolver: determinant series branch, Newton
+    polishing, deduplication, and contour sampling, dilation and bisection.
 
-    Fields group as: eigenexpansion truncation, Green-function drift switch,
-    eigensolver contour/polish knobs, and simulator defaults and budgets.
+    Only :mod:`jumpdiff.eigensolver` reads it, through the ``config``
+    argument of ``CharDeterminant``, ``characteristic_det``, ``count_zeros``,
+    ``find_spectrum`` and ``gap_curve``.  It stays a record because the
+    benchmark in ``perfbench/`` reads it there: ``DEFAULT_CONFIG.newton_residual``
+    gates spectrum residuals, repeat solves are keyed on the ``config``
+    argument of ``find_spectrum``, and ``CharDeterminant(spec).config.im_aspect``
+    sizes the timed contour.  Sampler budgets and series constants are
+    module constants beside their one user.
     """
 
-    survival_n_terms: int = 64
-    survival_tail_warn: float = 1e-8
-    mu_switch_scale: float = 1e-4          # drift-free Green below mu_switch_scale * sigma^2 / L
     sinch_series_cutoff: float = 1e-4      # |q|*L below which sinh(q d)/q uses its series
     newton_residual: float = 1e-10
     newton_max_iter: int = 50
@@ -280,14 +274,6 @@ class SolverConfig:
     cluster_box_diag: float = 1e-4         # stop bisecting; treat content as one multiple zero
     cluster_rel_diag: float = 1e-5         # scale-relative part of the same cutoff
     im_aspect: float = 4.0                 # default im_max = 4 * re_max
-    dt_scale: float = 1e-4                 # default dt = dt_scale * (L / sigma)^2
-    exit_step_budget: int = 1_000_000_000
-    stage_step_budget: int = 100_000_000
-    rejection_min_accept: float = 1e-6
-    coalesce_tol_steps: float = 0.5        # tolerance = coalesce_tol_steps * sigma * sqrt(dt)
-
-    def default_dt(self, spec: ProcessSpec) -> float:
-        return self.dt_scale * (spec.length / spec.sigma) ** 2
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -34,17 +34,23 @@ from .errors import (
     WindowTooSparse,
 )
 from .model import (
-    DEFAULT_CONFIG,
     Interval,
     JumpDistribution,
     PathRealization,
     ProcessSpec,
     RateFit,
-    SolverConfig,
 )
 
 LEFT, RIGHT = 0, 1
 SIDE_LABELS = ("left", "right")
+DT_SCALE = 1e-4                     # default dt = DT_SCALE * (L / sigma)^2
+EXIT_STEP_BUDGET = 1_000_000_000    # steps an uncensored exit search may take
+REJECTION_MIN_ACCEPT = 1e-6         # lowest acceptance the conditioned-path check runs at
+
+
+def default_dt(spec: ProcessSpec) -> float:
+    """Step used when a run names none: DT_SCALE times the diffusive time (L / sigma)^2."""
+    return DT_SCALE * (spec.length / spec.sigma) ** 2
 
 
 @dataclass(frozen=True)
@@ -279,13 +285,12 @@ def _exit_loop(spec: ProcessSpec, x0: float, n: int, dt: float, gen: np.random.G
     return taus, sides
 
 
-def sample_exit_time(spec: ProcessSpec, x0: float, dt: float, rng,
-                     config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, str]:
+def sample_exit_time(spec: ProcessSpec, x0: float, dt: float, rng) -> tuple[float, str]:
     """First-exit time (step-end attribution) and boundary side from x0."""
     _check_start(spec, x0, dt)
-    taus, sides = _exit_loop(spec, x0, 1, dt, _as_generator(rng), config.exit_step_budget)
+    taus, sides = _exit_loop(spec, x0, 1, dt, _as_generator(rng), EXIT_STEP_BUDGET)
     if sides[0] < 0:
-        raise HorizonExceeded(f"no exit within {config.exit_step_budget} steps")
+        raise HorizonExceeded(f"no exit within {EXIT_STEP_BUDGET} steps")
     return float(taus[0]), SIDE_LABELS[sides[0]]
 
 
@@ -300,7 +305,7 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float, rn
     """
     _check_start(spec, x0, dt)
     censoring = np.isfinite(horizon)
-    max_steps = int(round(horizon / dt)) if censoring else DEFAULT_CONFIG.exit_step_budget
+    max_steps = int(round(horizon / dt)) if censoring else EXIT_STEP_BUDGET
     taus, sides = _exit_loop(spec, x0, n_paths, dt, _as_generator(rng), max_steps, bridge)
     if not censoring and (sides < 0).any():
         raise HorizonExceeded("exit sampling ran past the step budget")
@@ -311,11 +316,10 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float, rn
 # Ensembles and total variation
 # ---------------------------------------------------------------------------
 
-def sample_invariant(spec: ProcessSpec, n: int, gen: np.random.Generator,
-                     grid: int = 4097) -> np.ndarray:
-    """Draws from the analytic invariant density by inverse-CDF on a grid."""
-    ys = np.linspace(spec.a, spec.b, grid)
-    dens = np.zeros(grid)
+def sample_invariant(spec: ProcessSpec, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Draws from the analytic invariant density by inverse-CDF on a 4097-point grid."""
+    ys = np.linspace(spec.a, spec.b, 4097)
+    dens = np.zeros(ys.size)
     dens[1:-1] = invariant_density_grid(spec, ys[1:-1])
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(ys))))
     cdf /= cdf[-1]
@@ -406,8 +410,6 @@ def ensemble_tv(spec: ProcessSpec, x: float, y_or_invariant, times, n_paths: int
 def _curve_arrays(curve) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(curve, TVCurve):
         return np.array(curve.times), np.array(curve.tv)
-    if hasattr(curve, "thresholds") and hasattr(curve, "survival"):
-        return np.array(curve.thresholds), np.array(curve.survival)
     t, v = curve
     return np.asarray(t, dtype=float), np.asarray(v, dtype=float)
 
@@ -454,8 +456,7 @@ def fit_rate(curve, window: tuple[float, float], noise_floor: float = 0.0) -> Ra
 # ---------------------------------------------------------------------------
 
 def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
-                          seed: int,
-                          config: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+                          seed: int) -> tuple[float, float]:
     """Conditioned-path fractions for the deterministic-squeeze property.
 
     Drives standard Brownian paths conditioned (by rejection) to stay in the
@@ -466,8 +467,8 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     and 0 up to discretization slack.
 
     Raises:
-        RejectionBudgetExceeded: conditional acceptance below the configured
-            minimum.
+        RejectionBudgetExceeded: conditional acceptance below
+            ``REJECTION_MIN_ACCEPT``.
     """
     _check_lemma_inputs(spec, dt)
     x0 = spec.nu.locations[0]
@@ -482,10 +483,9 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     window = ProcessSpec(Interval(-half_j, half_j), 1.0, 0.0,
                          JumpDistribution.delta(0.0))
     est_accept = killed_survival(window, 0.0, t_n, n_terms=256)
-    if est_accept < config.rejection_min_accept:
+    if est_accept < REJECTION_MIN_ACCEPT:
         raise RejectionBudgetExceeded(
-            f"window-survival acceptance {est_accept:.2e} below "
-            f"{config.rejection_min_accept}")
+            f"window-survival acceptance {est_accept:.2e} below {REJECTION_MIN_ACCEPT}")
     x_start = x0 + gap / 4.0
     y_start = x0 + 3.0 * gap / 4.0
     a_lo, a_hi = x0, x0 + gap / 2.0
@@ -499,9 +499,8 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     batch = max(4096, min(200_000, 8 * n_paths))
     while accepted < n_paths:
         proposals += batch
-        if proposals > max(batch, n_paths / config.rejection_min_accept):
-            raise RejectionBudgetExceeded(
-                f"acceptance below {config.rejection_min_accept}")
+        if proposals > max(batch, n_paths / REJECTION_MIN_ACCEPT):
+            raise RejectionBudgetExceeded(f"acceptance below {REJECTION_MIN_ACCEPT}")
         alive = np.ones(batch, dtype=bool)
         bm = np.zeros(batch)
         xs = np.full(batch, x_start)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jumpdiff import coupling
 from jumpdiff.coupling import (
     CouplingRecord,
     TailTable,
@@ -13,7 +14,12 @@ from jumpdiff.coupling import (
     mirror_exit_dominance,
     staged_coupling,
 )
-from jumpdiff.errors import OutOfDomain, RequiresCenteredDelta, RequiresPositiveDrift
+from jumpdiff.errors import (
+    OutOfDomain,
+    RequiresCenteredDelta,
+    RequiresPositiveDrift,
+    StageBudgetExceeded,
+)
 from jumpdiff.model import Interval, unit_spec
 from jumpdiff.simulate import RngStream, ensemble_snapshots, ensemble_tv
 from tests.test_model import make_spec
@@ -101,6 +107,13 @@ def test_stage_two_distance_moves_with_shared_noise_only(spec20):
         if checked > 200:
             return
     assert checked > 50
+
+
+def test_stage_step_budget(spec20, monkeypatch):
+    # 10 pairs from (1/4, 3/4) cannot coalesce within 3 steps of 1e-4
+    monkeypatch.setattr(coupling, "STAGE_STEP_BUDGET", 25)
+    with pytest.raises(StageBudgetExceeded):
+        coupling_records(spec20, 0.25, 0.75, 10, 1e-4, 1, horizon=1.0)
 
 
 def test_coupling_tail_rate_large_drift(spec20):
@@ -202,6 +215,6 @@ def test_convolution_improves_with_drift():
 
 def test_convolution_unsupported_times_are_nan():
     rows, _ = convolution_bound_check(unit_spec(60.0), None, [0.02, 1.0],
-                                      20_000, 5, min_survivors=10)
+                                      20_000, 5)
     assert math.isnan(rows[-1][3])
     assert rows[-1][4] < 10

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jumpdiff import simulate
 from jumpdiff.analytic import invariant_density_grid, mean_exit_time
 from jumpdiff.errors import (
     BelowNoiseFloor,
+    HorizonExceeded,
     NonpositiveDt,
     OutOfDomain,
     RejectionBudgetExceeded,
@@ -120,6 +122,19 @@ def test_sample_exit_time_is_first_path_of_ensemble(seed):
     tau, side = sample_exit_time(spec, 0.4, 1e-3, RngStream(seed))
     taus, sides = exit_time_ensemble(spec, 0.4, 1, 1e-3, RngStream(seed))
     assert (tau, side) == (taus[0], SIDE_LABELS[sides[0]])
+
+
+# from the midpoint, no path can leave (0, 1) within 3 steps of 1e-6
+def test_sample_exit_time_step_budget(spec0, monkeypatch):
+    monkeypatch.setattr(simulate, "EXIT_STEP_BUDGET", 3)
+    with pytest.raises(HorizonExceeded):
+        sample_exit_time(spec0, 0.5, 1e-6, RngStream(1))
+
+
+def test_uncensored_ensemble_step_budget(spec0, monkeypatch):
+    monkeypatch.setattr(simulate, "EXIT_STEP_BUDGET", 3)
+    with pytest.raises(HorizonExceeded):
+        exit_time_ensemble(spec0, 0.5, 10, 1e-6, RngStream(1))
 
 
 def test_exit_time_mean_matches_green(spec0):
