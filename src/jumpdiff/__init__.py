@@ -34,7 +34,6 @@ from .eigensolver import (
 )
 from .experiments import (
     ExperimentConfig,
-    SweepRow,
     ThresholdResult,
     report_corollary3,
     run,
@@ -71,7 +70,7 @@ __all__ = [
     "Box", "CharDeterminant", "ComplexEigenvalue", "CouplingRecord",
     "DEFAULT_CONFIG", "EnsembleSnapshot", "ExperimentConfig", "Interval",
     "JumpDistribution", "PathRealization", "ProcessSpec", "RateFit",
-    "RngStream", "SolverConfig", "SpectrumReport", "SweepRow", "TVCurve",
+    "RngStream", "SolverConfig", "SpectrumReport", "TVCurve",
     "TailTable", "ThresholdResult", "characteristic_det",
     "conjectured_threshold", "convolution_bound_check", "count_zeros",
     "coupling_tail", "coupling_tail_bound_rate", "dirichlet_bottom",

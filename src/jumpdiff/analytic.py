@@ -165,9 +165,9 @@ def invariant_density_limit(nu: JumpDistribution, interval: Interval, y: float) 
 # Killed spectrum and survival
 # ---------------------------------------------------------------------------
 
-def dirichlet_bottom(spec: ProcessSpec, interval_override: Interval | None = None) -> float:
+def dirichlet_bottom(spec: ProcessSpec) -> float:
     """Bottom eigenvalue of the killed generator: sigma^2 pi^2 / (2 L^2) + mu^2 / (2 sigma^2)."""
-    L = (interval_override or spec.interval).length
+    L = spec.length
     return spec.sigma**2 * math.pi**2 / (2.0 * L**2) + spec.mu**2 / (2.0 * spec.sigma**2)
 
 
@@ -184,12 +184,11 @@ def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None =
     sub-interval (the restart measure is irrelevant to the killed process).
 
     Raises:
-        OutOfDomain: x outside the (possibly overridden) open interval.
+        OutOfDomain: x outside the (possibly overridden) open interval, or
+            t < 0.
         SeriesOverflow: a term exceeds double range at t > 0 (large
             mu (L - u) / sigma^2 at small t).
     """
-    if t < 0.0:
-        raise OutOfDomain("time must be nonnegative")
     val = float(_survival_grid(spec, x, np.array([t]), n_terms, interval)[0])
     if t > 0.0:
         iv = interval or spec.interval
@@ -220,7 +219,12 @@ def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float)
 def killed_survival_grid(spec: ProcessSpec, x: float, ts: np.ndarray,
                          n_terms: int | None = None,
                          interval: Interval | None = None) -> np.ndarray:
-    """Vectorized :func:`killed_survival`; silent, as the tail bound diverges at t = 0."""
+    """Vectorized :func:`killed_survival`; silent, as the tail bound diverges at t = 0.
+
+    Raises:
+        OutOfDomain: x outside the (possibly overridden) open interval, or a
+            negative time.
+    """
     return _survival_grid(spec, x, ts, n_terms, interval)
 
 
@@ -231,9 +235,11 @@ def _survival_grid(spec, x, ts, n_terms, interval) -> np.ndarray:
     Exponents are combined before exponentiation so large drifts cannot
     overflow prematurely.
     """
+    ts = np.asarray(ts, dtype=float)
+    if (ts < 0.0).any():
+        raise OutOfDomain("time must be nonnegative")
     iv = interval or spec.interval
     _require_inside(iv, x)
-    ts = np.asarray(ts, dtype=float)
     n = n_terms or SURVIVAL_N_TERMS
     L = iv.length
     u = x - iv.a

@@ -8,7 +8,7 @@ import sys
 import textwrap
 from dataclasses import replace
 
-from .errors import ConfigError, JumpdiffError
+from .errors import ConfigError
 from .experiments import CONFIG_KEYS, EXPERIMENTS, run, validate_config
 
 _EPILOG = """\
@@ -67,14 +67,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 
-    try:
-        return run(cfg, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except JumpdiffError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    return run(cfg, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -152,22 +152,24 @@ class CharDeterminant:
         range across a contour.
         """
         spec = self.spec
+        atoms = spec.nu.atoms
         if spec.mu < 0.0:
-            det, mag = self._reflected().with_scale(lam_arr)
-            return -det, mag
+            # interval reflection x -> a + b - x turns the drift positive
+            atoms = sorted((spec.a + spec.b - x, w) for x, w in atoms)
+        mu = abs(spec.mu)
         sig2 = spec.sigma**2
-        gamma = spec.mu / sig2
-        q = np.sqrt(spec.mu**2 - 2.0 * sig2 * lam_arr + 0j) / sig2
+        gamma = mu / sig2
+        q = np.sqrt(mu**2 - 2.0 * sig2 * lam_arr + 0j) / sig2
         L = spec.length
         s = np.maximum(0.0, (q.real - gamma) * L)
         det, mag = self._sinch(q, L, -gamma * L - s)
-        for x_i, w_i in spec.nu.atoms:
+        for x_i, w_i in atoms:
             d_i = x_i - spec.a
             t_i, m_i = self._sinch(q, d_i, -gamma * d_i - s)
             u_i, mu_i = self._sinch(q, L - d_i, -gamma * (L + d_i) - s)
             det = det - w_i * (t_i + u_i)
             mag = mag + w_i * (m_i + mu_i)
-        return det, mag
+        return (-det if spec.mu < 0.0 else det), mag
 
     def __call__(self, lam):
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -175,15 +177,6 @@ class CharDeterminant:
         if np.isscalar(lam) or np.asarray(lam).ndim == 0:
             return complex(det[0])
         return det
-
-    def _reflected(self) -> "CharDeterminant":
-        from dataclasses import replace
-
-        from .model import JumpDistribution
-        spec = self.spec
-        atoms = tuple(sorted((spec.a + spec.b - x, w) for x, w in spec.nu.atoms))
-        return CharDeterminant(
-            replace(spec, mu=-spec.mu, nu=JumpDistribution(atoms)), self.config)
 
     def log_scale(self, lam) -> float:
         """log of the positive rescaling at lambda; det * exp(log_scale)
@@ -350,8 +343,14 @@ def _polish(f, z0: complex, multiplicity: int,
     for an m-fold zero the step is multiplied by m, restoring quadratic
     convergence.
     """
+    values: dict[complex, complex] = {}
+
     def fval(z: complex) -> complex:
-        return complex(f(np.asarray([z], dtype=complex))[0])
+        # each point once: a step's value at z is the residual of the step
+        # before, and a Mueller restart at a stalled iterate reuses all three
+        if z not in values:
+            values[z] = complex(f(np.asarray([z], dtype=complex))[0])
+        return values[z]
 
     z = complex(z0)
     best_z, best_r = z, abs(fval(z))
@@ -535,14 +534,13 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
     return SpectrumReport(eigenvalues=eigs, search_box=box, gap=gap, gap_is_real=gap_is_real)
 
 
-def plateau_scale(spec: ProcessSpec) -> float:
-    """8 sigma^2 pi^2 / L^2 without the centered-restart requirement."""
-    return 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2
-
-
 def auto_re_max(spec: ProcessSpec) -> float:
-    """Search-box half-width used by the sweep: 2 max(killed bottom, plateau)."""
-    return 2.0 * max(dirichlet_bottom(spec), plateau_scale(spec))
+    """Search-box half-width: 2 max(killed bottom, 8 sigma^2 pi^2 / L^2).
+
+    The second term is the plateau value, here without the centered-restart
+    requirement of :func:`analytic.theoretical_gap`.
+    """
+    return 2.0 * max(dirichlet_bottom(spec), 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2)
 
 
 def gap_curve(spec_base: ProcessSpec, mu_grid,

@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic
 from .coupling import convolution_bound_check, coupling_tail
 from .errors import ConfigError, JumpdiffError, NoPlateauFound
-from .eigensolver import auto_re_max, find_spectrum
+from .eigensolver import auto_re_max, find_spectrum, gap_curve
 from .model import ProcessSpec
 from .simulate import default_dt, ensemble_tv, fit_rate, verify_pathwise_lemma
 from .svgplot import line_plot
@@ -173,20 +173,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One drift cell of the gap sweep."""
-
-    mu: float
-    gap_numeric: float
-    gap_is_real: bool
-    dirichlet_bottom: float
-    theoretical_gap: float
-    conjectured_threshold: float
-    coupling_rate: float | None = None
-    tv_rate: float | None = None
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     """Located plateau-onset drift with the final bisection bracket width."""
 
@@ -245,9 +231,8 @@ def threshold_locate(spec_base: ProcessSpec, tol: float) -> ThresholdResult:
     upper = 4.0 * analytic.conjectured_threshold(spec_base)
 
     def on_plateau(mu: float) -> bool:
-        spec = spec_base.with_mu(mu)
-        rep = find_spectrum(spec, auto_re_max(spec))
-        return abs(rep.gap - target) < tol * target
+        gap = gap_curve(spec_base, [mu])[0][1]
+        return abs(gap - target) < tol * target
 
     if not on_plateau(upper):
         raise NoPlateauFound(f"gap still off-plateau at mu={upper}")
@@ -271,14 +256,12 @@ def report_corollary3(spec_base: ProcessSpec, mu_grid, out: str | None = None) -
     """
     rows = []
     first_mu = None
-    for mu in mu_grid:
-        spec = spec_base.with_mu(float(mu))
-        rep = find_spectrum(spec, auto_re_max(spec))
-        lam0 = analytic.dirichlet_bottom(spec)
-        below = rep.gap < lam0
+    for mu, gap, _ in gap_curve(spec_base, mu_grid):
+        lam0 = analytic.dirichlet_bottom(spec_base.with_mu(mu))
+        below = gap < lam0
         if below and first_mu is None:
-            first_mu = float(mu)
-        rows.append((float(mu), rep.gap, lam0, below))
+            first_mu = mu
+        rows.append((mu, gap, lam0, below))
     buf = io.StringIO(newline="")
     buf.write(f"# first_mu_gap_below_lambda0: {_fmt(first_mu)}\r\n")
     write_csv(buf, ["mu", "gap", "lambda0", "gap_below_lambda0"], rows,
@@ -315,41 +298,29 @@ def invariant_limit_distance(spec: ProcessSpec, grid_points: int = 256
 # Experiment bodies (each returns header, rows, summary, plot spec)
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(spec_base: ProcessSpec, mu: float) -> SweepRow:
-    spec = spec_base.with_mu(mu)
-    rep = find_spectrum(spec, auto_re_max(spec))
-    centered = spec.is_centered_delta
-    return SweepRow(
-        mu=mu,
-        gap_numeric=rep.gap,
-        gap_is_real=rep.gap_is_real,
-        dirichlet_bottom=analytic.dirichlet_bottom(spec),
-        theoretical_gap=analytic.theoretical_gap(spec) if centered else float("nan"),
-        conjectured_threshold=analytic.conjectured_threshold(spec) if centered
-        else float("nan"),
-    )
-
-
 def _run_gap_sweep(cfg: ExperimentConfig):
     if not cfg.mu_grid:
         raise ConfigError("gap-sweep needs mu_grid")
-    rows = [_sweep_cell(cfg.spec, mu) for mu in cfg.mu_grid]
-    target = rows[0].theoretical_gap
-    thr = rows[0].conjectured_threshold
-    plateau = [r.gap_numeric for r in rows if r.mu >= 1.4 * thr]
-    onset = next((r.mu for r in rows if abs(r.gap_numeric - target) < 1e-3), None)
+    curve = gap_curve(cfg.spec, cfg.mu_grid)
+    mus = [mu for mu, _, _ in curve]
+    gaps = [gap for _, gap, _ in curve]
+    bottoms = [analytic.dirichlet_bottom(cfg.spec.with_mu(mu)) for mu in mus]
+    # the plateau and the threshold do not depend on the drift
+    centered = cfg.spec.is_centered_delta
+    target = analytic.theoretical_gap(cfg.spec) if centered else float("nan")
+    thr = analytic.conjectured_threshold(cfg.spec) if centered else float("nan")
+    plateau = [gap for mu, gap in zip(mus, gaps) if mu >= 1.4 * thr]
+    onset = next((mu for mu, gap in zip(mus, gaps) if abs(gap - target) < 1e-3), None)
     plateau_part = (f"plateau mean {np.mean(plateau):.9g} over {len(plateau)} cells"
                     if plateau else "no cells past 1.4x threshold")
     summary = (f"{plateau_part} (target {target:.9g}); first on-plateau mu = "
                f"{_fmt(onset)} (conjecture check: threshold {thr:.6g})")
     header = ["mu", "gap_numeric", "gap_is_real", "dirichlet_bottom",
               "theoretical_gap", "conjectured_threshold"]
-    table = [(r.mu, r.gap_numeric, r.gap_is_real, r.dirichlet_bottom,
-              r.theoretical_gap, r.conjectured_threshold) for r in rows]
-    plot = ("gap vs drift", [r.mu for r in rows],
-            [("gap", [r.gap_numeric for r in rows]),
-             ("plateau", [r.theoretical_gap for r in rows]),
-             ("killed bottom", [r.dirichlet_bottom for r in rows])],
+    table = [(mu, gap, is_real, bottom, target, thr)
+             for (mu, gap, is_real), bottom in zip(curve, bottoms)]
+    plot = ("gap vs drift", mus,
+            [("gap", gaps), ("plateau", [target] * len(mus)), ("killed bottom", bottoms)],
             "mu", "rate", False)
     return header, table, summary, plot
 
@@ -361,8 +332,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     header = ["re", "im", "multiplicity", "residual"]
     table = [(e.value.real, e.value.imag, e.multiplicity, e.residual)
              for e in rep.eigenvalues]
-    nonzero = [e for e in rep.eigenvalues if abs(e.value) > 1e-8 * (1 + re_max)]
-    lead = min(nonzero, key=lambda e: e.value.real)
+    lead = next(e for e in rep.eigenvalues if e.value.real == rep.gap)
     summary = (f"{len(rep.eigenvalues)} eigenvalues in box; gap {rep.gap:.9g} "
                f"(real: {rep.gap_is_real}); leading |Im| = {abs(lead.value.imag):.6g}")
     return header, table, summary, None

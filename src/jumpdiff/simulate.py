@@ -65,9 +65,6 @@ class RngStream:
                                      spawn_key=(int(self.stream_id), *path))
         return np.random.Generator(np.random.Philox(key))
 
-    def child(self, k: int) -> "RngStream":
-        return RngStream(self.seed, (int(self.stream_id) << 8) + k)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
@@ -361,7 +358,16 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
 
     ``x0`` is a point start or "invariant" for i.i.d. draws from the analytic
     stationary density.
+
+    Raises:
+        ConfigError: two times snap to the same step.
     """
+    steps = [int(round(t / dt)) for t in times]
+    snapped = sorted(zip(steps, times))
+    for (k0, t0), (k1, t1) in zip(snapped, snapped[1:]):
+        if k0 == k1:
+            raise ConfigError(f"times {t0:.12g} and {t1:.12g} snap to the same step "
+                              f"of dt={dt:.12g}")
     gen = stream.generator()
     if isinstance(x0, str):
         if x0 != "invariant":
@@ -371,7 +377,6 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
         if not spec.interval.contains(float(x0)):
             raise OutOfDomain(f"start {x0} outside open interval")
         init = np.full(n_paths, float(x0))
-    steps = [int(round(t / dt)) for t in times]
     hists = _evolve_histograms(spec, init, steps, bins, dt, gen)
     return [
         EnsembleSnapshot(t=k * dt, histogram=tuple(h.tolist()), n_paths=n_paths)

@@ -244,7 +244,7 @@ def test_dirichlet_bottom_examples():
     assert dirichlet_bottom(unit_spec(0.0)) == pytest.approx(PI2 / 2)
     assert dirichlet_bottom(unit_spec(2.0)) == pytest.approx(PI2 / 2 + 2.0)
     assert dirichlet_bottom(make_spec(b=2.0)) == pytest.approx(PI2 / 8)
-    assert dirichlet_bottom(unit_spec(2.0), Interval(0.0, 0.5)) == pytest.approx(
+    assert dirichlet_bottom(make_spec(b=0.5, mu=2.0, atoms=((0.25, 1.0),))) == pytest.approx(
         2.0 * PI2 + 2.0)
 
 
@@ -309,6 +309,15 @@ def test_killed_survival_grid_does_not_warn_from_zero(spec0):
         warnings.simplefilter("error", TruncationWarning)
         vals = killed_survival_grid(spec0, 0.5, [0.0, 1e-5, 0.1], n_terms=4)
     assert vals[0] == 1.0
+
+
+def test_killed_survival_rejects_negative_time():
+    spec = unit_spec(5.0)
+    for t in (-0.1, -1e-3):
+        with pytest.raises(OutOfDomain):
+            killed_survival(spec, 0.5, t)
+        with pytest.raises(OutOfDomain):
+            killed_survival_grid(spec, 0.5, [0.0, t, 0.1])
 
 
 def test_killed_survival_interval_override(spec20):

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from jumpdiff.eigensolver import (
     Box,
     CharDeterminant,
+    _polish,
     auto_re_max,
     characteristic_det,
     count_zeros,
@@ -14,7 +15,7 @@ from jumpdiff.eigensolver import (
     gap_curve,
 )
 from jumpdiff.errors import BoxTooSmall
-from jumpdiff.model import unit_spec
+from jumpdiff.model import DEFAULT_CONFIG, unit_spec
 from tests.test_model import make_spec
 
 PI2 = math.pi**2
@@ -138,6 +139,23 @@ def test_residuals_below_polish_tolerance(spec20):
     rep = find_spectrum(spec20, 200.0)
     assert all(e.residual < 1e-10 for e in rep.eigenvalues)
     assert all(e.value.real >= -1e-9 for e in rep.eigenvalues)
+
+
+def test_polish_evaluates_each_point_once(spec20):
+    # a Newton step's value at z is the residual of the step before, and the
+    # last step lands on the iterate before it
+    det = CharDeterminant(spec20)
+    points = []
+
+    def f(lam_arr):
+        points.append(complex(lam_arr[0]))
+        return det(lam_arr)
+
+    start = complex(8 * PI2 + 0.5, 4 * math.pi * 20.0 + 0.5)
+    z, r = _polish(f, start, 1, DEFAULT_CONFIG)
+    assert r < DEFAULT_CONFIG.newton_residual
+    assert abs(z - complex(8 * PI2, 4 * math.pi * 20.0)) < 1e-3
+    assert len(points) == len(set(points))
 
 
 def test_box_too_small(spec0):

@@ -173,6 +173,15 @@ def test_cli_solver_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def test_cli_rejects_times_snapping_to_one_step(tmp_path, capsys):
+    # 0.01 and 0.0101 both round to step 50 of dt = 2e-4
+    cfg = write_config(tmp_path, experiment="tv-decay", t_grid=[0.01, 0.0101, 0.02, 0.03],
+                       n_paths=1000, dt=2e-4, out=str(tmp_path / "out"))
+    assert main(["tv-decay", "--config", cfg]) == 2
+    assert "times 0.01 and 0.0101 snap to the same step of dt=0.0002" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "tv-decay.csv").exists()
+
+
 def test_cli_spectrum_leading_pair_complex(tmp_path):
     spec = dict(BASE_SPEC, mu=20.0)
     cfg = write_config(tmp_path, spec=spec, experiment="spectrum",
