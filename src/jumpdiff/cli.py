@@ -15,7 +15,8 @@ _EPILOG = """\
 experiments and their CSV columns (12 significant digits, '#' comment header):
   gap-sweep          mu, gap_numeric, gap_is_real, dirichlet_bottom,
                      theoretical_gap, conjectured_threshold   (needs mu_grid)
-  spectrum           re, im, multiplicity, residual
+  spectrum           re, im, multiplicity, residual (|det| over its
+                     generic magnitude at the eigenvalue)
   invariant          mu, y, density, limit_density, abs_diff  (needs mu_grid)
   tv-decay           t, tv, se_scale
   coupling-tail      t, survival, se

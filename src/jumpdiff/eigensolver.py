@@ -17,8 +17,8 @@ exactly the eigenvalues, with multiplicity equal to the zero order.
 Zeros are located by the argument principle: the winding number of the
 determinant along box contours, computed by adaptive phase tracking, drives a
 recursive bisection until each sub-box isolates one zero (or one unresolvable
-cluster, reported with its multiplicity), followed by Newton polishing with a
-Mueller fallback.
+cluster, reported with its multiplicity), followed by order-aware Newton
+polishing.  Residuals are |det| relative to the generic magnitude ``mag``.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class Box(NamedTuple):
         hh = 0.5 * self.height * factor
         return Box(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.re_min - margin <= z.real <= self.re_max + margin
-                and self.im_min - margin <= z.imag <= self.im_max + margin)
+    def contains(self, z: complex) -> bool:
+        return (self.re_min <= z.real <= self.re_max
+                and self.im_min <= z.imag <= self.im_max)
 
     def split(self, frac: float) -> tuple["Box", "Box"]:
         """Cut the longer side at the given fraction."""
@@ -131,7 +131,8 @@ class CharDeterminant:
         """exp(shift) * sinh(q dist) / q with a series branch near q = 0.
 
         Returns (value, magnitude bound); the bound is the generic size of
-        the term, used to judge how close contour values are to a zero.
+        the term, used to judge how close a value is to a zero.  It stays
+        finite as q -> 0 because |sinh(q d) / q| <= d cosh(Re q d).
         """
         ep = np.exp(q * dist + shift)
         em = np.exp(-q * dist + shift)
@@ -141,7 +142,7 @@ class CharDeterminant:
         exact = 0.5 * (ep - em) / qsafe
         series = np.exp(shift) * dist * (1.0 + qd**2 / 6.0 + qd**4 / 120.0)
         bound = np.where(small, np.abs(series),
-                         0.5 * (np.abs(ep) + np.abs(em)) / np.abs(qsafe))
+                         0.5 * (np.abs(ep) + np.abs(em)) * np.minimum(dist, 1.0 / np.abs(qsafe)))
         return np.where(small, series, exact), bound
 
     def with_scale(self, lam_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,9 +256,10 @@ def _winding_count(f: CharDeterminant, box: Box, config: SolverConfig) -> int:
         # judge closeness to zeros per point, against the local generic
         # magnitude: large drifts make |det| vary by many orders along a
         # contour without any zero nearby
-        rel = min(float(np.min(np.abs(e["fs"]) / e["mags"])) for e in edges)
-        if not math.isfinite(rel):
+        # every sample: det and mag underflow together at extreme drift
+        if not all(np.isfinite(e["fs"]).all() and (e["mags"] > 0.0).all() for e in edges):
             raise _BadContour("determinant not finite on contour")
+        rel = min(float(np.min(np.abs(e["fs"]) / e["mags"])) for e in edges)
         if rel < config.contour_min_modulus_rel:
             raise _BadContour("contour passes too close to a zero")
         inserted = False
@@ -320,63 +322,51 @@ def count_zeros(spec: ProcessSpec, box: Box | tuple,
 # Root polishing
 # ---------------------------------------------------------------------------
 
-def _muller_step(f, z0: complex, z1: complex, z2: complex) -> complex:
-    f0, f1, f2 = f(z0), f(z1), f(z2)
-    h1, h2 = z1 - z0, z2 - z1
-    if h1 == 0 or h2 == 0 or (h2 + h1) == 0:
-        return z2
-    d1 = (f1 - f0) / h1
-    d2 = (f2 - f1) / h2
-    aa = (d2 - d1) / (h2 + h1)
-    bb = aa * h2 + d2
-    disc = cmath.sqrt(bb * bb - 4.0 * f2 * aa)
-    denom = bb + disc if abs(bb + disc) > abs(bb - disc) else bb - disc
-    if denom == 0:
-        return z2
-    return z2 - 2.0 * f2 / denom
+def _value(f: CharDeterminant, z: complex) -> tuple[complex, float]:
+    """Determinant at one point and its residual |det| / mag."""
+    det, mag = f.with_scale(np.asarray([z], dtype=complex))
+    return complex(det[0]), float(abs(det[0]) / mag[0])
 
-def _polish(f, z0: complex, multiplicity: int,
+
+def _polish(f: CharDeterminant, box: Box, multiplicity: int,
             config: SolverConfig) -> tuple[complex, float]:
-    """Newton iteration (order-aware) with a Mueller fallback on stagnation.
+    """Order-aware Newton iteration from the box centre.
 
     The derivative is a central difference with step fd_step_scale*(1+|z|);
     for an m-fold zero the step is multiplied by m, restoring quadratic
-    convergence.
+    convergence.  It stops when the iterate leaves the box, when the step is
+    at floating-point resolution, after four steps without improvement, or
+    once the residual |det| / mag is below ``newton_residual`` and no longer
+    improving.
     """
-    values: dict[complex, complex] = {}
+    values: dict[complex, tuple[complex, float]] = {}
 
-    def fval(z: complex) -> complex:
-        # each point once: a step's value at z is the residual of the step
-        # before, and a Mueller restart at a stalled iterate reuses all three
+    def fval(z: complex) -> tuple[complex, float]:
+        # each point once: a step's value at z is the residual of the step before
         if z not in values:
-            values[z] = complex(f(np.asarray([z], dtype=complex))[0])
+            values[z] = _value(f, z)
         return values[z]
 
-    z = complex(z0)
-    best_z, best_r = z, abs(fval(z))
+    z = box.center
+    best_z, best_r = z, fval(z)[1]
     stall = 0
     for _ in range(config.newton_max_iter):
         h = config.fd_step_scale * (1.0 + abs(z))
-        deriv = (fval(z + h) - fval(z - h)) / (2.0 * h)
-        fz = fval(z)
+        deriv = (fval(z + h)[0] - fval(z - h)[0]) / (2.0 * h)
         if deriv == 0:
-            z = _muller_step(fval, z - h, z + h, z)
-        else:
-            z = z - multiplicity * fz / deriv
-        r = abs(fval(z))
+            break
+        step = multiplicity * fval(z)[0] / deriv
+        z = z - step
+        if not box.contains(z) or abs(step) <= 2.0 * np.finfo(float).eps * (1.0 + abs(z)):
+            break
+        r = fval(z)[1]
         if r < best_r:
             best_z, best_r = z, r
             stall = 0
         else:
             stall += 1
-        if best_r < config.newton_residual and stall >= 1:
+        if stall >= 4 or (best_r < config.newton_residual and stall >= 1):
             break
-        if stall >= 4:
-            z = _muller_step(fval, best_z - h, best_z + h, best_z)
-            r = abs(fval(z))
-            if r < best_r:
-                best_z, best_r = z, r
-            stall = 0
     return best_z, best_r
 
 
@@ -398,13 +388,13 @@ def _locate_zeros(f: CharDeterminant, box: Box, count: int,
         _append_cluster(f, box, count, config, out)
         return
     if count == 1:
-        z, r = _polish(f, box.center, 1, config)
-        # strict containment: the counted zero is inside, so a polished root
-        # outside the box means Newton drifted to a neighbor
-        if r <= config.newton_residual and box.contains(z, margin=1e-9 * (1.0 + box.diag)):
+        # the iterate never leaves the box, so a converged polish is the
+        # counted zero and not a neighbor
+        z, r = _polish(f, box, 1, config)
+        if r <= config.newton_residual:
             out.append((z, 1, r))
             return
-        # polish wandered or stalled; tighten the box around the zero first
+        # polish left the box or stalled; tighten the box around the zero first
     last = None
     for frac in _SPLIT_FRACTIONS:
         if box.height > box.width and box.im_min < 0.0 < box.im_max:
@@ -438,12 +428,12 @@ def _locate_zeros(f: CharDeterminant, box: Box, count: int,
 def _append_cluster(f: CharDeterminant, box: Box, count: int,
                     config: SolverConfig, out: list) -> None:
     """Report an unresolvable box as one zero of multiplicity ``count``."""
-    z, r = _polish(f, box.center, count, config)
+    z, r = _polish(f, box, count, config)
     if count > 1 and box.im_min <= 0.0 <= box.im_max:
         # conjugate symmetry: an unresolved cluster straddling the real
         # axis is indistinguishable from a real m-fold zero
         z = complex(z.real, 0.0)
-        r = abs(complex(f(np.asarray([z], dtype=complex))[0]))
+        r = _value(f, z)[1]
     out.append((z, count, r))
 
 

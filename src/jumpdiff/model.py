@@ -188,7 +188,7 @@ def validate_spec(spec: ProcessSpec) -> ProcessSpec:
 
 @dataclass(frozen=True)
 class ComplexEigenvalue:
-    """Eigenvalue of the negated generator, with its solver residual."""
+    """Eigenvalue of the negated generator, with its relative solver residual."""
 
     value: complex
     multiplicity: int = 1
@@ -259,7 +259,7 @@ class SolverConfig:
     """
 
     sinch_series_cutoff: float = 1e-4      # |q|*L below which sinh(q d)/q uses its series
-    newton_residual: float = 1e-10
+    newton_residual: float = 1e-10        # |det| / generic magnitude at an accepted root
     newton_max_iter: int = 50
     fd_step_scale: float = 1e-6
     dedup_tol: float = 1e-7

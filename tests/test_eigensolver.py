@@ -141,21 +141,102 @@ def test_residuals_below_polish_tolerance(spec20):
     assert all(e.value.real >= -1e-9 for e in rep.eigenvalues)
 
 
+class CountingDet:
+    """A determinant that records every point it is evaluated at."""
+
+    def __init__(self, spec):
+        self.det = CharDeterminant(spec)
+        self.calls = 0
+        self.points = []
+
+    def with_scale(self, lam_arr):
+        self.calls += 1
+        self.points.extend(complex(z) for z in lam_arr)
+        return self.det.with_scale(lam_arr)
+
+
 def test_polish_evaluates_each_point_once(spec20):
     # a Newton step's value at z is the residual of the step before, and the
     # last step lands on the iterate before it
-    det = CharDeterminant(spec20)
-    points = []
-
-    def f(lam_arr):
-        points.append(complex(lam_arr[0]))
-        return det(lam_arr)
-
+    det = CountingDet(spec20)
     start = complex(8 * PI2 + 0.5, 4 * math.pi * 20.0 + 0.5)
-    z, r = _polish(f, start, 1, DEFAULT_CONFIG)
+    box = Box(start.real - 1.0, start.real + 1.0, start.imag - 1.0, start.imag + 1.0)
+    z, r = _polish(det, box, 1, DEFAULT_CONFIG)
     assert r < DEFAULT_CONFIG.newton_residual
     assert abs(z - complex(8 * PI2, 4 * math.pi * 20.0)) < 1e-3
-    assert len(points) == len(set(points))
+    assert len(det.points) == len(set(det.points))
+
+
+@pytest.mark.parametrize("mu", [0.0, 4.0, 20.0])
+def test_zero_eigenvalue_polish_stops_at_resolution(mu):
+    # the residual of the zero eigenvalue sinks into subnormal numbers; the
+    # polish must stop once its step is at floating-point resolution, well
+    # before the Newton iteration cap
+    det = CountingDet(unit_spec(mu))
+    z, r = _polish(det, Box(-1.5, 8.5, -3.0, 8.0), 1, DEFAULT_CONFIG)
+    assert abs(z) < 1e-12
+    assert r < DEFAULT_CONFIG.newton_residual
+    assert det.calls <= 40
+
+
+def centred_spectrum(length, sigma, mu, box):
+    """Exact eigenvalues of a centred single atom inside the box, repeated
+    by multiplicity.
+
+    With the atom at the midpoint, 2 q exp(gamma L) D = 2 sinh(qL/2)
+    (2 cosh(qL/2) - 2 cosh(gamma L/2)), so the zeros are 0, the real family
+    mu^2/(2 sigma^2) + 2 pi^2 m^2 sigma^2 / L^2 (m >= 1) and the pairs
+    8 pi^2 k^2 sigma^2 / L^2 +- 4 pi k mu i / L (k >= 1).
+    """
+    values = [0j]
+    m = 1
+    while (v := mu**2 / (2 * sigma**2) + 2 * PI2 * m**2 * sigma**2 / length**2) <= box.re_max:
+        values.append(complex(v))
+        m += 1
+    k = 1
+    while (v := 8 * PI2 * k**2 * sigma**2 / length**2) <= box.re_max:
+        values += [complex(v, 4 * math.pi * k * mu / length),
+                   complex(v, -4 * math.pi * k * mu / length)]
+        k += 1
+    return [v for v in values if box.contains(v)]
+
+
+@pytest.mark.parametrize("length,sigma", [(1.0, 1.0), (2.0, 1.3)])
+@pytest.mark.parametrize("mu", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 30.0,
+                                60.0, 80.0, 120.0, -120.0, 200.0])
+def test_find_spectrum_matches_centred_closed_form(length, sigma, mu):
+    spec = make_spec(b=length, sigma=sigma, mu=mu, atoms=((0.5 * length, 1.0),))
+    rep = find_spectrum(spec, auto_re_max(spec))
+    found = [e.value for e in rep.eigenvalues for _ in range(e.multiplicity)]
+    want = centred_spectrum(length, sigma, mu, rep.search_box)
+    assert len(found) == len(want)
+    for v in want:
+        nearest = min(found, key=lambda w: abs(w - v))
+        assert abs(nearest - v) <= 1e-6 * max(1.0, abs(v)), (v, nearest)
+        found.remove(nearest)
+
+
+def test_threshold_off_the_dyadic_grid():
+    # threshold_locate's bracket [0, 4 mu*] puts mu* = 2 sqrt(3) pi on a
+    # bisection point; on [0, 3 mu*] it is not, so this bisection has to
+    # resolve the plateau onset itself
+    from jumpdiff.analytic import conjectured_threshold, theoretical_gap
+    spec = unit_spec()
+    target = theoretical_gap(spec)
+    mu_star = conjectured_threshold(spec)
+
+    def on_plateau(mu):
+        gap = gap_curve(spec, [mu])[0][1]
+        return abs(gap - target) < 1e-4 * target
+
+    lo, hi = 0.0, 3.0 * mu_star
+    while hi - lo > 1e-4 * mu_star:
+        mid = 0.5 * (lo + hi)
+        if on_plateau(mid):
+            hi = mid
+        else:
+            lo = mid
+    assert abs(hi - mu_star) / mu_star < 5e-4
 
 
 def test_box_too_small(spec0):

@@ -173,6 +173,16 @@ def test_cli_solver_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def test_cli_underflowing_determinant_exit_code(tmp_path, capsys):
+    # det and its magnitude both underflow to 0 near lambda = mu^2 / 2 at
+    # gamma L = 2000; 0 / 0 on the contour is a solver error, not a crash
+    spec = {"a": 0.0, "b": 10.0, "sigma": 1.0, "mu": 200.0, "nu": [[5.0, 1.0]]}
+    cfg = write_config(tmp_path, spec=spec, experiment="spectrum",
+                       out=str(tmp_path / "out"))
+    assert main(["spectrum", "--config", cfg]) == 3
+    assert "determinant not finite on contour" in capsys.readouterr().out
+
+
 def test_cli_rejects_times_snapping_to_one_step(tmp_path, capsys):
     # 0.01 and 0.0101 both round to step 50 of dt = 2e-4
     cfg = write_config(tmp_path, experiment="tv-decay", t_grid=[0.01, 0.0101, 0.02, 0.03],
