@@ -1,6 +1,6 @@
 """Spectral theory and Monte Carlo laboratory for one-dimensional drifted
 diffusions with jump boundary: closed forms, a non-local eigenvalue solver,
-path/coupling simulators, and a reproducible experiment CLI."""
+ensemble and coupling samplers, and a reproducible experiment CLI."""
 
 from . import errors
 from .analytic import (
@@ -27,7 +27,6 @@ from .eigensolver import (
     Box,
     CharDeterminant,
     SpectrumReport,
-    characteristic_det,
     count_zeros,
     find_spectrum,
     gap_curve,
@@ -45,7 +44,6 @@ from .model import (
     ComplexEigenvalue,
     Interval,
     JumpDistribution,
-    PathRealization,
     ProcessSpec,
     RateFit,
     SolverConfig,
@@ -58,9 +56,6 @@ from .simulate import (
     TVCurve,
     ensemble_tv,
     fit_rate,
-    sample_exit_time,
-    simulate_path,
-    step_with_exit,
     verify_pathwise_lemma,
 )
 
@@ -69,16 +64,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Box", "CharDeterminant", "ComplexEigenvalue", "CouplingRecord",
     "DEFAULT_CONFIG", "EnsembleSnapshot", "ExperimentConfig", "Interval",
-    "JumpDistribution", "PathRealization", "ProcessSpec", "RateFit",
-    "RngStream", "SolverConfig", "SpectrumReport", "TVCurve",
-    "TailTable", "ThresholdResult", "characteristic_det",
+    "JumpDistribution", "ProcessSpec", "RateFit", "RngStream", "SolverConfig",
+    "SpectrumReport", "TVCurve", "TailTable", "ThresholdResult",
     "conjectured_threshold", "convolution_bound_check", "count_zeros",
     "coupling_tail", "coupling_tail_bound_rate", "dirichlet_bottom",
     "ensemble_tv", "errors", "fast_coupling_bound", "find_spectrum",
     "fit_rate", "gap_curve", "green_function", "invariant_density",
     "invariant_density_limit", "killed_survival", "mean_exit_time",
-    "mirror_exit_dominance", "report_corollary3", "run", "sample_exit_time",
-    "simulate_path", "staged_coupling", "step_with_exit", "theoretical_gap",
-    "threshold_locate", "unit_spec", "validate_config", "validate_spec",
-    "verify_pathwise_lemma",
+    "mirror_exit_dominance", "report_corollary3", "run", "staged_coupling",
+    "theoretical_gap", "threshold_locate", "unit_spec", "validate_config",
+    "validate_spec", "verify_pathwise_lemma",
 ]

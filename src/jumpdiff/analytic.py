@@ -294,10 +294,13 @@ def conjectured_threshold(spec: ProcessSpec) -> float:
 
 
 def coupling_tail_bound_rate(spec: ProcessSpec) -> float:
-    """Largest certified coupling-time tail rate.
+    """Largest certified coupling-time tail rate, which is the exact spectral
+    gap of the centred restart.
 
-    min(2 sigma^2 pi^2 / L^2 + mu^2 / (2 sigma^2), 8 sigma^2 pi^2 / L^2);
-    the branches cross exactly at the conjectured threshold drift.
+    min(2 sigma^2 pi^2 / L^2 + mu^2 / (2 sigma^2), 8 sigma^2 pi^2 / L^2): the
+    lowest real eigenvalue and the real part of the first complex pair of the
+    closed-form centred spectrum.  The branches cross exactly at the
+    conjectured threshold drift.
     """
     _require_centered(spec)
     L = spec.length

@@ -40,7 +40,8 @@ from .model import Interval, JumpDistribution, ProcessSpec, RateFit
 from .simulate import (
     RngStream,
     _advance,
-    _as_generator,
+    _check_dt,
+    _check_times,
     _crosses,
     default_dt,
     exit_time_ensemble,
@@ -285,7 +286,8 @@ def _record(res: _CouplingResult, idx: np.ndarray, t1, t2, tc, stage_no: int) ->
     res.coalesced_stage[idx] = stage_no
 
 
-def _check_staged_inputs(spec: ProcessSpec, x: float, y: float) -> None:
+def _check_staged_inputs(spec: ProcessSpec, x: float, y: float, dt: float) -> None:
+    _check_dt(dt)
     if not spec.is_centered_delta:
         raise RequiresCenteredDelta("three-stage coupling needs the midpoint atom")
     if spec.mu < 0.0:
@@ -294,15 +296,15 @@ def _check_staged_inputs(spec: ProcessSpec, x: float, y: float) -> None:
         raise OutOfDomain(f"need a < x <= y < b, got x={x}, y={y}")
 
 
-def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng,
+def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng: RngStream,
                     trace: bool = False):
     """One coupled pair from (x, y); returns its :class:`CouplingRecord`.
 
     With ``trace=True`` also returns the per-step rows
     (t, x, y, stage, noise increment) for construction-level tests.
     """
-    _check_staged_inputs(spec, x, y)
-    gen = _as_generator(rng)
+    _check_staged_inputs(spec, x, y, dt)
+    gen = rng.generator()
     rows: list | None = [] if trace else None
     # coalescence happens on the diffusive time scale; 64 of them is plenty
     horizon = 64.0 * spec.length**2 / spec.sigma**2
@@ -320,7 +322,8 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng,
 def coupling_records(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: float,
                      seed: int, horizon: float):
     """Vectorized stage times for n_pairs couples (inf where censored)."""
-    _check_staged_inputs(spec, x, y)
+    _check_staged_inputs(spec, x, y, dt)
+    _check_times([horizon])
     gen = RngStream(seed, 0).generator()
     res, _ = _run_coupling(spec, x, y, n_pairs, dt, gen, horizon)
     return res.tau_1, res.tau_2, res.tau_c, res.coalesced_stage
@@ -329,7 +332,8 @@ def coupling_records(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: fl
 def coupling_marginal(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: float,
                       seed: int, t: float) -> np.ndarray:
     """x-marginal of the coupled construction at time t (law check support)."""
-    _check_staged_inputs(spec, x, y)
+    _check_staged_inputs(spec, x, y, dt)
+    _check_times([t])
     gen = RngStream(seed, 0).generator()
     step = int(round(t / dt))
     _, snap = _run_coupling(spec, x, y, n_pairs, dt, gen, t, snapshot_step=step)
@@ -348,7 +352,7 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
     """
     if n_paths < 10_000:
         raise ConfigError("tail estimation needs at least 10^4 pairs")
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = _check_times(t_grid)
     _, _, tau_c, _ = coupling_records(spec, x, y, n_paths, dt, seed, horizon=t_grid[-1])
     surv = np.array([(tau_c > t).mean() for t in t_grid])
     table = TailTable(thresholds=tuple(t_grid), survival=tuple(surv.tolist()), n=n_paths)
@@ -375,9 +379,10 @@ def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
     (t, survival from y, survival from center); the construction makes the
     centered survival dominate up to Monte Carlo error.
     """
+    _check_dt(dt)
     if not interval.contains(y):
         raise OutOfDomain(f"start {y} outside open interval")
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = _check_times(t_grid)
     a, b = interval.a, interval.b
     x0 = interval.midpoint
     m = 0.5 * (y - x0)                  # B level at which the copies meet
@@ -447,7 +452,7 @@ def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid
         raise RequiresPositiveDrift("convolution comparison needs mu > 0")
     x0 = spec.nu.locations[0]
     h = j_halfwidth if j_halfwidth is not None else (spec.b - x0) / (4.0 * spec.sigma)
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = _check_times(t_grid)
     window_spec = ProcessSpec(Interval(-h, h), 1.0, 0.0, JumpDistribution.delta(0.0))
     taus, _ = exit_time_ensemble(window_spec, 0.0, n_paths, default_dt(window_spec),
                                  RngStream(seed, 0), horizon=4.0 * t_grid[-1])

@@ -189,16 +189,6 @@ class CharDeterminant:
         return max(0.0, (q.real - gamma) * spec.length)
 
 
-def characteristic_det(spec: ProcessSpec, lam: complex,
-                       config: SolverConfig = DEFAULT_CONFIG) -> complex:
-    """Normalized characteristic determinant at a single lambda.
-
-    Total on the complex plane: zero exactly at eigenvalues of the negated
-    restarted generator (lambda = 0 included, via the constant eigenfunction).
-    """
-    return CharDeterminant(spec, config)(complex(lam))
-
-
 # ---------------------------------------------------------------------------
 # Winding numbers
 # ---------------------------------------------------------------------------

@@ -202,29 +202,6 @@ class ComplexEigenvalue:
 
 
 @dataclass(frozen=True)
-class PathRealization:
-    """Grid-sampled path with restart bookkeeping.
-
-    ``times`` and ``positions`` share the uniform sampling grid; ``jump_times``
-    are the restart instants, with matching boundary labels in ``exited_at``.
-    The position recorded at a restart instant is the post-jump state.
-    """
-
-    times: tuple[float, ...]
-    positions: tuple[float, ...]
-    jump_times: tuple[float, ...]
-    exited_at: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.positions):
-            raise ValueError("times and positions length mismatch")
-        if len(self.jump_times) != len(self.exited_at):
-            raise ValueError("jump_times and exited_at length mismatch")
-        if any(t2 <= t1 for t1, t2 in zip(self.jump_times, self.jump_times[1:])):
-            raise ValueError("jump_times must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Exponential decay rate fitted on a log-linear window."""
 
@@ -249,8 +226,8 @@ class SolverConfig:
     polishing, deduplication, and contour sampling, dilation and bisection.
 
     Only :mod:`jumpdiff.eigensolver` reads it, through the ``config``
-    argument of ``CharDeterminant``, ``characteristic_det``, ``count_zeros``,
-    ``find_spectrum`` and ``gap_curve``.  It stays a record because the
+    argument of ``CharDeterminant``, ``count_zeros``, ``find_spectrum``
+    and ``gap_curve``.  It stays a record because the
     benchmark in ``perfbench/`` reads it there: ``DEFAULT_CONFIG.newton_residual``
     gates spectrum residuals, repeat solves are keyed on the ``config``
     argument of ``find_spectrum``, and ``CharDeterminant(spec).config.im_aspect``

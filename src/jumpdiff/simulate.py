@@ -1,11 +1,15 @@
-"""Monte Carlo engine for the restarted diffusion.
+"""Ensemble Monte Carlo engines for the restarted diffusion.
 
-Paths follow exact Gaussian increments on a uniform grid; within-step
-boundary crossings are recovered by one-sided Brownian-bridge corrections
-(right barrier first, then left), so exit statistics converge at O(dt)
-instead of O(sqrt(dt)).  Exits are attributed to the end of the step in
-which they are detected, and the restart position is the recorded state at
-that grid time.
+Every engine marches an array of paths at once: exit times
+(:func:`exit_time_ensemble`), restarted ensembles seen as histograms
+(:func:`ensemble_snapshots`, :func:`ensemble_tv`) and the conditioned-path
+check (:func:`verify_pathwise_lemma`); the couplings in :mod:`.coupling`
+share the same step kernel.  Paths follow exact Gaussian increments on a
+uniform grid; within-step boundary crossings are recovered by one-sided
+Brownian-bridge corrections (right barrier first, then left), so exit
+statistics converge at O(dt) instead of O(sqrt(dt)).  Exits are attributed
+to the end of the step in which they are detected, and the restart position
+is the recorded state at that grid time.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -36,13 +40,11 @@ from .errors import (
 from .model import (
     Interval,
     JumpDistribution,
-    PathRealization,
     ProcessSpec,
     RateFit,
 )
 
 LEFT, RIGHT = 0, 1
-SIDE_LABELS = ("left", "right")
 DT_SCALE = 1e-4                     # default dt = DT_SCALE * (L / sigma)^2
 EXIT_STEP_BUDGET = 1_000_000_000    # steps an uncensored exit search may take
 REJECTION_MIN_ACCEPT = 1e-6         # lowest acceptance the conditioned-path check runs at
@@ -64,14 +66,6 @@ class RngStream:
         key = np.random.SeedSequence(entropy=int(self.seed) & (2**64 - 1),
                                      spawn_key=(int(self.stream_id), *path))
         return np.random.Generator(np.random.Philox(key))
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return RngStream(int(rng)).generator()
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,8 @@ class TVCurve:
 # Stepping kernels
 # ---------------------------------------------------------------------------
 # Every sampler detects barrier hits with _crosses.  Per step they draw:
-#   exit times, histograms, step_with_exit, simulate_path (by chunks): normal,
-#     right-bridge, left-bridge, then restart uniforms for exited paths only;
+#   exit times, histograms: normal, right-bridge, left-bridge, then restart
+#     uniforms for exited paths only;
 #   staged coupling: normal, meet, x-edge, y-edge, gap uniforms;
 #   mirror coupling: normal, meet, y-right, y-left, centre-right, centre-left;
 #   conditioned paths (lemma): normal, window-right, window-left, x-restart,
@@ -140,24 +134,20 @@ def _crosses(d0, d1, var_dt, u):
     return u < np.exp(e)
 
 
-def _exit_code(spec: ProcessSpec, x, x1, var_dt: float, u_right, u_left) -> np.ndarray:
-    """-1, LEFT or RIGHT per step x -> x1; ending at or below a is LEFT even if
-    the right bridge fires."""
-    code = np.full(np.shape(x1), -1, dtype=np.int8)
-    code[_crosses(x - spec.a, x1 - spec.a, var_dt, u_left)] = LEFT
-    code[_crosses(spec.b - x, spec.b - x1, var_dt, u_right) & (x1 > spec.a)] = RIGHT
-    return code
-
-
 def _advance(x, spec: ProcessSpec, dt: float, z, u_right, u_left):
     """One step for an array of positions.
 
     Returns (x_new, exit_code) with exit_code -1 for interior, 0 for a left
-    exit, 1 for a right exit; x_new for exited entries is the pre-restart
+    exit, 1 for a right exit; a step ending at or below a is a left exit even
+    if the right bridge fires.  x_new for exited entries is the pre-restart
     proposal (callers overwrite it with the restart draw).
     """
     x1 = x + spec.mu * dt + spec.sigma * math.sqrt(dt) * z
-    return x1, _exit_code(spec, x, x1, spec.sigma**2 * dt, u_right, u_left)
+    var_dt = spec.sigma**2 * dt
+    code = np.full(np.shape(x1), -1, dtype=np.int8)
+    code[_crosses(x - spec.a, x1 - spec.a, var_dt, u_left)] = LEFT
+    code[_crosses(spec.b - x, spec.b - x1, var_dt, u_right) & (x1 > spec.a)] = RIGHT
+    return x1, code
 
 
 def _restart_positions(spec: ProcessSpec, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -169,100 +159,41 @@ def _restart_positions(spec: ProcessSpec, n: int, gen: np.random.Generator) -> n
     return locs[np.minimum(idx, len(locs) - 1)]
 
 
-def _check_start(spec: ProcessSpec, x0: float, dt: float) -> None:
+def _check_dt(dt: float) -> None:
     if not dt > 0.0:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
+
+
+def _check_times(times) -> list[float]:
+    """The times as sorted floats; an empty grid or a negative time is refused."""
+    times = sorted(float(t) for t in times)
+    if not times:
+        raise ConfigError("the time grid is empty")
+    if not all(t >= 0.0 for t in times):
+        raise OutOfDomain(f"times must be nonnegative, got {times}")
+    return times
+
+
+def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
+                       rng: RngStream, horizon: float = np.inf,
+                       bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized exit sampling: (exit times, sides) over n_paths starts at x0.
+
+    Paths still alive at the horizon get tau = +inf and side = -1 (censored).
+    ``bridge=False`` counts only steps that end outside, so exits are detected
+    late (test instrumentation for the size of the bridge correction).
+    """
+    _check_dt(dt)
+    _check_times([horizon])
     if not spec.interval.contains(x0):
         raise OutOfDomain(f"start {x0} outside open interval")
-
-
-def step_with_exit(x: float, dt: float, spec: ProcessSpec, rng) -> tuple[float, str | None]:
-    """Single Euler/exact-Gaussian step with bridge-corrected exit detection.
-
-    Returns the new position and None, or the (unchanged proposal, boundary
-    label) when the step exits.
-    """
-    _check_start(spec, x, dt)
-    gen = _as_generator(rng)
-    z = gen.standard_normal(1)
-    u1 = gen.random(1)
-    u2 = gen.random(1)
-    x1, code = _advance(np.array([x]), spec, dt, z, u1, u2)
-    if code[0] < 0:
-        return float(x1[0]), None
-    return float(x1[0]), SIDE_LABELS[code[0]]
-
-
-# ---------------------------------------------------------------------------
-# Path simulation
-# ---------------------------------------------------------------------------
-
-def simulate_path(spec: ProcessSpec, x0: float, horizon: float, dt: float,
-                  rng) -> PathRealization:
-    """Restarted-diffusion path sampled on the uniform grid of step dt.
-
-    On each detected exit the path restarts from an atom of the restart
-    measure at the end of the step; that grid sample records the post-jump
-    state.
-    """
-    _check_start(spec, x0, dt)
-    gen = _as_generator(rng)
-    n_steps = int(round(horizon / dt))
-    positions = np.empty(n_steps + 1)
-    positions[0] = x0
-    jump_times: list[float] = []
-    exited_at: list[str] = []
-
-    chunk = 8192
-    x = x0
-    step = 0
-    sig2dt = spec.sigma**2 * dt
-    while step < n_steps:
-        m = min(chunk, n_steps - step)
-        z = gen.standard_normal(m)
-        u1 = gen.random(m)
-        u2 = gen.random(m)
-        incr = spec.mu * dt + spec.sigma * math.sqrt(dt) * z
-        start = 0
-        while start < m:
-            path = x + np.cumsum(incr[start:])
-            prev = np.concatenate(([x], path[:-1]))
-            code = _exit_code(spec, prev, path, sig2dt, u1[start:], u2[start:])
-            hits = np.flatnonzero(code >= 0)
-            if hits.size == 0:
-                positions[step + start + 1: step + m + 1] = path
-                x = float(path[-1])
-                start = m
-            else:
-                i = int(hits[0])
-                positions[step + start + 1: step + start + i + 1] = path[:i]
-                restart = float(_restart_positions(spec, 1, gen)[0])
-                positions[step + start + i + 1] = restart
-                jump_times.append((step + start + i + 1) * dt)
-                exited_at.append(SIDE_LABELS[code[i]])
-                x = restart
-                start = start + i + 1
-        step += m
-
-    times = np.arange(n_steps + 1) * dt
-    return PathRealization(
-        times=tuple(times.tolist()),
-        positions=tuple(positions.tolist()),
-        jump_times=tuple(jump_times),
-        exited_at=tuple(exited_at),
-    )
-
-
-def _exit_loop(spec: ProcessSpec, x0: float, n: int, dt: float, gen: np.random.Generator,
-               max_steps: int, bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """March n paths from x0 until they exit or max_steps pass.
-
-    Returns (exit times, sides); paths still alive get tau = +inf, side = -1.
-    """
-    taus = np.full(n, np.inf)
-    sides = np.full(n, -1, dtype=np.int8)
-    idx = np.arange(n)
-    x = np.full(n, float(x0))
+    censoring = np.isfinite(horizon)
+    max_steps = int(round(horizon / dt)) if censoring else EXIT_STEP_BUDGET
+    gen = rng.generator()
+    taus = np.full(n_paths, np.inf)
+    sides = np.full(n_paths, -1, dtype=np.int8)
+    idx = np.arange(n_paths)
+    x = np.full(n_paths, float(x0))
     step = 0
     while idx.size and step < max_steps:
         z = gen.standard_normal(idx.size)
@@ -279,31 +210,6 @@ def _exit_loop(spec: ProcessSpec, x0: float, n: int, dt: float, gen: np.random.G
             keep = ~done
             idx = idx[keep]
             x = x[keep]
-    return taus, sides
-
-
-def sample_exit_time(spec: ProcessSpec, x0: float, dt: float, rng) -> tuple[float, str]:
-    """First-exit time (step-end attribution) and boundary side from x0."""
-    _check_start(spec, x0, dt)
-    taus, sides = _exit_loop(spec, x0, 1, dt, _as_generator(rng), EXIT_STEP_BUDGET)
-    if sides[0] < 0:
-        raise HorizonExceeded(f"no exit within {EXIT_STEP_BUDGET} steps")
-    return float(taus[0]), SIDE_LABELS[sides[0]]
-
-
-def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float, rng,
-                       horizon: float = np.inf,
-                       bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exit sampling: (exit times, sides) over n_paths starts at x0.
-
-    Paths still alive at the horizon get tau = +inf and side = -1 (censored).
-    ``bridge=False`` counts only steps that end outside, so exits are detected
-    late (test instrumentation for the size of the bridge correction).
-    """
-    _check_start(spec, x0, dt)
-    censoring = np.isfinite(horizon)
-    max_steps = int(round(horizon / dt)) if censoring else EXIT_STEP_BUDGET
-    taus, sides = _exit_loop(spec, x0, n_paths, dt, _as_generator(rng), max_steps, bridge)
     if not censoring and (sides < 0).any():
         raise HorizonExceeded("exit sampling ran past the step budget")
     return taus, sides
@@ -323,32 +229,24 @@ def sample_invariant(spec: ProcessSpec, n: int, gen: np.random.Generator) -> np.
     return np.interp(gen.random(n), cdf, ys)
 
 
-def _evolve_histograms(spec: ProcessSpec, x_init: np.ndarray, snap_steps: list[int],
+def _evolve_histograms(spec: ProcessSpec, x: np.ndarray, snap_steps: list[int],
                        bins: int, dt: float, gen: np.random.Generator) -> list[np.ndarray]:
-    """March an ensemble, collecting bin-mass histograms at the given steps."""
-    x = x_init.copy()
+    """March an ensemble, collecting bin-mass histograms at the given ascending steps."""
     n = x.size
+    wanted = set(snap_steps)
     out = []
-    snap_iter = iter(sorted(snap_steps))
-    target = next(snap_iter, None)
-    step = 0
-    if target == 0:
-        out.append(np.histogram(x, bins=bins, range=(spec.a, spec.b))[0] / n)
-        target = next(snap_iter, None)
-    last = max(snap_steps) if snap_steps else 0
-    while step < last:
-        z = gen.standard_normal(n)
-        u1 = gen.random(n)
-        u2 = gen.random(n)
-        x, code = _advance(x, spec, dt, z, u1, u2)
-        exited = code >= 0
-        n_exit = int(exited.sum())
-        if n_exit:
-            x[exited] = _restart_positions(spec, n_exit, gen)
-        step += 1
-        if step == target:
+    for step in range(snap_steps[-1] + 1):
+        if step:
+            z = gen.standard_normal(n)
+            u1 = gen.random(n)
+            u2 = gen.random(n)
+            x, code = _advance(x, spec, dt, z, u1, u2)
+            exited = code >= 0
+            n_exit = int(exited.sum())
+            if n_exit:
+                x[exited] = _restart_positions(spec, n_exit, gen)
+        if step in wanted:
             out.append(np.histogram(x, bins=bins, range=(spec.a, spec.b))[0] / n)
-            target = next(snap_iter, None)
     return out
 
 
@@ -360,10 +258,14 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
     stationary density.
 
     Raises:
-        ConfigError: two times snap to the same step.
+        NonpositiveDt: dt is not positive.
+        OutOfDomain: a time is negative, or the start lies outside (a, b).
+        ConfigError: the time grid is empty, or two times snap to the same step.
     """
+    _check_dt(dt)
+    times = _check_times(times)
     steps = [int(round(t / dt)) for t in times]
-    snapped = sorted(zip(steps, times))
+    snapped = list(zip(steps, times))
     for (k0, t0), (k1, t1) in zip(snapped, snapped[1:]):
         if k0 == k1:
             raise ConfigError(f"times {t0:.12g} and {t1:.12g} snap to the same step "
@@ -380,7 +282,7 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
     hists = _evolve_histograms(spec, init, steps, bins, dt, gen)
     return [
         EnsembleSnapshot(t=k * dt, histogram=tuple(h.tolist()), n_paths=n_paths)
-        for k, h in zip(sorted(steps), hists)
+        for k, h in zip(steps, hists)
     ]
 
 
@@ -393,7 +295,7 @@ def ensemble_tv(spec: ProcessSpec, x: float, y_or_invariant, times, n_paths: int
     distance between the bin-mass histograms.  Error bars scale like
     sqrt(bins / n_paths).  Fewer than 1000 paths or 32 bins raise ConfigError.
     """
-    times = sorted(float(t) for t in times)
+    times = _check_times(times)
     if n_paths < 1000:
         raise ConfigError("n_paths must be at least 1000")
     if bins < 32:
@@ -534,8 +436,7 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
 
 
 def _check_lemma_inputs(spec: ProcessSpec, dt: float) -> None:
-    if not dt > 0.0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if not spec.is_centered_delta:
         raise RequiresCenteredDelta("conditioned check needs the midpoint atom")
     if not spec.mu > 0.0:

@@ -9,7 +9,6 @@ from jumpdiff.eigensolver import (
     CharDeterminant,
     _polish,
     auto_re_max,
-    characteristic_det,
     count_zeros,
     find_spectrum,
     gap_curve,
@@ -45,15 +44,15 @@ def shooting_det(spec, lam: float) -> float:
 def test_determinant_zero_at_origin():
     for spec in (unit_spec(0.0), unit_spec(7.0), unit_spec(-3.0),
                  make_spec(mu=2.0, atoms=((0.2, 0.3), (0.7, 0.7)))):
-        assert abs(characteristic_det(spec, 0.0)) < 1e-13
+        assert abs(CharDeterminant(spec)(0.0)) < 1e-13
 
 
 def test_determinant_zero_at_driftfree_gap(spec0):
-    assert abs(characteristic_det(spec0, 2 * PI2)) < 1e-9
+    assert abs(CharDeterminant(spec0)(2 * PI2)) < 1e-9
 
 
 def test_determinant_nonzero_off_spectrum(spec0):
-    val = characteristic_det(spec0, 1.0)
+    val = CharDeterminant(spec0)(1.0)
     assert abs(val) > 1e-3
     assert np.sign(val.real) == np.sign(shooting_det(spec0, 1.0))
 
@@ -62,7 +61,7 @@ def test_determinant_finite_on_huge_lambda():
     for mu in (0.0, 50.0, 100.0):
         spec = unit_spec(mu)
         for lam in (1e6, -1e6, 1e6j, 1e5 + 9e5j):
-            val = characteristic_det(spec, lam)
+            val = CharDeterminant(spec)(lam)
             assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
@@ -88,7 +87,7 @@ def test_determinant_continuous_across_double_root_point(spec20):
     # lambda* = mu^2 / (2 sigma^2) = 200 is the double-root point of the
     # characteristic polynomial; the determinant must be smooth there
     lam_star = 200.0
-    vals = [characteristic_det(spec20, lam_star + d) for d in (-1e-5, 0.0, 1e-5)]
+    vals = [CharDeterminant(spec20)(lam_star + d) for d in (-1e-5, 0.0, 1e-5)]
     assert abs(vals[1] - 0.5 * (vals[0] + vals[2])) < 1e-10 * max(abs(v) for v in vals)
 
 
@@ -214,6 +213,17 @@ def test_find_spectrum_matches_centred_closed_form(length, sigma, mu):
         nearest = min(found, key=lambda w: abs(w - v))
         assert abs(nearest - v) <= 1e-6 * max(1.0, abs(v)), (v, nearest)
         found.remove(nearest)
+
+
+@pytest.mark.parametrize("length,sigma", [(1.0, 1.0), (2.0, 1.3)])
+def test_coupling_bound_rate_is_the_gap(length, sigma):
+    # the centred closed form puts the gap at the smaller of the lowest real
+    # eigenvalue and the first complex pair, which is the coupling bound
+    from jumpdiff.analytic import coupling_tail_bound_rate
+    spec = make_spec(b=length, sigma=sigma, atoms=((0.5 * length, 1.0),))
+    mus = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0]
+    for mu, gap, _ in gap_curve(spec, mus):
+        assert coupling_tail_bound_rate(spec.with_mu(mu)) == pytest.approx(gap, rel=1e-9)
 
 
 def test_threshold_off_the_dyadic_grid():

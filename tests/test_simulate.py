@@ -18,45 +18,53 @@ from jumpdiff.errors import (
 from jumpdiff.model import unit_spec
 from jumpdiff.simulate import (
     LEFT,
-    SIDE_LABELS,
     RngStream,
     _advance,
     _crosses,
+    _restart_positions,
     ensemble_snapshots,
     ensemble_tv,
     exit_time_ensemble,
     fit_rate,
-    sample_exit_time,
     sample_invariant,
-    simulate_path,
-    step_with_exit,
     verify_pathwise_lemma,
 )
+from tests.test_model import make_spec
 
 PI2 = math.pi**2
 
 
 # --- stepping kernel ---------------------------------------------------------
 
-def test_step_reproducible(spec0):
-    out1 = step_with_exit(0.5, 1e-4, spec0, RngStream(7, 3))
-    out2 = step_with_exit(0.5, 1e-4, spec0, RngStream(7, 3))
-    assert out1 == out2
-
-
 def test_step_rejects_bad_inputs(spec0):
     with pytest.raises(NonpositiveDt):
-        step_with_exit(0.5, 0.0, spec0, RngStream(1))
+        exit_time_ensemble(spec0, 0.5, 10, 0.0, RngStream(1))
     with pytest.raises(OutOfDomain):
-        step_with_exit(1.5, 1e-4, spec0, RngStream(1))
+        exit_time_ensemble(spec0, 1.5, 10, 1e-4, RngStream(1))
+    with pytest.raises(NonpositiveDt):
+        ensemble_snapshots(spec0, 0.5, [0.1], 10, 64, 0.0, RngStream(1))
+    with pytest.raises(OutOfDomain):
+        ensemble_snapshots(spec0, 1.5, [0.1], 10, 64, 1e-4, RngStream(1))
 
 
 def test_step_exit_vanishes_for_small_dt(spec0):
-    # from the middle, both bridge exponents blow down as dt -> 0
-    gen = RngStream(5).generator()
-    for _ in range(200):
-        _, side = step_with_exit(0.5, 1e-6, spec0, gen)
-        assert side is None
+    # from the middle, both bridge exponents blow down as dt -> 0: none of
+    # 200 paths leaves in one step of 1e-6
+    taus, sides = exit_time_ensemble(spec0, 0.5, 200, 1e-6, RngStream(5), horizon=1e-6)
+    assert np.all(np.isinf(taus)) and np.all(sides == -1)
+
+
+def test_path_restarts_at_atom():
+    # a single atom is returned exactly; several are drawn at their weights
+    gen = RngStream(21).generator()
+    assert np.all(_restart_positions(unit_spec(5.0), 10, gen) == 0.5)
+    n = 100_000
+    for atoms in (((0.25, 0.5), (0.75, 0.5)), ((0.2, 0.1), (0.5, 0.3), (0.9, 0.6))):
+        draws = _restart_positions(make_spec(mu=5.0, atoms=atoms), n, gen)
+        assert set(draws.tolist()) == {x for x, _ in atoms}
+        for x, w in atoms:
+            se = math.sqrt(w * (1 - w) / n)
+            assert float((draws == x).mean()) == pytest.approx(w, abs=3 * se)
 
 
 def _crossing_frequency(d0, d1, var_dt, n=1_000_000):
@@ -111,26 +119,7 @@ def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
 
 # --- exit times --------------------------------------------------------------
 
-def test_sample_exit_time_scalar(spec0):
-    tau, side = sample_exit_time(spec0, 0.5, 1e-3, RngStream(3))
-    assert tau > 0.0 and side in ("left", "right")
-
-
-@pytest.mark.parametrize("seed", [3, 4, 5])
-def test_sample_exit_time_is_first_path_of_ensemble(seed):
-    spec = unit_spec(3.0)
-    tau, side = sample_exit_time(spec, 0.4, 1e-3, RngStream(seed))
-    taus, sides = exit_time_ensemble(spec, 0.4, 1, 1e-3, RngStream(seed))
-    assert (tau, side) == (taus[0], SIDE_LABELS[sides[0]])
-
-
 # from the midpoint, no path can leave (0, 1) within 3 steps of 1e-6
-def test_sample_exit_time_step_budget(spec0, monkeypatch):
-    monkeypatch.setattr(simulate, "EXIT_STEP_BUDGET", 3)
-    with pytest.raises(HorizonExceeded):
-        sample_exit_time(spec0, 0.5, 1e-6, RngStream(1))
-
-
 def test_uncensored_ensemble_step_budget(spec0, monkeypatch):
     monkeypatch.setattr(simulate, "EXIT_STEP_BUDGET", 3)
     with pytest.raises(HorizonExceeded):
@@ -175,51 +164,6 @@ def test_bridge_correction_necessity(spec0):
     assert float(taus_on.mean()) == pytest.approx(0.25, rel=0.02)
 
 
-# --- path simulation ---------------------------------------------------------
-
-def test_path_restarts_at_atom():
-    spec = unit_spec(5.0)
-    path = simulate_path(spec, 0.3, 4.0, 1e-4, RngStream(1))
-    assert len(path.jump_times) > 0
-    for t in path.jump_times:
-        k = int(round(t / 1e-4))
-        assert path.positions[k] == 0.5
-    assert min(path.positions) >= 0.0 and max(path.positions) <= 1.0
-    assert all(b > a for a, b in zip(path.jump_times, path.jump_times[1:]))
-
-
-def test_path_all_exits_right_under_strong_drift():
-    path = simulate_path(unit_spec(50.0), 0.5, 1.0, 1e-4, RngStream(2))
-    assert path.exited_at and all(side == "right" for side in path.exited_at)
-
-
-def test_path_reproducible(spec0):
-    p1 = simulate_path(spec0, 0.5, 1.0, 1e-3, RngStream(4, 1))
-    p2 = simulate_path(spec0, 0.5, 1.0, 1e-3, RngStream(4, 1))
-    assert p1 == p2
-
-
-def test_jump_count_matches_renewal_rate(spec0):
-    # mean number of restarts per unit time is 1 / E[exit time]
-    horizon, n = 50.0, 60
-    counts = [len(simulate_path(spec0, 0.5, horizon, 1e-3, RngStream(100, k)).jump_times)
-              for k in range(n)]
-    want = horizon / mean_exit_time(spec0, 0.5)
-    se = float(np.std(counts) / math.sqrt(n))
-    assert float(np.mean(counts)) == pytest.approx(want, abs=3 * se)
-
-
-def test_long_run_occupation_matches_invariant_density():
-    spec = unit_spec(5.0)
-    path = simulate_path(spec, 0.5, 200.0, 1e-4, RngStream(8))
-    hist, edges = np.histogram(path.positions, bins=64, range=(0.0, 1.0))
-    emp = hist / hist.sum()
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    dens = invariant_density_grid(spec, centers)
-    model = dens / dens.sum()
-    assert 0.5 * float(np.abs(emp - model).sum()) < 0.02
-
-
 # --- ensembles and TV --------------------------------------------------------
 
 def test_tv_starts_at_one_for_distinct_points(spec0):
@@ -253,6 +197,17 @@ def test_invariant_start_is_stationary(spec0):
     for snap in snaps:
         tv = 0.5 * float(np.abs(np.array(snap.histogram) - model).sum())
         assert tv < 0.03
+
+
+def test_long_run_occupation_matches_invariant_density():
+    # from a point start, the restarted ensemble forgets it by t = 0.5 at mu = 5,
+    # about 16 relaxation times of the gap
+    spec = unit_spec(5.0)
+    (snap,) = ensemble_snapshots(spec, 0.3, [0.5], 20_000, 64, 5e-4, RngStream(8))
+    centers = (np.arange(64) + 0.5) / 64
+    dens = invariant_density_grid(spec, centers)
+    model = dens / dens.sum()
+    assert 0.5 * float(np.abs(np.array(snap.histogram) - model).sum()) < 0.03
 
 
 def test_ensemble_tv_reproducible(spec0):

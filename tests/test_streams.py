@@ -20,8 +20,6 @@ from jumpdiff.simulate import (
     RngStream,
     ensemble_snapshots,
     exit_time_ensemble,
-    sample_exit_time,
-    simulate_path,
     verify_pathwise_lemma,
 )
 
@@ -49,12 +47,6 @@ def _exit_time_ensemble():
                                         bridge=False)
     return (_steps(taus, dt), sides.tolist(), _steps(cen, dt), cen_sides.tolist(),
             _steps(off, dt), off_sides.tolist())
-
-
-def _sample_exit_time():
-    dt = 1e-3
-    out = [sample_exit_time(unit_spec(3.0), 0.4, dt, RngStream(s)) for s in range(16)]
-    return [(int(round(t / dt)), side) for t, side in out]
 
 
 def _ensemble_snapshots():
@@ -95,24 +87,13 @@ def _verify_pathwise_lemma():
     return round(fx * n), round(fy * n)
 
 
-def _simulate_path():
-    dt = 1e-3
-    out = []
-    for spec, seed in ((unit_spec(5.0), 1), (TWO_ATOMS, 2)):
-        path = simulate_path(spec, 0.3, 2.0, dt, RngStream(seed))
-        out.append((_steps(path.jump_times, dt), list(path.exited_at)))
-    return out
-
-
 GOLDEN = {
     "exit_time_ensemble": (_exit_time_ensemble, "8a8bb1ae3d4359c0"),
-    "sample_exit_time": (_sample_exit_time, "2551f4123aacd20a"),
     "ensemble_snapshots": (_ensemble_snapshots, "fb69f97a92f4188f"),
     "coupling_records": (_coupling_records, "e3e6532c4653d2f0"),
     "coupling_marginal": (_coupling_marginal, "8be7fd1dd2892a7b"),
     "mirror_exit_dominance": (_mirror_exit_dominance, "39161dd7c43d8651"),
     "verify_pathwise_lemma": (_verify_pathwise_lemma, "ea1da4e0e8dc561d"),
-    "simulate_path": (_simulate_path, "0ba0846fda3eef77"),
 }
 
 
