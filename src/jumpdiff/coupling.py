@@ -40,6 +40,7 @@ from .model import Interval, JumpDistribution, ProcessSpec, RateFit
 from .simulate import (
     RngStream,
     _advance,
+    _check_counts,
     _check_dt,
     _check_times,
     _crosses,
@@ -323,6 +324,7 @@ def coupling_records(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: fl
                      seed: int, horizon: float):
     """Vectorized stage times for n_pairs couples (inf where censored)."""
     _check_staged_inputs(spec, x, y, dt)
+    _check_counts(n_pairs)
     _check_times([horizon])
     gen = RngStream(seed, 0).generator()
     res, _ = _run_coupling(spec, x, y, n_pairs, dt, gen, horizon)
@@ -333,6 +335,7 @@ def coupling_marginal(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: f
                       seed: int, t: float) -> np.ndarray:
     """x-marginal of the coupled construction at time t (law check support)."""
     _check_staged_inputs(spec, x, y, dt)
+    _check_counts(n_pairs)
     _check_times([t])
     gen = RngStream(seed, 0).generator()
     step = int(round(t / dt))
@@ -380,6 +383,7 @@ def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
     centered survival dominate up to Monte Carlo error.
     """
     _check_dt(dt)
+    _check_counts(n_paths)
     if not interval.contains(y):
         raise OutOfDomain(f"start {y} outside open interval")
     t_grid = _check_times(t_grid)

@@ -18,7 +18,14 @@ Zeros are located by the argument principle: the winding number of the
 determinant along box contours, computed by adaptive phase tracking, drives a
 recursive bisection until each sub-box isolates one zero (or one unresolvable
 cluster, reported with its multiplicity), followed by order-aware Newton
-polishing.  Residuals are |det| relative to the generic magnitude ``mag``.
+polishing.  One kernel evaluates the determinant, its generic magnitude
+``mag`` and, for Newton, its exact lambda-derivative; there is no finite
+difference.  Residuals are |det| relative to ``mag``.
+
+Gap-only solves (``gap_curve``) search a box certified to hold every
+eigenvalue below its right edge: all zeros lie in a vertical strip
+|Re q| < X of the q-plane (Bellman & Cooke, Differential-Difference
+Equations, 1963, ch. 12), which bounds |Im lambda| for each Re lambda.
 """
 
 from __future__ import annotations
@@ -103,6 +110,18 @@ class SpectrumReport:
     gap_is_real: bool
 
 
+class _Terms(NamedTuple):
+    """Term table of the determinant, built once per spec (see CharDeterminant)."""
+
+    dist2: np.ndarray      # (2K, 1): +d_k then -d_k, the exponent factors of q
+    shift2: np.ndarray     # (2K, 1): -g c_k, repeated for both signs
+    dist_abs2: np.ndarray  # (2K, 1): d_k for both signs
+    rows: np.ndarray       # (2, 2K): weights of sinh(q d) and of d cosh(q d)
+    mag_row: np.ndarray    # (2K,): |w_k| / 2, the magnitude weights
+    weight: np.ndarray     # (K,): w_k, for the term-by-term series branch
+    q_series: float        # |q| below which some term takes its series branch
+
+
 @dataclass(frozen=True)
 class CharDeterminant:
     """Normalized characteristic determinant of the non-local boundary problem.
@@ -117,60 +136,116 @@ class CharDeterminant:
         S(b) - sum_i w_i [ S(x_i) + exp(-g (b - a + d_i)) sinh(q (b - x_i)) / q ],
 
     whose leading exponential appears in exactly one term, so every value is
-    computed at full relative accuracy for arbitrarily large |lambda|.
-    The whole sum is further scaled by exp(-s), s = max(0, (Re q - g) (b - a)),
-    a positive factor that keeps magnitudes O(1) without moving zeros or
-    phases.  Negative drift is evaluated through interval reflection (an
-    eigenvalue-preserving row operation; flips the overall sign).
+    computed at full relative accuracy for arbitrarily large |lambda|.  Each
+    term is w_k exp(-g c_k) sinh(q d_k) / q, with distances d_k = L, d_i,
+    L - d_i, shifts c_k = L, d_i, L + d_i and weights 1, -w_i, -w_i; the
+    table is built once, and one ``np.exp`` over all terms and points
+    evaluates the sum.  Where |q d_k| is below ``sinch_series_cutoff`` that
+    term takes its Taylor series instead, so the basis passes smoothly
+    through q = 0.  The whole sum is further scaled by exp(-s),
+    s = max(0, (Re q - g) (b - a)), a positive factor that keeps magnitudes
+    O(1) without moving zeros or phases.  Negative drift is evaluated
+    through interval reflection x -> a + b - x, which maps eigenfunctions to
+    eigenfunctions and multiplies the determinant by the positive factor
+    exp(-2 |g| (b - a)); the table then holds the atoms in reflected order.
     """
 
     spec: ProcessSpec
     config: SolverConfig = DEFAULT_CONFIG
 
-    def _sinch(self, q, dist, shift):
-        """exp(shift) * sinh(q dist) / q with a series branch near q = 0.
-
-        Returns (value, magnitude bound); the bound is the generic size of
-        the term, used to judge how close a value is to a zero.  It stays
-        finite as q -> 0 because |sinh(q d) / q| <= d cosh(Re q d).
-        """
-        ep = np.exp(q * dist + shift)
-        em = np.exp(-q * dist + shift)
-        qd = q * dist
-        small = np.abs(qd) < self.config.sinch_series_cutoff
-        qsafe = np.where(small, 1.0, q)
-        exact = 0.5 * (ep - em) / qsafe
-        series = np.exp(shift) * dist * (1.0 + qd**2 / 6.0 + qd**4 / 120.0)
-        bound = np.where(small, np.abs(series),
-                         0.5 * (np.abs(ep) + np.abs(em)) * np.minimum(dist, 1.0 / np.abs(qsafe)))
-        return np.where(small, series, exact), bound
-
-    def with_scale(self, lam_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Determinant values and their generic magnitude on an array.
-
-        The magnitude is the sum of the term bounds: |det| near it means the
-        point is far from any zero, however large the drift-induced dynamic
-        range across a contour.
-        """
+    def __post_init__(self):
         spec = self.spec
         atoms = spec.nu.atoms
         if spec.mu < 0.0:
             # interval reflection x -> a + b - x turns the drift positive
             atoms = sorted((spec.a + spec.b - x, w) for x, w in atoms)
-        mu = abs(spec.mu)
-        sig2 = spec.sigma**2
-        gamma = mu / sig2
-        q = np.sqrt(mu**2 - 2.0 * sig2 * lam_arr + 0j) / sig2
+        gamma = abs(spec.mu) / spec.sigma**2
         L = spec.length
-        s = np.maximum(0.0, (q.real - gamma) * L)
-        det, mag = self._sinch(q, L, -gamma * L - s)
+        dist, shift, weight = [L], [-gamma * L], [1.0]
         for x_i, w_i in atoms:
             d_i = x_i - spec.a
-            t_i, m_i = self._sinch(q, d_i, -gamma * d_i - s)
-            u_i, mu_i = self._sinch(q, L - d_i, -gamma * (L + d_i) - s)
-            det = det - w_i * (t_i + u_i)
-            mag = mag + w_i * (m_i + mu_i)
-        return (-det if spec.mu < 0.0 else det), mag
+            dist += [d_i, L - d_i]
+            shift += [-gamma * d_i, -gamma * (L + d_i)]
+            weight += [-w_i, -w_i]
+        d, c, w = np.array(dist), np.array(shift), np.array(weight)
+        both = np.concatenate
+        object.__setattr__(self, "_terms", _Terms(
+            dist2=both([d, -d])[:, None],
+            shift2=both([c, c])[:, None],
+            dist_abs2=both([d, d])[:, None],
+            rows=np.array([both([0.5 * w, -0.5 * w]), both([0.5 * w * d, 0.5 * w * d])],
+                          dtype=complex),
+            mag_row=both([0.5 * np.abs(w), 0.5 * np.abs(w)]),
+            weight=w,
+            q_series=self.config.sinch_series_cutoff / float(d.min()),
+        ))
+
+    def _kernel(self, lam_arr: np.ndarray, deriv: bool):
+        """(det, mag, dD/dlambda or None) on an array, all at the exp(-s) scale.
+
+        The derivative holds s fixed, so det / deriv is the exact Newton step
+        of the unscaled determinant.  With dq/dlambda = -1 / (sigma^2 q), a
+        term's derivative is -w exp(-g c - s) (q d cosh(q d) - sinh(q d)) /
+        (sigma^2 q^3); its series branch is -w exp(-g c - s) d^3 (1/3 +
+        (q d)^2 / 30) / sigma^2.
+        """
+        spec, t = self.spec, self._terms
+        sig2 = spec.sigma**2
+        q = np.sqrt(spec.mu**2 - 2.0 * sig2 * lam_arr + 0j) / sig2
+        s = (q.real - abs(spec.mu) / sig2) * spec.length
+        np.maximum(s, 0.0, out=s)
+        shifted = t.shift2 - s
+        e = np.exp(q * t.dist2 + shifted)
+        abs_q = np.abs(q)
+        series = abs_q < t.q_series
+        any_series = series.any()
+        if any_series:
+            # these points are recomputed term by term below
+            q_div, abs_q = np.where(series, 1.0, q), np.where(series, 1.0, abs_q)
+        else:
+            q_div = q
+        sinh_sum = t.rows[0] @ e
+        det = sinh_sum / q_div
+        mag = t.mag_row @ (np.abs(e) * np.minimum(t.dist_abs2, 1.0 / abs_q))
+        ddet = ((sinh_sum - q_div * (t.rows[1] @ e)) / (sig2 * q_div**3)
+                if deriv else None)
+        if any_series:
+            idx = np.flatnonzero(series)
+            k = t.weight.size
+            d = t.dist2[:k]
+            qi, ep, em = q[idx], e[:k, idx], e[k:, idx]
+            qd = qi * d
+            small = np.abs(qd) < self.config.sinch_series_cutoff
+            qs = np.where(small, 1.0, qi)
+            base = np.exp(shifted[:k, idx])
+            val = np.where(small, base * d * (1.0 + qd**2 / 6.0 + qd**4 / 120.0),
+                           0.5 * (ep - em) / qs)
+            bound = np.where(small, np.abs(val), 0.5 * (np.abs(ep) + np.abs(em))
+                             * np.minimum(d, 1.0 / np.abs(qs)))
+            det[idx] = t.weight @ val
+            mag[idx] = np.abs(t.weight) @ bound
+            if deriv:
+                dval = np.where(small, -base * d**3 * (1.0 / 3.0 + qd**2 / 30.0),
+                                (0.5 * (ep - em) - qd * 0.5 * (ep + em)) / qs**3) / sig2
+                ddet[idx] = t.weight @ dval
+        return det, mag, ddet
+
+    def with_scale(self, lam_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Determinant values and their generic magnitude on an array.
+
+        The magnitude is the sum of the term bounds 0.5 (|e^{+}| + |e^{-}|)
+        min(d, 1/|q|) (|series| on the series branch); it stays finite as
+        q -> 0 because |sinh(q d) / q| <= d cosh(Re q d).  |det| near it
+        means the point is far from any zero, however large the
+        drift-induced dynamic range across a contour.
+        """
+        det, mag, _ = self._kernel(lam_arr, False)
+        return det, mag
+
+    def with_derivative(self, lam_arr: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``with_scale`` plus dD/dlambda at the same scale, in one kernel call."""
+        return self._kernel(lam_arr, True)
 
     def __call__(self, lam):
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -181,12 +256,51 @@ class CharDeterminant:
 
     def log_scale(self, lam) -> float:
         """log of the positive rescaling at lambda; det * exp(log_scale)
-        recovers the unscaled boundary determinant (oracle comparisons)."""
+        recovers the unscaled boundary determinant (oracle comparisons).
+
+        For mu < 0 it includes the factor exp(2 |g| (b - a)) between the
+        determinant of the reflected problem and that of the original one.
+        """
         spec = self.spec
         sig2 = spec.sigma**2
         gamma = abs(spec.mu) / sig2
         q = cmath.sqrt(spec.mu**2 - 2.0 * sig2 * complex(lam)) / sig2
-        return max(0.0, (q.real - gamma) * spec.length)
+        reflect = 2.0 * gamma * spec.length if spec.mu < 0.0 else 0.0
+        return max(0.0, (q.real - gamma) * spec.length) + reflect
+
+    def re_q_bound(self) -> float:
+        """X with |Re q| < X at every zero (Bellman & Cooke 1963, ch. 12).
+
+        Divided by e^{qL}, 2 q e^{gL} D is 1 plus terms of modulus
+        |w_k| exp(g (L - c_k) - x (L -+ d_k)) at Re q = x >= 0, all
+        decreasing in x.  Where they sum below 1 the determinant cannot
+        vanish, and D is even in q.  X is the upper end of a bisection of
+        that sum against 1, with a fixed step budget.
+        """
+        t = self._terms
+        L = self.spec.length
+        gamma = abs(self.spec.mu) / self.spec.sigma**2
+        # every term but the leading e^{qL}: log-modulus offset and slope in x
+        offset = (np.log(2.0 * t.mag_row) + t.shift2[:, 0] + gamma * L)[1:]
+        slope = (t.dist2[:, 0] - L)[1:]
+
+        def dominated(x: float) -> bool:
+            return float(np.exp(offset + slope * x).sum()) < 1.0
+
+        lo, hi = 0.0, gamma + 1.0 / L
+        for _ in range(64):
+            if dominated(hi):
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            raise JumpdiffError(f"no zero-free half-plane of q found below Re q = {hi}")
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if dominated(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 # ---------------------------------------------------------------------------
@@ -322,34 +436,30 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
             config: SolverConfig) -> tuple[complex, float]:
     """Order-aware Newton iteration from the box centre.
 
-    The derivative is a central difference with step fd_step_scale*(1+|z|);
-    for an m-fold zero the step is multiplied by m, restoring quadratic
-    convergence.  It stops when the iterate leaves the box, when the step is
-    at floating-point resolution, after four steps without improvement, or
-    once the residual |det| / mag is below ``newton_residual`` and no longer
-    improving.
+    Each step is one kernel call, which returns the determinant, its
+    magnitude and its exact derivative at the same scale, so D / D' is the
+    true Newton step; for an m-fold zero the step is multiplied by m,
+    restoring quadratic convergence.  It stops when the iterate leaves the
+    box, when the step is at floating-point resolution, after four steps
+    without improvement, or once the residual |det| / mag is below
+    ``newton_residual`` and no longer improving.
     """
-    values: dict[complex, tuple[complex, float]] = {}
-
-    def fval(z: complex) -> tuple[complex, float]:
-        # each point once: a step's value at z is the residual of the step before
-        if z not in values:
-            values[z] = _value(f, z)
-        return values[z]
+    def newton_data(z: complex) -> tuple[complex, float, complex]:
+        det, mag, ddet = f.with_derivative(np.asarray([z], dtype=complex))
+        return complex(det[0]), float(abs(det[0]) / mag[0]), complex(ddet[0])
 
     z = box.center
-    best_z, best_r = z, fval(z)[1]
+    value, best_r, deriv = newton_data(z)
+    best_z = z
     stall = 0
     for _ in range(config.newton_max_iter):
-        h = config.fd_step_scale * (1.0 + abs(z))
-        deriv = (fval(z + h)[0] - fval(z - h)[0]) / (2.0 * h)
         if deriv == 0:
             break
-        step = multiplicity * fval(z)[0] / deriv
+        step = multiplicity * value / deriv
         z = z - step
         if not box.contains(z) or abs(step) <= 2.0 * np.finfo(float).eps * (1.0 + abs(z)):
             break
-        r = fval(z)[1]
+        value, r, deriv = newton_data(z)
         if r < best_r:
             best_z, best_r = z, r
             stall = 0
@@ -477,6 +587,12 @@ def _assemble_eigenvalues(raw: list, re_max: float,
     return tuple(sorted(eigs, key=lambda e: (e.value.real, e.value.imag)))
 
 
+def _search_box(re_max: float, im_max: float) -> Box:
+    """[-delta, re_max] x [-im_max, im_max]; delta keeps lambda = 0 off the contour."""
+    delta = max(0.5, 0.01 * re_max)
+    return Box(-delta, re_max, -im_max, im_max)
+
+
 def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
                   config: SolverConfig = DEFAULT_CONFIG) -> SpectrumReport:
     """All determinant zeros inside [-delta, re_max] x [-im_max, im_max].
@@ -494,9 +610,8 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
         raise ValueError("re_max must be positive")
     if im_max is None:
         im_max = config.im_aspect * re_max
-    delta = max(0.5, 0.01 * re_max)
     f = CharDeterminant(spec, config)
-    count, box = _count_with_dilation(f, Box(-delta, re_max, -im_max, im_max), config)
+    count, box = _count_with_dilation(f, _search_box(re_max, im_max), config)
     raw: list = []
     _locate_zeros(f, box, count, config, raw)
     eigs = _assemble_eigenvalues(raw, re_max, config)
@@ -523,9 +638,40 @@ def auto_re_max(spec: ProcessSpec) -> float:
     return 2.0 * max(dirichlet_bottom(spec), 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2)
 
 
+def _gap_window(spec: ProcessSpec, config: SolverConfig) -> tuple[float, float]:
+    """(re_max, im_max) of the smallest certified box holding a nonzero zero.
+
+    Every zero has |Re q| < X (``CharDeterminant.re_q_bound``), and with
+    lambda = (mu^2 - sigma^4 q^2) / (2 sigma^2) every eigenvalue with
+    Re lambda <= R then has |Im lambda| <= X sqrt(2 sigma^2 R - mu^2 +
+    sigma^4 X^2).  So the box of that height holds all of them, and its
+    lowest nonzero zero is the gap (X > |mu| / sigma^2, so the root is
+    real).  R starts at 0.6 of the plateau 8 sigma^2 pi^2 / L^2 and doubles,
+    on winding counts alone, until the box holds a zero besides lambda = 0.
+
+    Raises:
+        BoxTooSmall: still no nonzero zero at ``auto_re_max(spec)``.
+    """
+    f = CharDeterminant(spec, config)
+    x = f.re_q_bound()
+    sig2 = spec.sigma**2
+    cap = auto_re_max(spec)
+    re_max = 0.6 * 8.0 * sig2 * math.pi**2 / spec.length**2
+    while True:
+        re_max = min(re_max, cap)
+        im_max = x * math.sqrt(2.0 * sig2 * re_max - spec.mu**2 + sig2**2 * x**2)
+        count, _ = _count_with_dilation(f, _search_box(re_max, im_max), config)
+        if count > 1:
+            return re_max, im_max
+        if re_max >= cap:
+            raise BoxTooSmall(f"no nonzero eigenvalue below re_max={cap}")
+        re_max *= 2.0
+
+
 def gap_curve(spec_base: ProcessSpec, mu_grid,
               config: SolverConfig = DEFAULT_CONFIG) -> list[tuple[float, float, bool]]:
-    """Spectral gap along a drift grid, with the auto-scaled search box.
+    """Spectral gap along a drift grid, each from one ``find_spectrum`` call
+    on the certified gap-only box of :func:`_gap_window`.
 
     Solver errors are re-raised tagged with the offending drift value.
     """
@@ -536,7 +682,8 @@ def gap_curve(spec_base: ProcessSpec, mu_grid,
     for mu in mu_grid:
         spec = spec_base.with_mu(mu)
         try:
-            rep = find_spectrum(spec, auto_re_max(spec), config=config)
+            re_max, im_max = _gap_window(spec, config)
+            rep = find_spectrum(spec, re_max, im_max, config=config)
         except JumpdiffError as exc:
             raise type(exc)(f"mu={mu}: {exc}") from exc
         out.append((float(mu), rep.gap, rep.gap_is_real))

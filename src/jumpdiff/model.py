@@ -225,6 +225,11 @@ class SolverConfig:
     """Tolerances of the eigensolver: determinant series branch, Newton
     polishing, deduplication, and contour sampling, dilation and bisection.
 
+    Newton steps use the determinant's exact derivative, so there is no
+    finite-difference step.  ``im_aspect`` sizes the default box of
+    ``find_spectrum`` only; ``gap_curve`` picks its own box, certified to
+    hold every eigenvalue below its right edge.
+
     Only :mod:`jumpdiff.eigensolver` reads it, through the ``config``
     argument of ``CharDeterminant``, ``count_zeros``, ``find_spectrum``
     and ``gap_curve``.  It stays a record because the
@@ -235,10 +240,12 @@ class SolverConfig:
     module constants beside their one user.
     """
 
-    sinch_series_cutoff: float = 1e-4      # |q|*L below which sinh(q d)/q uses its series
+    # |q d| below which a term sinh(q d)/q and its derivative take their series;
+    # at 1e-2 the derivative's cancellation (eps / |q d|^3) and the series'
+    # truncation ((q d)^4 / 840) both stay near 1e-10 relative
+    sinch_series_cutoff: float = 1e-2
     newton_residual: float = 1e-10        # |det| / generic magnitude at an accepted root
     newton_max_iter: int = 50
-    fd_step_scale: float = 1e-6
     dedup_tol: float = 1e-7
     imag_tol_scale: float = 1e-6
     winding_int_tol: float = 0.25

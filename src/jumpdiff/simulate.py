@@ -164,6 +164,14 @@ def _check_dt(dt: float) -> None:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
 
 
+def _check_counts(n: int, bins: int | None = None) -> None:
+    """Refuse an empty ensemble (fewer than one path or pair) or fewer than 32 bins."""
+    if not n >= 1:
+        raise ConfigError(f"need at least one path or pair, got {n}")
+    if bins is not None and not bins >= 32:
+        raise ConfigError(f"need at least 32 bins, got {bins}")
+
+
 def _check_times(times) -> list[float]:
     """The times as sorted floats; an empty grid or a negative time is refused."""
     times = sorted(float(t) for t in times)
@@ -184,6 +192,7 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
     late (test instrumentation for the size of the bridge correction).
     """
     _check_dt(dt)
+    _check_counts(n_paths)
     _check_times([horizon])
     if not spec.interval.contains(x0):
         raise OutOfDomain(f"start {x0} outside open interval")
@@ -260,9 +269,11 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
     Raises:
         NonpositiveDt: dt is not positive.
         OutOfDomain: a time is negative, or the start lies outside (a, b).
-        ConfigError: the time grid is empty, or two times snap to the same step.
+        ConfigError: the time grid is empty, two times snap to the same step,
+            there are no paths or fewer than 32 bins.
     """
     _check_dt(dt)
+    _check_counts(n_paths, bins)
     times = _check_times(times)
     steps = [int(round(t / dt)) for t in times]
     snapped = list(zip(steps, times))
@@ -298,8 +309,6 @@ def ensemble_tv(spec: ProcessSpec, x: float, y_or_invariant, times, n_paths: int
     times = _check_times(times)
     if n_paths < 1000:
         raise ConfigError("n_paths must be at least 1000")
-    if bins < 32:
-        raise ConfigError("need at least 32 bins")
     snaps_x = ensemble_snapshots(spec, x, times, n_paths, bins, dt, RngStream(seed, 0))
     snaps_y = ensemble_snapshots(spec, y_or_invariant, times, n_paths, bins, dt,
                                  RngStream(seed, 1))
@@ -378,6 +387,7 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
             ``REJECTION_MIN_ACCEPT``.
     """
     _check_lemma_inputs(spec, dt)
+    _check_counts(n_paths)
     x0 = spec.nu.locations[0]
     b = spec.b
     gap = b - x0

@@ -1,8 +1,9 @@
-"""Every sampler entry refuses a bad step or time grid with a typed error.
+"""Every sampler entry refuses a bad step, time grid or ensemble size with a
+typed error.
 
 A step dt <= 0 raises NonpositiveDt, a negative time or horizon raises
-OutOfDomain and an empty time grid raises ConfigError, before any path is
-drawn.
+OutOfDomain, and an empty time grid, an empty ensemble (fewer than one path
+or pair) or fewer than 32 bins raise ConfigError, before any path is drawn.
 """
 
 import pytest
@@ -68,3 +69,37 @@ CASES = [pytest.param(call, dt, ts, exc, id=f"{name}-{label}")
 def test_bad_step_or_times_raise_typed_errors(call, dt, ts, exc):
     with pytest.raises(exc):
         call(dt, ts)
+
+
+# entry -> call with n paths or pairs; the other inputs are valid
+COUNT_ENTRIES = {
+    "exit_time_ensemble": lambda n: exit_time_ensemble(
+        SPEC, 0.5, n, 1e-3, RngStream(1), horizon=0.1),
+    "ensemble_snapshots": lambda n: ensemble_snapshots(
+        SPEC, 0.5, [0.1], n, 64, 1e-3, RngStream(1)),
+    "ensemble_tv": lambda n: ensemble_tv(SPEC, 0.25, 0.75, [0.1], n, 64, 1e-3, 1),
+    "verify_pathwise_lemma": lambda n: verify_pathwise_lemma(SPEC, 1, n, 1e-3, 1),
+    "coupling_records": lambda n: coupling_records(SPEC, 0.25, 0.75, n, 1e-3, 1, 0.1),
+    "coupling_marginal": lambda n: coupling_marginal(SPEC, 0.25, 0.75, n, 1e-3, 1, 0.1),
+    "coupling_tail": lambda n: coupling_tail(SPEC, 0.25, 0.75, n, 1e-3, [0.1], 1),
+    "mirror_exit_dominance": lambda n: mirror_exit_dominance(
+        Interval(0.0, 1.0), 0.7, [0.1], n, 1, dt=1e-3),
+    "convolution_bound_check": lambda n: convolution_bound_check(SPEC, None, [0.1], n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", list(COUNT_ENTRIES))
+def test_empty_ensemble_raises_config_error(name, n):
+    with pytest.raises(ConfigError):
+        COUNT_ENTRIES[name](n)
+
+
+@pytest.mark.parametrize("bins", [0, 31])
+@pytest.mark.parametrize("call", [
+    lambda bins: ensemble_snapshots(SPEC, 0.5, [0.1], 10, bins, 1e-3, RngStream(1)),
+    lambda bins: ensemble_tv(SPEC, 0.25, 0.75, [0.1], 1000, bins, 1e-3, 1),
+], ids=["ensemble_snapshots", "ensemble_tv"])
+def test_too_few_bins_raise_config_error(call, bins):
+    with pytest.raises(ConfigError):
+        call(bins)
