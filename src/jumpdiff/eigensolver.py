@@ -15,12 +15,15 @@ determinant is the 2x2 boundary determinant in this basis; its zeros are
 exactly the eigenvalues, with multiplicity equal to the zero order.
 
 Zeros are located by the argument principle: the winding number of the
-determinant along box contours, computed by adaptive phase tracking, drives a
-recursive bisection until each sub-box isolates one zero (or one unresolvable
-cluster, reported with its multiplicity), followed by order-aware Newton
-polishing.  One kernel evaluates the determinant, its generic magnitude
-``mag`` and, for Newton, its exact lambda-derivative; there is no finite
-difference.  Residuals are |det| relative to ``mag``.
+determinant along box contours drives a recursive bisection until each
+sub-box isolates one zero (or one unresolvable cluster, reported with its
+multiplicity), followed by order-aware Newton polishing.  A winding count
+tracks the phase on one sample array around the closed contour and halves
+every interval whose phase step, or whose length times the exact |D'/D| at
+its ends, exceeds a fixed step (Kravanja & Van Barel, Computing the Zeros of
+Analytic Functions, 2000).  One kernel evaluates the determinant, its
+generic magnitude ``mag`` and its exact lambda-derivative; there is no
+finite difference.  Residuals are |det| relative to ``mag``.
 
 Gap-only solves (``gap_curve``) search a box certified to hold every
 eigenvalue below its right edge: all zeros lie in a vertical strip
@@ -38,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import dirichlet_bottom
-from .errors import BoxTooSmall, ContourThroughZero, JumpdiffError
+from .errors import BoxTooSmall, ConfigError, ContourThroughZero, JumpdiffError
 from .model import (
     DEFAULT_CONFIG,
     ComplexEigenvalue,
@@ -311,83 +314,56 @@ class _BadContour(Exception):
     """Internal: contour too close to a zero, or refinement budget spent."""
 
 
-def _edge_sample_estimate(spec: ProcessSpec, z0: complex, z1: complex) -> int:
-    """Initial sample count resolving the determinant's phase along an edge.
-
-    The determinant is a sum of exponentials exp(+-q c) with c <= b - a, so
-    its phase along the edge changes by at most about L * |delta q|.  Sampling
-    below one radian per step keeps the adaptive refinement in its capture
-    zone (a full hidden turn between samples would alias to zero).
-    """
-    sig2 = spec.sigma**2
-
-    def q_of(z: complex) -> complex:
-        return cmath.sqrt(spec.mu**2 - 2.0 * sig2 * z) / sig2
-
-    zm = 0.5 * (z0 + z1)
-    span = abs(q_of(zm) - q_of(z0)) + abs(q_of(z1) - q_of(zm))
-    phase_budget = 2.0 * spec.length * span + 8.0
-    return int(min(8192.0, phase_budget / 0.7))
-
-
 def _winding_count(f: CharDeterminant, box: Box, config: SolverConfig) -> int:
     """Number of determinant zeros inside the box by adaptive phase tracking.
 
-    Edge samples are inserted until every consecutive phase step is below
-    ``contour_phase_step`` radians, which pins the discrete winding integral
-    to within ``winding_int_tol`` of the true integer.
+    One array of samples runs once around the closed contour, starting from
+    ``contour_initial_samples`` points per edge.  Each refinement round
+    inserts a midpoint into every interval whose phase step |delta arg D|
+    exceeds ``contour_phase_step`` radians, or whose length times the larger
+    |D'/D| at its ends does.  D'/D comes exact from the same kernel call as
+    D, and it bounds the phase a step can hide: passing near an m-fold zero
+    at distance r, |D'/D| is about m / r, so a full turn cannot alias to a
+    small step.  The summed phase steps are then within ``winding_int_tol``
+    of the true integer.  Every round is one kernel call.
     """
-    corners = box.corners()
-    edges = []
-    total = 0
-    for k in range(4):
-        z0, z1 = corners[k], corners[(k + 1) % 4]
-        n0 = max(config.contour_initial_samples, _edge_sample_estimate(f.spec, z0, z1))
-        ts = np.linspace(0.0, 1.0, n0 + 1)
-        fs, mags = f.with_scale(z0 + (z1 - z0) * ts)
-        edges.append({"z0": z0, "z1": z1, "ts": ts, "fs": fs, "mags": mags})
-        total += n0 + 1
-    if total > config.contour_max_samples:
-        raise _BadContour("edge sampling estimate exceeds budget")
+    step = config.contour_phase_step
 
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 64:
-            # each round halves the offending intervals; a feature that
-            # survives 64 halvings is noise, not geometry
-            raise _BadContour("contour refinement stalled")
-        # judge closeness to zeros per point, against the local generic
-        # magnitude: large drifts make |det| vary by many orders along a
-        # contour without any zero nearby
-        # every sample: det and mag underflow together at extreme drift
-        if not all(np.isfinite(e["fs"]).all() and (e["mags"] > 0.0).all() for e in edges):
+    def sample(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        det, mag, ddet = f.with_derivative(z)
+        # det and mag underflow together at extreme drift; closeness to a
+        # zero is judged per point against the local generic magnitude,
+        # since large drifts make |det| vary by many orders along a contour
+        if not (np.isfinite(det).all() and (mag > 0.0).all()):
             raise _BadContour("determinant not finite on contour")
-        rel = min(float(np.min(np.abs(e["fs"]) / e["mags"])) for e in edges)
-        if rel < config.contour_min_modulus_rel:
+        if (np.abs(det) < config.contour_min_modulus_rel * mag).any():
             raise _BadContour("contour passes too close to a zero")
-        inserted = False
-        for e in edges:
-            dphi = np.angle(e["fs"][1:] / e["fs"][:-1])
-            bad = np.abs(dphi) > config.contour_phase_step
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                continue
-            if total + n_bad > config.contour_max_samples:
-                raise _BadContour("contour refinement budget exhausted")
-            mid_ts = 0.5 * (e["ts"][:-1][bad] + e["ts"][1:][bad])
-            mid_fs, mid_mags = f.with_scale(e["z0"] + (e["z1"] - e["z0"]) * mid_ts)
-            order = np.argsort(np.concatenate([e["ts"], mid_ts]), kind="stable")
-            e["ts"] = np.concatenate([e["ts"], mid_ts])[order]
-            e["fs"] = np.concatenate([e["fs"], mid_fs])[order]
-            e["mags"] = np.concatenate([e["mags"], mid_mags])[order]
-            total += n_bad
-            inserted = True
-        if not inserted:
-            break
+        return det, np.abs(ddet / det)
 
-    winding = sum(float(np.sum(np.angle(e["fs"][1:] / e["fs"][:-1]))) for e in edges)
-    winding /= 2.0 * math.pi
+    corners = np.array(box.corners())
+    t = np.arange(config.contour_initial_samples) / config.contour_initial_samples
+    edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
+    z = np.append(edges.ravel(), corners[0])
+    fs, rate = sample(z)
+    # each round halves the offending intervals; a feature that survives 64
+    # halvings is noise, not geometry
+    for _ in range(64):
+        dphi = np.angle(fs[1:] / fs[:-1])
+        reach = np.maximum(rate[:-1], rate[1:]) * np.abs(np.diff(z))
+        bad = np.flatnonzero((np.abs(dphi) > step) | (reach > step))
+        if bad.size == 0:
+            break
+        if z.size + bad.size > config.contour_max_samples:
+            raise _BadContour("contour refinement budget exhausted")
+        mid = 0.5 * (z[bad] + z[bad + 1])
+        mid_fs, mid_rate = sample(mid)
+        z = np.insert(z, bad + 1, mid)
+        fs = np.insert(fs, bad + 1, mid_fs)
+        rate = np.insert(rate, bad + 1, mid_rate)
+    else:
+        raise _BadContour("contour refinement stalled")
+
+    winding = float(dphi.sum()) / (2.0 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > config.winding_int_tol:
         raise _BadContour(f"winding {winding:.3f} not near an integer")
@@ -416,9 +392,14 @@ def count_zeros(spec: ProcessSpec, box: Box | tuple,
 
     The box is dilated by up to about one percent when the contour runs
     through a zero; raises :class:`ContourThroughZero` once the dilation
-    budget is spent.
+    budget is spent, and :class:`ConfigError` for an empty, inverted or
+    non-finite box.
     """
-    n, _ = _count_with_dilation(CharDeterminant(spec, config), Box(*box), config)
+    box = Box(*box)
+    if not (-math.inf < box.re_min < box.re_max < math.inf
+            and -math.inf < box.im_min < box.im_max < math.inf):
+        raise ConfigError(f"box needs finite edges with min < max, got {box}")
+    n, _ = _count_with_dilation(CharDeterminant(spec, config), box, config)
     return n
 
 
@@ -603,13 +584,15 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
     as the minimal real part over nonzero eigenvalues.
 
     Raises:
+        ConfigError: re_max or im_max is not finite and positive.
         BoxTooSmall: no nonzero eigenvalue inside the box.
         ContourThroughZero: a zero could not be moved off the contour.
     """
-    if not re_max > 0.0:
-        raise ValueError("re_max must be positive")
     if im_max is None:
         im_max = config.im_aspect * re_max
+    if not (0.0 < re_max < math.inf and 0.0 < im_max < math.inf):
+        raise ConfigError(f"re_max and im_max must be finite and positive, "
+                          f"got {re_max}, {im_max}")
     f = CharDeterminant(spec, config)
     count, box = _count_with_dilation(f, _search_box(re_max, im_max), config)
     raw: list = []
@@ -673,11 +656,12 @@ def gap_curve(spec_base: ProcessSpec, mu_grid,
     """Spectral gap along a drift grid, each from one ``find_spectrum`` call
     on the certified gap-only box of :func:`_gap_window`.
 
-    Solver errors are re-raised tagged with the offending drift value.
+    Solver errors are re-raised tagged with the offending drift value; an
+    empty grid raises :class:`ConfigError`.
     """
     mu_grid = list(mu_grid)
     if not mu_grid:
-        raise ValueError("mu_grid must be nonempty")
+        raise ConfigError("mu_grid must be nonempty")
     out = []
     for mu in mu_grid:
         spec = spec_base.with_mu(mu)

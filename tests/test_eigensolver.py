@@ -8,12 +8,13 @@ from jumpdiff.eigensolver import (
     Box,
     CharDeterminant,
     _polish,
+    _winding_count,
     auto_re_max,
     count_zeros,
     find_spectrum,
     gap_curve,
 )
-from jumpdiff.errors import BoxTooSmall
+from jumpdiff.errors import BoxTooSmall, ConfigError
 from jumpdiff.model import DEFAULT_CONFIG, unit_spec
 from tests.test_model import make_spec
 
@@ -95,6 +96,11 @@ def test_count_zeros_examples(spec0):
     assert count_zeros(spec0, Box(1.0, 25.0, -5.0, 5.0)) == 1
     assert count_zeros(spec0, Box(-0.5, 0.5, -0.5, 0.5)) == 1
     assert count_zeros(spec0, Box(0.5, 15.0, -5.0, 5.0)) == 0
+    # every zero is real at mu = 0; passing the double zeros along the real
+    # axis once aliased a full turn of phase into a count of 1
+    assert count_zeros(spec0, Box(0.0, 250.0, 1.0, 2.0)) == 0
+    assert count_zeros(spec0, Box(0.0, 250.0, 1.0, 20.0)) == 0
+    assert count_zeros(spec0, Box(0.0, 250.0, -2.0, -1.0)) == 0
 
 
 def test_count_zeros_split_consistency(spec20):
@@ -106,9 +112,12 @@ def test_count_zeros_split_consistency(spec20):
 
 
 def test_find_spectrum_driftfree(spec0):
-    rep = find_spectrum(spec0, 100.0)
-    assert rep.gap == pytest.approx(2 * PI2, abs=1e-6)
-    assert rep.gap_is_real
+    # at re_max = 1300 the real double zeros once broke a split count
+    for re_max in (100.0, 1300.0):
+        rep = find_spectrum(spec0, re_max)
+        assert rep.gap == pytest.approx(2 * PI2, abs=1e-6)
+        assert rep.gap_is_real
+        assert_centred_spectrum(rep, spec0)
 
 
 def test_find_spectrum_plateau(spec20):
@@ -147,10 +156,12 @@ class CountingDet:
     def __init__(self, spec):
         self.det = CharDeterminant(spec)
         self.calls = 0
+        self.sizes = []
         self.points = []
 
     def _count(self, lam_arr):
         self.calls += 1
+        self.sizes.append(len(lam_arr))
         self.points.extend(complex(z) for z in lam_arr)
 
     def with_scale(self, lam_arr):
@@ -187,6 +198,33 @@ def test_zero_eigenvalue_polish_stops_at_resolution(mu):
     assert det.calls <= 40
 
 
+@pytest.mark.parametrize("mu,box", [
+    (0.0, Box(0.0, 250.0, 1.0, 2.0)),
+    (20.0, Box(-0.7, 150.0, -400.0, 400.0)),
+    (120.0, Box(7000.0, 7500.0, -3000.0, 3000.0)),
+])
+def test_winding_count_one_kernel_call_per_round(mu, box):
+    # an interval's refinement test reads only its two ends, so every
+    # interval cut in a round is a half of one cut in the round before: R
+    # rounds leave the finest interval at the initial step / 2^R, and one
+    # kernel call per round makes 1 + R calls in all
+    det = CountingDet(unit_spec(mu))
+    _winding_count(det, box, DEFAULT_CONFIG)
+    n = DEFAULT_CONFIG.contour_initial_samples
+    assert det.sizes[0] == 4 * n + 1
+    rounds = det.calls - 1
+    assert rounds >= 1
+    pts = np.array(det.points)
+    finest = math.inf
+    for on_edge, along, length in (
+            (pts.imag == box.im_min, pts.real, box.width),
+            (pts.real == box.re_max, pts.imag, box.height),
+            (pts.imag == box.im_max, pts.real, box.width),
+            (pts.real == box.re_min, pts.imag, box.height)):
+        finest = min(finest, np.diff(np.unique(along[on_edge])).min() / (length / n))
+    assert finest == pytest.approx(2.0**-rounds, rel=1e-6)
+
+
 def centred_spectrum(length, sigma, mu, box):
     """Exact eigenvalues of a centred single atom inside the box, repeated
     by multiplicity.
@@ -209,19 +247,23 @@ def centred_spectrum(length, sigma, mu, box):
     return [v for v in values if box.contains(v)]
 
 
-@pytest.mark.parametrize("length,sigma", [(1.0, 1.0), (2.0, 1.3)])
-@pytest.mark.parametrize("mu", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 30.0,
-                                60.0, 80.0, 120.0, -120.0, 200.0])
-def test_find_spectrum_matches_centred_closed_form(length, sigma, mu):
-    spec = make_spec(b=length, sigma=sigma, mu=mu, atoms=((0.5 * length, 1.0),))
-    rep = find_spectrum(spec, auto_re_max(spec))
+def assert_centred_spectrum(rep, spec):
+    """The reported eigenvalues, with multiplicity, are the closed form's."""
     found = [e.value for e in rep.eigenvalues for _ in range(e.multiplicity)]
-    want = centred_spectrum(length, sigma, mu, rep.search_box)
+    want = centred_spectrum(spec.length, spec.sigma, spec.mu, rep.search_box)
     assert len(found) == len(want)
     for v in want:
         nearest = min(found, key=lambda w: abs(w - v))
         assert abs(nearest - v) <= 1e-6 * max(1.0, abs(v)), (v, nearest)
         found.remove(nearest)
+
+
+@pytest.mark.parametrize("length,sigma", [(1.0, 1.0), (2.0, 1.3)])
+@pytest.mark.parametrize("mu", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 30.0,
+                                60.0, 80.0, 120.0, -120.0, 200.0])
+def test_find_spectrum_matches_centred_closed_form(length, sigma, mu):
+    spec = make_spec(b=length, sigma=sigma, mu=mu, atoms=((0.5 * length, 1.0),))
+    assert_centred_spectrum(find_spectrum(spec, auto_re_max(spec)), spec)
 
 
 @pytest.mark.parametrize("length,sigma", [(1.0, 1.0), (2.0, 1.3)])
@@ -261,6 +303,29 @@ def test_threshold_off_the_dyadic_grid():
 def test_box_too_small(spec0):
     with pytest.raises(BoxTooSmall):
         find_spectrum(spec0, 1.0)
+
+
+@pytest.mark.parametrize("re_max,im_max", [
+    (0.0, None), (-1.0, None), (math.nan, None), (math.inf, None),
+    (100.0, 0.0), (100.0, -5.0), (100.0, math.nan), (100.0, math.inf),
+])
+def test_find_spectrum_rejects_bad_box(spec0, re_max, im_max):
+    with pytest.raises(ConfigError):
+        find_spectrum(spec0, re_max, im_max)
+
+
+@pytest.mark.parametrize("box", [
+    Box(25.0, 1.0, -5.0, 5.0), Box(1.0, 25.0, 5.0, -5.0), Box(1.0, 1.0, -5.0, 5.0),
+    Box(1.0, math.nan, -5.0, 5.0), Box(1.0, 25.0, -math.inf, 5.0),
+])
+def test_count_zeros_rejects_bad_box(spec0, box):
+    with pytest.raises(ConfigError):
+        count_zeros(spec0, box)
+
+
+def test_gap_curve_rejects_empty_grid():
+    with pytest.raises(ConfigError):
+        gap_curve(unit_spec(), [])
 
 
 def test_gap_curve_anchors():

@@ -13,16 +13,19 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jumpdiff.eigensolver import (
+    Box,
     CharDeterminant,
+    _count_with_dilation,
     auto_re_max,
     find_spectrum,
     gap_curve,
 )
-from jumpdiff.errors import BoxTooSmall
+from jumpdiff.errors import BoxTooSmall, ContourThroughZero
+from jumpdiff.model import DEFAULT_CONFIG
 from tests.test_eigensolver import centred_spectrum
 from tests.test_model import make_spec
 
@@ -206,3 +209,24 @@ def test_every_zero_lies_in_the_certified_strip(spec):
         # roots are located to about 1e-12 relative; a centred atom puts a
         # whole family on Re q = |mu| / sigma^2, where X is tight
         assert abs(_q(spec, e.value).real) < x * (1.0 + 1e-9), e.value
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(length=st.sampled_from([1.0, 2.0]), sigma=st.sampled_from([1.0, 1.3]),
+       mu=st.floats(-150.0, 150.0), re_min=st.floats(-5.0, 3000.0),
+       width=st.floats(0.5, 600.0), im_min=st.floats(-2000.0, 2000.0),
+       height=st.floats(0.5, 800.0))
+# the corner (2702, 0) is 0.1 from the triple zero at 2702.1: |det| / mag there
+# is 4e-10, below contour_min_modulus_rel, and no dilation moves it far enough
+@example(length=2.0, sigma=1.3, mu=0.0, re_min=2697.0, width=5.0, im_min=0.0, height=1.0)
+def test_count_zeros_matches_the_centred_closed_form(length, sigma, mu, re_min, width,
+                                                     im_min, height):
+    # the count is that of the box the contour finally ran along, which a
+    # zero on or near the edge moves outward by up to one percent
+    spec = make_spec(b=length, sigma=sigma, mu=mu, atoms=((0.5 * length, 1.0),))
+    box = Box(re_min, re_min + width, im_min, im_min + height)
+    try:
+        n, used = _count_with_dilation(CharDeterminant(spec), box, DEFAULT_CONFIG)
+    except ContourThroughZero:
+        return
+    assert n == len(centred_spectrum(length, sigma, mu, used)), used

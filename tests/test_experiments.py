@@ -173,6 +173,13 @@ def test_cli_solver_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def test_cli_spectrum_driftfree_wide_box(tmp_path):
+    # at mu = 0 the real double zeros once broke a split count of this box
+    cfg = write_config(tmp_path, experiment="spectrum", re_max=1300.0,
+                       out=str(tmp_path / "out"))
+    assert main(["spectrum", "--config", cfg]) == 0
+
+
 def test_cli_underflowing_determinant_exit_code(tmp_path, capsys):
     # det and its magnitude both underflow to 0 near lambda = mu^2 / 2 at
     # gamma L = 2000; 0 / 0 on the contour is a solver error, not a crash
