@@ -189,7 +189,7 @@ def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None =
         SeriesOverflow: a term exceeds double range at t > 0 (large
             mu (L - u) / sigma^2 at small t).
     """
-    val = float(_survival_grid(spec, x, np.array([t]), n_terms, interval)[0])
+    val = float(_survival_grid(spec, [x], np.array([t]), n_terms, interval)[0, 0])
     if t > 0.0:
         iv = interval or spec.interval
         n = n_terms or SURVIVAL_N_TERMS
@@ -225,41 +225,46 @@ def killed_survival_grid(spec: ProcessSpec, x: float, ts: np.ndarray,
         OutOfDomain: x outside the (possibly overridden) open interval, or a
             negative time.
     """
-    return _survival_grid(spec, x, ts, n_terms, interval)
+    return _survival_grid(spec, [x], ts, n_terms, interval)[:, 0]
 
 
-def _survival_grid(spec, x, ts, n_terms, interval) -> np.ndarray:
-    """Eigenexpansion shared by both survival functions; the k-th term is
+def _survival_grid(spec, xs, ts, n_terms, interval) -> np.ndarray:
+    """Eigenexpansion shared by the survival functions: one row per time in
+    ts, one column per start in xs.  The k-th term is
         (2/L) sin(omega_k u) * omega_k / (beta^2 + omega_k^2)
             * [exp(-beta u - lam_k t) - (-1)^k exp(beta (L - u) - lam_k t)].
-    Exponents are combined before exponentiation so large drifts cannot
-    overflow prematurely.
+    Its time factor exp(-(lam_k - lam_1) t) is the same for every start, so
+    each bracket is one matrix product over k, scaled afterwards by
+    exp(-beta u - lam_1 t) or exp(beta (L - u) - lam_1 t).  Those exponents
+    stay combined, so large drifts cannot overflow prematurely.
     """
     ts = np.asarray(ts, dtype=float)
     if (ts < 0.0).any():
         raise OutOfDomain("time must be nonnegative")
     iv = interval or spec.interval
-    _require_inside(iv, x)
+    _require_inside(iv, *xs)
     n = n_terms or SURVIVAL_N_TERMS
     L = iv.length
-    u = x - iv.a
+    u = np.asarray(xs, dtype=float) - iv.a
     beta = spec.mu / spec.sigma**2
     omega = np.arange(1, n + 1, dtype=float) * math.pi / L
     lam = 0.5 * spec.sigma**2 * omega**2 + spec.mu**2 / (2.0 * spec.sigma**2)
-    base = (2.0 / L) * np.sin(omega * u) * omega / (beta**2 + omega**2)
+    base = (2.0 / L) * np.sin(np.outer(omega, u)) * (omega / (beta**2 + omega**2))[:, None]
     sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+    decay = np.exp(-np.outer(ts, lam - lam[0]))
     tt = ts[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.sum(base * (np.exp(-beta * u - lam * tt)
-                              - sign * np.exp(beta * (L - u) - lam * tt)), axis=1)
-    bad = (ts > 0.0) & ~np.isfinite(vals)
+        vals = (np.exp(-beta * u - lam[0] * tt) * (decay @ base)
+                - np.exp(beta * (L - u) - lam[0] * tt) * (decay @ (sign[:, None] * base)))
+    bad = (tt > 0.0) & ~np.isfinite(vals)
     if bad.any():
-        t = float(ts[bad][0])
-        top = max(-beta * u, beta * (L - u)) - lam[0] * t
+        row, col = np.argwhere(bad)[0]
+        t = float(ts[row])
+        top = max(-beta * u[col], beta * (L - u[col])) - lam[0] * t
         raise SeriesOverflow(f"survival series overflows at t = {t:.6g}: largest exponent "
                              f"{top:.1f} (exp overflows above 709.8)")
     vals = np.clip(vals, 0.0, 1.0)
-    return np.where(ts == 0.0, 1.0, vals)
+    return np.where(tt == 0.0, 1.0, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import killed_survival_grid
+from .analytic import _survival_grid
 from .errors import (
     ConfigError,
     OutOfDomain,
@@ -36,7 +36,7 @@ from .errors import (
     RequiresPositiveDrift,
     StageBudgetExceeded,
 )
-from .model import Interval, JumpDistribution, ProcessSpec, RateFit
+from .model import Interval, ProcessSpec, RateFit
 from .simulate import (
     RngStream,
     _advance,
@@ -44,8 +44,7 @@ from .simulate import (
     _check_dt,
     _check_times,
     _crosses,
-    default_dt,
-    exit_time_ensemble,
+    _window_exit_times,
     fit_rate,
 )
 
@@ -444,31 +443,29 @@ def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid
     """Empirical two-sided comparison of the exit-time convolution inequality.
 
     Left side: the analytic fast-exit survival on (a, x0) (supremum over
-    starts) convolved against simulated exit-time samples of a standard
-    Brownian motion from the symmetric window of the given halfwidth.  Right
-    side: the empirical window-exit survival itself.  Returns
-    (rows, holds) where rows are (t, lhs, rhs, ratio, survivors) and holds
-    is True when every supported ratio is below one.  Grid times where fewer
-    than 10 samples survive carry ratio NaN and are excluded from the verdict
-    (their true survival is below Monte Carlo resolution).
+    starts) convolved against exit-time samples of a standard Brownian
+    motion from the symmetric window of the given halfwidth.  Right side:
+    the empirical window-exit survival itself.  The window exit times are
+    exact draws from their series law (one uniform per path, inverted), so
+    there is no step size and no horizon.  Returns (rows, holds) where rows
+    are (t, lhs, rhs, ratio, survivors) and holds is True when every
+    supported ratio is below one.  Grid times where fewer than 10 samples
+    survive carry ratio NaN and are excluded from the verdict (their true
+    survival is below Monte Carlo resolution).
     """
     if not spec.mu > 0.0:
         raise RequiresPositiveDrift("convolution comparison needs mu > 0")
     x0 = spec.nu.locations[0]
     h = j_halfwidth if j_halfwidth is not None else (spec.b - x0) / (4.0 * spec.sigma)
+    Interval(-h, h)     # refuses a halfwidth that is not finite and positive
     t_grid = _check_times(t_grid)
-    window_spec = ProcessSpec(Interval(-h, h), 1.0, 0.0, JumpDistribution.delta(0.0))
-    taus, _ = exit_time_ensemble(window_spec, 0.0, n_paths, default_dt(window_spec),
-                                 RngStream(seed, 0), horizon=4.0 * t_grid[-1])
+    _check_counts(n_paths)
+    taus = _window_exit_times(RngStream(seed, 0).generator().random(n_paths), h)
 
     sub = Interval(spec.a, x0)
     xs = np.linspace(spec.a, x0, 35)[1:-1]
     us = np.linspace(0.0, t_grid[-1], 2001)
-    sup_surv = np.zeros_like(us)
-    for xx in xs:
-        sup_surv = np.maximum(
-            sup_surv, killed_survival_grid(spec, xx, us, n_terms=128, interval=sub))
-    sup_surv[0] = 1.0
+    sup_surv = _survival_grid(spec, xs, us, 128, sub).max(axis=1)
 
     rows = []
     supported_ratios = []

@@ -595,6 +595,12 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
                           f"got {re_max}, {im_max}")
     f = CharDeterminant(spec, config)
     count, box = _count_with_dilation(f, _search_box(re_max, im_max), config)
+    return _solve_counted(f, count, box, re_max, config)
+
+
+def _solve_counted(f: CharDeterminant, count: int, box: Box, re_max: float,
+                   config: SolverConfig) -> SpectrumReport:
+    """The report of :func:`find_spectrum` for a box whose zero count is known."""
     raw: list = []
     _locate_zeros(f, box, count, config, raw)
     eigs = _assemble_eigenvalues(raw, re_max, config)
@@ -621,8 +627,8 @@ def auto_re_max(spec: ProcessSpec) -> float:
     return 2.0 * max(dirichlet_bottom(spec), 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2)
 
 
-def _gap_window(spec: ProcessSpec, config: SolverConfig) -> tuple[float, float]:
-    """(re_max, im_max) of the smallest certified box holding a nonzero zero.
+def _gap_window(f: CharDeterminant, config: SolverConfig) -> tuple[int, Box, float]:
+    """(count, box, re_max) of the smallest certified box holding a nonzero zero.
 
     Every zero has |Re q| < X (``CharDeterminant.re_q_bound``), and with
     lambda = (mu^2 - sigma^4 q^2) / (2 sigma^2) every eigenvalue with
@@ -631,11 +637,13 @@ def _gap_window(spec: ProcessSpec, config: SolverConfig) -> tuple[float, float]:
     lowest nonzero zero is the gap (X > |mu| / sigma^2, so the root is
     real).  R starts at 0.6 of the plateau 8 sigma^2 pi^2 / L^2 and doubles,
     on winding counts alone, until the box holds a zero besides lambda = 0.
+    The count and the (possibly dilated) box are those of the last round,
+    so the solve need not wind around the box again.
 
     Raises:
         BoxTooSmall: still no nonzero zero at ``auto_re_max(spec)``.
     """
-    f = CharDeterminant(spec, config)
+    spec = f.spec
     x = f.re_q_bound()
     sig2 = spec.sigma**2
     cap = auto_re_max(spec)
@@ -643,9 +651,9 @@ def _gap_window(spec: ProcessSpec, config: SolverConfig) -> tuple[float, float]:
     while True:
         re_max = min(re_max, cap)
         im_max = x * math.sqrt(2.0 * sig2 * re_max - spec.mu**2 + sig2**2 * x**2)
-        count, _ = _count_with_dilation(f, _search_box(re_max, im_max), config)
+        count, box = _count_with_dilation(f, _search_box(re_max, im_max), config)
         if count > 1:
-            return re_max, im_max
+            return count, box, re_max
         if re_max >= cap:
             raise BoxTooSmall(f"no nonzero eigenvalue below re_max={cap}")
         re_max *= 2.0
@@ -653,8 +661,8 @@ def _gap_window(spec: ProcessSpec, config: SolverConfig) -> tuple[float, float]:
 
 def gap_curve(spec_base: ProcessSpec, mu_grid,
               config: SolverConfig = DEFAULT_CONFIG) -> list[tuple[float, float, bool]]:
-    """Spectral gap along a drift grid, each from one ``find_spectrum`` call
-    on the certified gap-only box of :func:`_gap_window`.
+    """Spectral gap along a drift grid, each from one solve on the certified
+    gap-only box of :func:`_gap_window`, which reuses that box's zero count.
 
     Solver errors are re-raised tagged with the offending drift value; an
     empty grid raises :class:`ConfigError`.
@@ -666,8 +674,8 @@ def gap_curve(spec_base: ProcessSpec, mu_grid,
     for mu in mu_grid:
         spec = spec_base.with_mu(mu)
         try:
-            re_max, im_max = _gap_window(spec, config)
-            rep = find_spectrum(spec, re_max, im_max, config=config)
+            f = CharDeterminant(spec, config)
+            rep = _solve_counted(f, *_gap_window(f, config), config)
         except JumpdiffError as exc:
             raise type(exc)(f"mu={mu}: {exc}") from exc
         out.append((float(mu), rep.gap, rep.gap_is_real))

@@ -223,10 +223,11 @@ def threshold_locate(spec_base: ProcessSpec, tol: float) -> ThresholdResult:
     conjecture-consistent, not as ground truth.
 
     Raises:
+        ConfigError: tol is not positive (zero, negative or NaN).
         NoPlateauFound: the gap is off-plateau even at the bracket top.
     """
     if not tol > 0.0:
-        raise ValueError("tol must be positive")
+        raise ConfigError(f"tol must be positive, got {tol}")
     target = analytic.theoretical_gap(spec_base)
     upper = 4.0 * analytic.conjectured_threshold(spec_base)
 

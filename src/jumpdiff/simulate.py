@@ -9,7 +9,9 @@ uniform grid; within-step boundary crossings are recovered by one-sided
 Brownian-bridge corrections (right barrier first, then left), so exit
 statistics converge at O(dt) instead of O(sqrt(dt)).  Exits are attributed
 to the end of the step in which they are detected, and the restart position
-is the recorded state at that grid time.
+is the recorded state at that grid time.  The one law sampled without steps
+is the exit time of standard Brownian motion from a symmetric window
+(:func:`_window_exit_times`), drawn exactly by inverting its series.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -48,6 +50,9 @@ LEFT, RIGHT = 0, 1
 DT_SCALE = 1e-4                     # default dt = DT_SCALE * (L / sigma)^2
 EXIT_STEP_BUDGET = 1_000_000_000    # steps an uncensored exit search may take
 REJECTION_MIN_ACCEPT = 1e-6         # lowest acceptance the conditioned-path check runs at
+WINDOW_TERMS = 64                   # terms of the window survival series
+WINDOW_T_MIN = 0.005                # lowest standardised exit time the inversion searches
+WINDOW_NEWTON_BUDGET = 64           # safeguarded Newton steps per inversion
 
 
 def default_dt(spec: ProcessSpec) -> float:
@@ -113,7 +118,10 @@ class TVCurve:
 #   staged coupling: normal, meet, x-edge, y-edge, gap uniforms;
 #   mirror coupling: normal, meet, y-right, y-left, centre-right, centre-left;
 #   conditioned paths (lemma): normal, window-right, window-left, x-restart,
-#     y-restart uniforms.
+#     y-restart uniforms, each for the whole batch, then indexed to the
+#     proposals still inside the window;
+#   window exit times (convolution check): no steps, one uniform per path,
+#     in path order, inverted by _window_exit_times.
 
 def _crosses(d0, d1, var_dt, u):
     """Bridge-corrected hit of a barrier by a step whose distance to it goes d0 -> d1.
@@ -222,6 +230,50 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
     if not censoring and (sides < 0).any():
         raise HorizonExceeded("exit sampling ran past the step budget")
     return taus, sides
+
+
+def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
+    """Exact exit times from (-h, h) of standard Brownian motion started at 0.
+
+    tau = h^2 T, where T has the survival function
+        S(T) = (4 / pi) sum_k (-1)^k / (2k + 1) exp(-(2k + 1)^2 pi^2 T / 8),
+    and each T solves S(T) = u for its uniform u in [0, 1) (inversion by the
+    series method; Devroye 1986).  u = 0 gives +inf.  S is at most its first
+    term, so T <= (8 / pi^2) log(4 / (pi u)).  And 1 - S(WINDOW_T_MIN) is
+    about 4e-45, so every u up to 1 - 2^-53 has its T above WINDOW_T_MIN,
+    where WINDOW_TERMS terms are exact to rounding (the last is e^-102).  On
+    that bracket Newton's method falls back to bisection whenever a step
+    leaves the bracket.  A root is kept once its Newton step is below 1e-14 of
+    it, or its residual below 1e-15 u, the rounding of S.
+    """
+    k = np.arange(WINDOW_TERMS)
+    rate = (2 * k + 1) ** 2 * math.pi**2 / 8.0
+    coef = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / (2 * k + 1)
+    out = np.full(np.shape(u), np.inf)
+    idx = np.flatnonzero(u > 0.0)
+    v = u[idx]
+    lo = np.full(v.shape, WINDOW_T_MIN)
+    hi = (8.0 / math.pi**2) * np.log(4.0 / (math.pi * v))
+    t = hi.copy()
+    for _ in range(WINDOW_NEWTON_BUDGET):
+        if not idx.size:
+            break
+        e = np.outer(t, -rate)
+        np.exp(e, out=e)
+        resid = e @ coef - v
+        below_root = resid > 0.0            # S decreases in T
+        lo = np.where(below_root, t, lo)
+        hi = np.where(below_root, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = resid / (e @ (coef * rate))
+        t_new = t + step
+        done = (np.abs(step) <= 1e-14 * t) | (np.abs(resid) <= 1e-15 * v)
+        t_new = np.where(done | ((t_new > lo) & (t_new < hi)), t_new, 0.5 * (lo + hi))
+        out[idx[done]] = t_new[done]
+        keep = ~done
+        idx, v, lo, hi, t = idx[keep], v[keep], lo[keep], hi[keep], t_new[keep]
+    out[idx] = t        # roots still open when the budget is spent keep their last iterate
+    return h * h * out
 
 
 # ---------------------------------------------------------------------------
@@ -414,34 +466,35 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     proposals = 0
     sqrt_dt = math.sqrt(dt)
     batch = max(4096, min(200_000, 8 * n_paths))
+    draws = np.empty((5, batch))
     while accepted < n_paths:
         proposals += batch
         if proposals > max(batch, n_paths / REJECTION_MIN_ACCEPT):
             raise RejectionBudgetExceeded(f"acceptance below {REJECTION_MIN_ACCEPT}")
-        alive = np.ones(batch, dtype=bool)
+        # the proposals whose window motion is still inside, in batch order;
+        # the draws cover the whole batch so the stream does not depend on it
+        live = np.arange(batch)
         bm = np.zeros(batch)
         xs = np.full(batch, x_start)
         ys = np.full(batch, y_start)
         for _ in range(n_steps):
-            z = gen.standard_normal(batch)
-            u_r = gen.random(batch)
-            u_l = gen.random(batch)
-            u_x = gen.random(batch)
-            u_y = gen.random(batch)
+            gen.standard_normal(out=draws[0])
+            for row in draws[1:]:
+                gen.random(out=row)
+            z, u_r, u_l, u_x, u_y = draws if live.size == batch else draws[:, live]
             bm1 = bm + sqrt_dt * z
-            alive &= ~(_crosses(half_j - bm, half_j - bm1, dt, u_r)
+            inside = ~(_crosses(half_j - bm, half_j - bm1, dt, u_r)
                        | _crosses(bm + half_j, bm1 + half_j, dt, u_l))
             incr = spec.mu * dt + spec.sigma * sqrt_dt * z
             xs = _drive_restarted(spec, xs, incr, u_x, dt)
             ys = _drive_restarted(spec, ys, incr, u_y, dt)
             bm = bm1
-        n_new = int(alive.sum())
-        if n_new:
-            take = min(n_new, n_paths - accepted)
-            sel = np.flatnonzero(alive)[:take]
-            in_a_x += int(((xs[sel] >= a_lo) & (xs[sel] < a_hi)).sum())
-            in_a_y += int(((ys[sel] >= a_lo) & (ys[sel] < a_hi)).sum())
-            accepted += take
+            if not inside.all():
+                live, bm, xs, ys = live[inside], bm[inside], xs[inside], ys[inside]
+        take = min(live.size, n_paths - accepted)
+        in_a_x += int(((xs[:take] >= a_lo) & (xs[:take] < a_hi)).sum())
+        in_a_y += int(((ys[:take] >= a_lo) & (ys[:take] < a_hi)).sum())
+        accepted += take
     return in_a_x / n_paths, in_a_y / n_paths
 
 

@@ -11,9 +11,9 @@ import inspect
 import numpy as np
 import pytest
 
-from jumpdiff import eigensolver, model
+from jumpdiff import model
 from jumpdiff.coupling import coupling_records, mirror_exit_dominance
-from jumpdiff.eigensolver import CharDeterminant, auto_re_max, find_spectrum, gap_curve
+from jumpdiff.eigensolver import CharDeterminant, auto_re_max, find_spectrum
 from jumpdiff.experiments import report_corollary3, threshold_locate, validate_config
 from jumpdiff.model import Interval, unit_spec
 from jumpdiff.simulate import RngStream, ensemble_snapshots, exit_time_ensemble
@@ -70,26 +70,6 @@ def test_with_scale_returns_two_arrays(size):
     out = CharDeterminant(unit_spec(20.0)).with_scale(lam)
     assert isinstance(out, tuple) and len(out) == 2
     assert all(isinstance(a, np.ndarray) and a.shape == lam.shape for a in out)
-
-
-def test_gap_curve_solves_once_per_drift_without_raising(monkeypatch):
-    # an exception inside a traced find_spectrum span leaves the span without
-    # its counts, and the per-layer summary cannot be computed
-    calls, raised = [], []
-    solve = eigensolver.find_spectrum
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        try:
-            return solve(*args, **kwargs)
-        except Exception as exc:
-            raised.append(exc)
-            raise
-
-    monkeypatch.setattr(eigensolver, "find_spectrum", recorded)
-    gap_curve(unit_spec(), [0.0, 12.0, 30.0])
-    assert len(calls) == 3
-    assert not raised
 
 
 def test_setup_calls():

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from jumpdiff import eigensolver
 from jumpdiff.eigensolver import (
     Box,
     CharDeterminant,
@@ -326,6 +328,35 @@ def test_count_zeros_rejects_bad_box(spec0, box):
 def test_gap_curve_rejects_empty_grid():
     with pytest.raises(ConfigError):
         gap_curve(unit_spec(), [])
+
+
+def test_gap_curve_winds_each_box_once(monkeypatch):
+    # the solve reuses the count of the last gap-window box instead of winding
+    # around it again, and each drift is solved once, without raising
+    wound, solved, raised = [], [], []
+    wind, solve = eigensolver._winding_count, eigensolver._solve_counted
+
+    def counted_wind(f, box, config):
+        wound.append((f.spec.mu, box))
+        return wind(f, box, config)
+
+    def counted_solve(f, *args):
+        solved.append(f.spec.mu)
+        try:
+            return solve(f, *args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(eigensolver, "_winding_count", counted_wind)
+    monkeypatch.setattr(eigensolver, "_solve_counted", counted_solve)
+    grid = [0.0, 12.0, 30.0]
+    gap_curve(unit_spec(), grid)
+    assert solved == grid
+    assert not raised
+    per_drift = Counter(mu for mu, _ in wound)
+    assert sorted(per_drift) == grid
+    assert len(set(wound)) == len(wound), per_drift
 
 
 def test_gap_curve_anchors():

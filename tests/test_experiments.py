@@ -266,8 +266,9 @@ def test_threshold_scales_with_interval_length():
 
 
 def test_threshold_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        threshold_locate(unit_spec(), 0.0)
+    for tol in (0.0, -1e-4, math.nan):
+        with pytest.raises(ConfigError):
+            threshold_locate(unit_spec(), tol)
 
 
 # --- corollary-3 report -----------------------------------------------------------

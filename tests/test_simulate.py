@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from jumpdiff import simulate
-from jumpdiff.analytic import invariant_density_grid, mean_exit_time
+from jumpdiff.analytic import invariant_density_grid, killed_survival, mean_exit_time
 from jumpdiff.errors import (
     BelowNoiseFloor,
     HorizonExceeded,
@@ -15,13 +16,14 @@ from jumpdiff.errors import (
     RejectionBudgetExceeded,
     WindowTooSparse,
 )
-from jumpdiff.model import unit_spec
+from jumpdiff.model import Interval, JumpDistribution, ProcessSpec, unit_spec
 from jumpdiff.simulate import (
     LEFT,
     RngStream,
     _advance,
     _crosses,
     _restart_positions,
+    _window_exit_times,
     ensemble_snapshots,
     ensemble_tv,
     exit_time_ensemble,
@@ -162,6 +164,46 @@ def test_bridge_correction_necessity(spec0):
                                      bridge=False)
     assert float(taus_off.mean()) > 1.05 * float(taus_on.mean())
     assert float(taus_on.mean()) == pytest.approx(0.25, rel=0.02)
+
+
+# --- exact window exit law ------------------------------------------------------
+
+def _window_survival_by_images(t) -> mpmath.mpf:
+    """P(T > t) for standard Brownian motion from 0 in (-1, 1), by the method
+    of images: sum_k (-1)^k [Phi((2k+1) / sqrt t) - Phi((2k-1) / sqrt t)]."""
+    r = 1 / mpmath.sqrt(t)
+    return mpmath.fsum((-1) ** k * (mpmath.ncdf((2 * k + 1) * r)
+                                    - mpmath.ncdf((2 * k - 1) * r))
+                       for k in range(-80, 81))
+
+
+def test_window_exit_inversion_residual():
+    u = np.concatenate([RngStream(3).generator().random(60),
+                        [2.0**-53, 1e-10, 1e-3, 0.5, 0.999, 1.0 - 2.0**-53]])
+    T = _window_exit_times(u, 1.0)
+    with mpmath.workdps(40):
+        worst = max(abs(float(_window_survival_by_images(mpmath.mpf(float(t)))) - v)
+                    for t, v in zip(T, u))
+    assert worst <= 1e-12
+    assert np.all(T >= simulate.WINDOW_T_MIN)
+    assert np.isinf(_window_exit_times(np.array([0.0]), 0.3)[0])
+    np.testing.assert_allclose(_window_exit_times(u, 0.3), 0.09 * T, rtol=1e-15)
+
+
+def test_window_exit_survival_matches_series_and_euler():
+    h = 0.125               # the convolution check's window at the unit spec
+    window = ProcessSpec(Interval(-h, h), 1.0, 0.0, JumpDistribution.delta(0.0))
+    ts = [0.005, 0.02, 0.06]
+    n = 100_000
+    exact = _window_exit_times(RngStream(17).generator().random(n), h)
+    dt = 2.5e-5
+    euler, _ = exit_time_ensemble(window, 0.0, n, dt, RngStream(18), horizon=ts[-1])
+    for t in ts:
+        p = float((exact > t).mean())
+        p_euler = float((euler > t + 0.5 * dt).mean())
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(p - killed_survival(window, 0.0, t)) <= 3.0 * se
+        assert abs(p - p_euler) <= 3.0 * math.sqrt(2.0) * se
 
 
 # --- ensembles and TV --------------------------------------------------------

@@ -14,7 +14,12 @@ import json
 import numpy as np
 import pytest
 
-from jumpdiff.coupling import coupling_marginal, coupling_records, mirror_exit_dominance
+from jumpdiff.coupling import (
+    convolution_bound_check,
+    coupling_marginal,
+    coupling_records,
+    mirror_exit_dominance,
+)
 from jumpdiff.model import Interval, JumpDistribution, ProcessSpec, unit_spec
 from jumpdiff.simulate import (
     RngStream,
@@ -87,6 +92,12 @@ def _verify_pathwise_lemma():
     return round(fx * n), round(fy * n)
 
 
+def _convolution_bound_check():
+    rows, _ = convolution_bound_check(unit_spec(60.0), None, [0.002, 0.01, 0.02, 0.04],
+                                      2000, 10)
+    return [r[4] for r in rows]
+
+
 GOLDEN = {
     "exit_time_ensemble": (_exit_time_ensemble, "8a8bb1ae3d4359c0"),
     "ensemble_snapshots": (_ensemble_snapshots, "fb69f97a92f4188f"),
@@ -94,6 +105,7 @@ GOLDEN = {
     "coupling_marginal": (_coupling_marginal, "8be7fd1dd2892a7b"),
     "mirror_exit_dominance": (_mirror_exit_dominance, "39161dd7c43d8651"),
     "verify_pathwise_lemma": (_verify_pathwise_lemma, "ea1da4e0e8dc561d"),
+    "convolution_bound_check": (_convolution_bound_check, "8cbc455c8ef21604"),
 }
 
 
