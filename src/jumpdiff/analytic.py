@@ -42,30 +42,28 @@ def _require_centered(spec: ProcessSpec) -> None:
         raise RequiresCenteredDelta("spec must restart from a single midpoint atom")
 
 
-def _mu_switch(spec: ProcessSpec) -> float:
-    return MU_SWITCH_SCALE * spec.sigma**2 / spec.length
-
-
 # ---------------------------------------------------------------------------
 # Green's function
 # ---------------------------------------------------------------------------
 
-def _green_raw(a: float, b: float, sigma: float, mu: float, x, y, mu_switch: float):
+def _green_raw(a: float, b: float, sigma: float, mu: float, x, y):
     """Occupation-density Green's function, vectorized over x and y.
 
-    For mu > mu_switch all exponents have the form -(2 mu / sigma^2) * (positive
-    length), so the evaluation never overflows and keeps full relative accuracy
-    via expm1.  For |mu| <= mu_switch the drift-free product form is used with
-    its first-order drift correction (1 + alpha (y - x) / 2); the neglected
+    With mu_switch = MU_SWITCH_SCALE sigma^2 / (b - a): for mu > mu_switch
+    all exponents have the form -(2 mu / sigma^2) * (positive length), so the
+    evaluation never overflows and keeps full relative accuracy via expm1.
+    For |mu| <= mu_switch the drift-free product form is used with its
+    first-order drift correction (1 + alpha (y - x) / 2); the neglected
     second-order term is below (2 mu L / sigma^2)^2 / 6 ~ 7e-9 at the switch
     point.  Negative drift is evaluated through the reflection symmetry
     g_{sigma,mu}(x, y) = g_{sigma,-mu}(a+b-x, a+b-y).
     """
+    L = b - a
+    mu_switch = MU_SWITCH_SCALE * sigma**2 / L
     if mu < -mu_switch:
-        return _green_raw(a, b, sigma, -mu, a + b - np.asarray(x), a + b - np.asarray(y), mu_switch)
+        return _green_raw(a, b, sigma, -mu, a + b - np.asarray(x), a + b - np.asarray(y))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    L = b - a
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     alpha = 2.0 * mu / sigma**2
@@ -88,28 +86,27 @@ def green_function(spec: ProcessSpec, x: float, y: float) -> float:
         OutOfDomain: x or y outside the open interval.
     """
     _require_inside(spec.interval, x, y)
-    return float(_green_raw(spec.a, spec.b, spec.sigma, spec.mu, x, y, _mu_switch(spec)))
+    return float(_green_raw(spec.a, spec.b, spec.sigma, spec.mu, x, y))
 
 
 def _green_profile(spec: ProcessSpec, ys: np.ndarray) -> np.ndarray:
     """Unnormalized invariant density: sum_i w_i g(x_i, y) on an array of y."""
-    mu_switch = _mu_switch(spec)
     out = np.zeros_like(np.asarray(ys, dtype=float))
     for x_i, w_i in spec.nu.atoms:
-        out = out + w_i * _green_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i, ys, mu_switch)
+        out = out + w_i * _green_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i, ys)
     return out
 
 
-def _exit_time_raw(a: float, b: float, sigma: float, mu: float, x: float,
-                   mu_switch: float) -> float:
+def _exit_time_raw(a: float, b: float, sigma: float, mu: float, x: float) -> float:
     """Closed-form y-integral of :func:`_green_raw`, with u = x - a, v = b - x:
     (L (1 - exp(-alpha u)) / (1 - exp(-alpha L)) - u) / mu above the drift
     switch, u v (1 + alpha (v - u) / 6) / sigma^2 below it (the first-order
     branch), and the Green's function's reflection for negative drift.
     """
-    if mu < -mu_switch:
-        return _exit_time_raw(a, b, sigma, -mu, a + b - x, mu_switch)
     L = b - a
+    mu_switch = MU_SWITCH_SCALE * sigma**2 / L
+    if mu < -mu_switch:
+        return _exit_time_raw(a, b, sigma, -mu, a + b - x)
     u = x - a
     alpha = 2.0 * mu / sigma**2
     if abs(mu) <= mu_switch:
@@ -120,15 +117,14 @@ def _exit_time_raw(a: float, b: float, sigma: float, mu: float, x: float,
 
 def _invariant_norm(spec: ProcessSpec) -> float:
     """Normalizer of the invariant density: sum_i w_i E_{x_i}[exit time]."""
-    mu_switch = _mu_switch(spec)
-    return sum(w_i * _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i, mu_switch)
+    return sum(w_i * _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x_i)
                for x_i, w_i in spec.nu.atoms)
 
 
 def mean_exit_time(spec: ProcessSpec, x: float) -> float:
     """E_x of the first exit time, as the y-integral of the Green's function."""
     _require_inside(spec.interval, x)
-    return _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x, _mu_switch(spec))
+    return _exit_time_raw(spec.a, spec.b, spec.sigma, spec.mu, x)
 
 
 def invariant_density(spec: ProcessSpec, y: float) -> float:

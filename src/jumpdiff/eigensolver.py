@@ -25,6 +25,10 @@ Analytic Functions, 2000).  One kernel evaluates the determinant, its
 generic magnitude ``mag`` and its exact lambda-derivative; there is no
 finite difference.  Residuals are |det| relative to ``mag``.
 
+Tolerances are the upper-case constants below, read at call time; the
+``SolverConfig`` a ``CharDeterminant`` carries holds only ``newton_residual``
+and the default ``find_spectrum`` height ``im_aspect``.
+
 Gap-only solves (``gap_curve``) search a box certified to hold every
 eigenvalue below its right edge: all zeros lie in a vertical strip
 |Re q| < X of the q-plane (Bellman & Cooke, Differential-Difference
@@ -42,12 +46,24 @@ import numpy as np
 
 from .analytic import dirichlet_bottom
 from .errors import BoxTooSmall, ConfigError, ContourThroughZero, JumpdiffError
-from .model import (
-    DEFAULT_CONFIG,
-    ComplexEigenvalue,
-    ProcessSpec,
-    SolverConfig,
-)
+from .model import DEFAULT_CONFIG, ComplexEigenvalue, ProcessSpec, SolverConfig
+
+# |q d| below which a term sinh(q d)/q and its derivative take their series;
+# at 1e-2 the derivative's cancellation (eps / |q d|^3) and the series'
+# truncation ((q d)^4 / 840) both stay near 1e-10 relative
+SINCH_SERIES_CUTOFF = 1e-2
+NEWTON_MAX_ITER = 50
+DEDUP_TOL = 1e-7
+IMAG_TOL_SCALE = 1e-6
+WINDING_INT_TOL = 0.25
+CONTOUR_PHASE_STEP = 0.9
+CONTOUR_INITIAL_SAMPLES = 48
+CONTOUR_MAX_SAMPLES = 40_000
+CONTOUR_MIN_MODULUS_REL = 1e-9   # |det| / generic magnitude, per point
+CONTOUR_DILATIONS = 8
+CONTOUR_DILATION_STEP = 0.00125
+CLUSTER_BOX_DIAG = 1e-4          # stop bisecting; treat content as one multiple zero
+CLUSTER_REL_DIAG = 1e-5          # scale-relative part of the same cutoff
 
 
 class Box(NamedTuple):
@@ -143,7 +159,7 @@ class CharDeterminant:
     term is w_k exp(-g c_k) sinh(q d_k) / q, with distances d_k = L, d_i,
     L - d_i, shifts c_k = L, d_i, L + d_i and weights 1, -w_i, -w_i; the
     table is built once, and one ``np.exp`` over all terms and points
-    evaluates the sum.  Where |q d_k| is below ``sinch_series_cutoff`` that
+    evaluates the sum.  Where |q d_k| is below SINCH_SERIES_CUTOFF that
     term takes its Taylor series instead, so the basis passes smoothly
     through q = 0.  The whole sum is further scaled by exp(-s),
     s = max(0, (Re q - g) (b - a)), a positive factor that keeps magnitudes
@@ -180,7 +196,7 @@ class CharDeterminant:
                           dtype=complex),
             mag_row=both([0.5 * np.abs(w), 0.5 * np.abs(w)]),
             weight=w,
-            q_series=self.config.sinch_series_cutoff / float(d.min()),
+            q_series=SINCH_SERIES_CUTOFF / float(d.min()),
         ))
 
     def _kernel(self, lam_arr: np.ndarray, deriv: bool):
@@ -218,7 +234,7 @@ class CharDeterminant:
             d = t.dist2[:k]
             qi, ep, em = q[idx], e[:k, idx], e[k:, idx]
             qd = qi * d
-            small = np.abs(qd) < self.config.sinch_series_cutoff
+            small = np.abs(qd) < SINCH_SERIES_CUTOFF
             qs = np.where(small, 1.0, qi)
             base = np.exp(shifted[:k, idx])
             val = np.where(small, base * d * (1.0 + qd**2 / 6.0 + qd**4 / 120.0),
@@ -314,21 +330,22 @@ class _BadContour(Exception):
     """Internal: contour too close to a zero, or refinement budget spent."""
 
 
-def _winding_count(f: CharDeterminant, box: Box, config: SolverConfig) -> int:
+def _winding_count(f: CharDeterminant, box: Box) -> int:
     """Number of determinant zeros inside the box by adaptive phase tracking.
 
     One array of samples runs once around the closed contour, starting from
-    ``contour_initial_samples`` points per edge.  Each refinement round
+    CONTOUR_INITIAL_SAMPLES points per edge.  Each refinement round
     inserts a midpoint into every interval whose phase step |delta arg D|
-    exceeds ``contour_phase_step`` radians, or whose length times the larger
+    exceeds CONTOUR_PHASE_STEP radians, or whose length times the larger
     |D'/D| at its ends does.  D'/D comes exact from the same kernel call as
     D, and it bounds the phase a step can hide: passing near an m-fold zero
     at distance r, |D'/D| is about m / r, so a full turn cannot alias to a
-    small step.  The summed phase steps are then within ``winding_int_tol``
-    of the true integer.  Every round is one kernel call.
+    small step.  The summed phase steps are then within WINDING_INT_TOL
+    of the true integer.  Every round is one kernel call.  The contour is
+    unusable (``_BadContour``) where |det| falls below CONTOUR_MIN_MODULUS_REL
+    times ``mag``, or where refinement needs more than CONTOUR_MAX_SAMPLES
+    points.
     """
-    step = config.contour_phase_step
-
     def sample(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         det, mag, ddet = f.with_derivative(z)
         # det and mag underflow together at extreme drift; closeness to a
@@ -336,12 +353,12 @@ def _winding_count(f: CharDeterminant, box: Box, config: SolverConfig) -> int:
         # since large drifts make |det| vary by many orders along a contour
         if not (np.isfinite(det).all() and (mag > 0.0).all()):
             raise _BadContour("determinant not finite on contour")
-        if (np.abs(det) < config.contour_min_modulus_rel * mag).any():
+        if (np.abs(det) < CONTOUR_MIN_MODULUS_REL * mag).any():
             raise _BadContour("contour passes too close to a zero")
         return det, np.abs(ddet / det)
 
     corners = np.array(box.corners())
-    t = np.arange(config.contour_initial_samples) / config.contour_initial_samples
+    t = np.arange(CONTOUR_INITIAL_SAMPLES) / CONTOUR_INITIAL_SAMPLES
     edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
     z = np.append(edges.ravel(), corners[0])
     fs, rate = sample(z)
@@ -350,10 +367,10 @@ def _winding_count(f: CharDeterminant, box: Box, config: SolverConfig) -> int:
     for _ in range(64):
         dphi = np.angle(fs[1:] / fs[:-1])
         reach = np.maximum(rate[:-1], rate[1:]) * np.abs(np.diff(z))
-        bad = np.flatnonzero((np.abs(dphi) > step) | (reach > step))
+        bad = np.flatnonzero((np.abs(dphi) > CONTOUR_PHASE_STEP) | (reach > CONTOUR_PHASE_STEP))
         if bad.size == 0:
             break
-        if z.size + bad.size > config.contour_max_samples:
+        if z.size + bad.size > CONTOUR_MAX_SAMPLES:
             raise _BadContour("contour refinement budget exhausted")
         mid = 0.5 * (z[bad] + z[bad + 1])
         mid_fs, mid_rate = sample(mid)
@@ -365,42 +382,45 @@ def _winding_count(f: CharDeterminant, box: Box, config: SolverConfig) -> int:
 
     winding = float(dphi.sum()) / (2.0 * math.pi)
     nearest = round(winding)
-    if abs(winding - nearest) > config.winding_int_tol:
+    if abs(winding - nearest) > WINDING_INT_TOL:
         raise _BadContour(f"winding {winding:.3f} not near an integer")
     if nearest < 0:
         raise _BadContour(f"negative winding {nearest}")
     return int(nearest)
 
 
-def _count_with_dilation(f: CharDeterminant, box: Box,
-                         config: SolverConfig) -> tuple[int, Box]:
-    """Count zeros, nudging the contour outward when it sits on a zero."""
+def _count_with_dilation(f: CharDeterminant, box: Box) -> tuple[int, Box]:
+    """Count zeros of a search box, nudging its contour outward when it sits
+    on a zero: up to CONTOUR_DILATIONS times, by CONTOUR_DILATION_STEP more
+    each time (about one percent in all).  Returns the box it counted."""
     last = None
-    for k in range(config.contour_dilations + 1):
-        b = box if k == 0 else box.dilate(1.0 + config.contour_dilation_step * k)
+    for k in range(CONTOUR_DILATIONS + 1):
+        b = box if k == 0 else box.dilate(1.0 + CONTOUR_DILATION_STEP * k)
         try:
-            return _winding_count(f, b, config), b
+            return _winding_count(f, b), b
         except _BadContour as exc:
             last = exc
     raise ContourThroughZero(f"contour unusable after "
-                             f"{config.contour_dilations} dilations: {last}")
+                             f"{CONTOUR_DILATIONS} dilations: {last}")
 
 
-def count_zeros(spec: ProcessSpec, box: Box | tuple,
-                config: SolverConfig = DEFAULT_CONFIG) -> int:
-    """Zeros (with multiplicity) of the characteristic determinant in a box.
+def count_zeros(spec: ProcessSpec, box: Box | tuple) -> int:
+    """Zeros (with multiplicity) of the characteristic determinant in exactly
+    the given box, from one winding count along its contour.
 
-    The box is dilated by up to about one percent when the contour runs
-    through a zero; raises :class:`ContourThroughZero` once the dilation
-    budget is spent, and :class:`ConfigError` for an empty, inverted or
-    non-finite box.
+    Raises :class:`ContourThroughZero`, naming the box, when the contour
+    passes within CONTOUR_MIN_MODULUS_REL of a zero or its phase cannot be
+    resolved in CONTOUR_MAX_SAMPLES points; the box is never moved.  Raises
+    :class:`ConfigError` for an empty, inverted or non-finite box.
     """
     box = Box(*box)
     if not (-math.inf < box.re_min < box.re_max < math.inf
             and -math.inf < box.im_min < box.im_max < math.inf):
         raise ConfigError(f"box needs finite edges with min < max, got {box}")
-    n, _ = _count_with_dilation(CharDeterminant(spec, config), box, config)
-    return n
+    try:
+        return _winding_count(CharDeterminant(spec), box)
+    except _BadContour as exc:
+        raise ContourThroughZero(f"contour of box {box} unusable: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +433,7 @@ def _value(f: CharDeterminant, z: complex) -> tuple[complex, float]:
     return complex(det[0]), float(abs(det[0]) / mag[0])
 
 
-def _polish(f: CharDeterminant, box: Box, multiplicity: int,
-            config: SolverConfig) -> tuple[complex, float]:
+def _polish(f: CharDeterminant, box: Box, multiplicity: int) -> tuple[complex, float]:
     """Order-aware Newton iteration from the box centre.
 
     Each step is one kernel call, which returns the determinant, its
@@ -422,8 +441,9 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
     true Newton step; for an m-fold zero the step is multiplied by m,
     restoring quadratic convergence.  It stops when the iterate leaves the
     box, when the step is at floating-point resolution, after four steps
-    without improvement, or once the residual |det| / mag is below
-    ``newton_residual`` and no longer improving.
+    without improvement, after NEWTON_MAX_ITER steps, or once the residual
+    |det| / mag is below ``f.config.newton_residual`` and no longer
+    improving.
     """
     def newton_data(z: complex) -> tuple[complex, float, complex]:
         det, mag, ddet = f.with_derivative(np.asarray([z], dtype=complex))
@@ -433,7 +453,7 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
     value, best_r, deriv = newton_data(z)
     best_z = z
     stall = 0
-    for _ in range(config.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if deriv == 0:
             break
         step = multiplicity * value / deriv
@@ -446,7 +466,7 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
             stall = 0
         else:
             stall += 1
-        if stall >= 4 or (best_r < config.newton_residual and stall >= 1):
+        if stall >= 4 or (best_r < f.config.newton_residual and stall >= 1):
             break
     return best_z, best_r
 
@@ -458,21 +478,19 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
 _SPLIT_FRACTIONS = (0.5, 0.54, 0.46, 0.58, 0.42, 0.62, 0.38, 0.66, 0.34)
 
 
-def _locate_zeros(f: CharDeterminant, box: Box, count: int,
-                  config: SolverConfig, out: list) -> None:
+def _locate_zeros(f: CharDeterminant, box: Box, count: int, out: list) -> None:
     if count == 0:
         return
     # below this size an m-fold zero's contour values sink into FP noise
-    cluster_diag = max(config.cluster_box_diag,
-                       config.cluster_rel_diag * (1.0 + abs(box.center)))
+    cluster_diag = max(CLUSTER_BOX_DIAG, CLUSTER_REL_DIAG * (1.0 + abs(box.center)))
     if box.diag <= cluster_diag:
-        _append_cluster(f, box, count, config, out)
+        _append_cluster(f, box, count, out)
         return
     if count == 1:
         # the iterate never leaves the box, so a converged polish is the
         # counted zero and not a neighbor
-        z, r = _polish(f, box, 1, config)
-        if r <= config.newton_residual:
+        z, r = _polish(f, box, 1)
+        if r <= f.config.newton_residual:
             out.append((z, 1, r))
             return
         # polish left the box or stalled; tighten the box around the zero first
@@ -486,30 +504,29 @@ def _locate_zeros(f: CharDeterminant, box: Box, count: int,
                 continue
         b1, b2 = box.split(frac)
         try:
-            c1 = _winding_count(f, b1, config)
-            c2 = _winding_count(f, b2, config)
+            c1 = _winding_count(f, b1)
+            c2 = _winding_count(f, b2)
         except _BadContour as exc:
             last = exc
             continue
         if c1 + c2 != count:
             last = _BadContour(f"split miscount {c1}+{c2} != {count}")
             continue
-        _locate_zeros(f, b1, c1, config, out)
-        _locate_zeros(f, b2, c2, config, out)
+        _locate_zeros(f, b1, c1, out)
+        _locate_zeros(f, b2, c2, out)
         return
     if box.diag <= 0.01 * (1.0 + abs(box.center)):
         # every split line failed on a small box: the contents are one
         # cluster below floating-point resolution (an m-fold zero whose
         # determinant values are noise at this scale)
-        _append_cluster(f, box, count, config, out)
+        _append_cluster(f, box, count, out)
         return
     raise ContourThroughZero(f"no usable split line for box {box}: {last}")
 
 
-def _append_cluster(f: CharDeterminant, box: Box, count: int,
-                    config: SolverConfig, out: list) -> None:
+def _append_cluster(f: CharDeterminant, box: Box, count: int, out: list) -> None:
     """Report an unresolvable box as one zero of multiplicity ``count``."""
-    z, r = _polish(f, box, count, config)
+    z, r = _polish(f, box, count)
     if count > 1 and box.im_min <= 0.0 <= box.im_max:
         # conjugate symmetry: an unresolved cluster straddling the real
         # axis is indistinguishable from a real m-fold zero
@@ -519,12 +536,13 @@ def _append_cluster(f: CharDeterminant, box: Box, count: int,
 
 
 def _assemble_eigenvalues(raw: list, re_max: float,
-                          config: SolverConfig) -> tuple[ComplexEigenvalue, ...]:
-    """Deduplicate, enforce conjugate symmetry, and validate residuals."""
+                          residual: float) -> tuple[ComplexEigenvalue, ...]:
+    """Deduplicate, enforce conjugate symmetry, and check every residual
+    against ``residual``."""
     merged: list[list] = []
     for z, m, r in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):
         for g in merged:
-            if abs(g[0] - z) <= config.dedup_tol:
+            if abs(g[0] - z) <= DEDUP_TOL:
                 g[1] += m
                 g[2] = max(g[2], r)
                 break
@@ -535,7 +553,7 @@ def _assemble_eigenvalues(raw: list, re_max: float,
     # only to about residual^(1/m), so the real-axis snap scales with it
     eigs: list[ComplexEigenvalue] = []
     used = [False] * len(merged)
-    base_tol = max(config.dedup_tol, 1e-9 * (1.0 + re_max))
+    base_tol = max(DEDUP_TOL, 1e-9 * (1.0 + re_max))
     for i, (z, m, r) in enumerate(merged):
         if used[i]:
             continue
@@ -562,7 +580,7 @@ def _assemble_eigenvalues(raw: list, re_max: float,
     for e in eigs:
         if e.value.real < -1e-9:
             raise JumpdiffError(f"eigenvalue {e.value} has negative real part")
-        if e.residual > config.newton_residual:
+        if e.residual > residual:
             raise JumpdiffError(
                 f"eigenvalue {e.value} residual {e.residual:.2e} above polish tolerance")
     return tuple(sorted(eigs, key=lambda e: (e.value.real, e.value.imag)))
@@ -581,7 +599,10 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
     Recursively bisects until each sub-box isolates one zero (a cluster
     smaller than the resolution floor is reported once with its winding
     multiplicity), Newton-polishes each, deduplicates, and extracts the gap
-    as the minimal real part over nonzero eigenvalues.
+    as the minimal real part over nonzero eigenvalues.  ``im_max`` defaults
+    to ``config.im_aspect * re_max``.  A contour through a zero is dilated
+    (see ``_count_with_dilation``), and the box searched is reported as
+    ``search_box``.
 
     Raises:
         ConfigError: re_max or im_max is not finite and positive.
@@ -594,16 +615,15 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
         raise ConfigError(f"re_max and im_max must be finite and positive, "
                           f"got {re_max}, {im_max}")
     f = CharDeterminant(spec, config)
-    count, box = _count_with_dilation(f, _search_box(re_max, im_max), config)
-    return _solve_counted(f, count, box, re_max, config)
+    count, box = _count_with_dilation(f, _search_box(re_max, im_max))
+    return _solve_counted(f, count, box, re_max)
 
 
-def _solve_counted(f: CharDeterminant, count: int, box: Box, re_max: float,
-                   config: SolverConfig) -> SpectrumReport:
+def _solve_counted(f: CharDeterminant, count: int, box: Box, re_max: float) -> SpectrumReport:
     """The report of :func:`find_spectrum` for a box whose zero count is known."""
     raw: list = []
-    _locate_zeros(f, box, count, config, raw)
-    eigs = _assemble_eigenvalues(raw, re_max, config)
+    _locate_zeros(f, box, count, raw)
+    eigs = _assemble_eigenvalues(raw, re_max, f.config.newton_residual)
 
     zero_tol = 1e-8 * (1.0 + re_max)
     if not any(abs(e.value) <= zero_tol for e in eigs):
@@ -612,8 +632,8 @@ def _solve_counted(f: CharDeterminant, count: int, box: Box, re_max: float,
     if not nonzero:
         raise BoxTooSmall(f"no nonzero eigenvalue below re_max={re_max}; enlarge the box")
     gap = min(e.value.real for e in nonzero)
-    imag_tol = config.imag_tol_scale * (1.0 + gap)
-    gap_is_real = any(abs(e.value.real - gap) <= config.dedup_tol
+    imag_tol = IMAG_TOL_SCALE * (1.0 + gap)
+    gap_is_real = any(abs(e.value.real - gap) <= DEDUP_TOL
                       and abs(e.value.imag) < imag_tol for e in nonzero)
     return SpectrumReport(eigenvalues=eigs, search_box=box, gap=gap, gap_is_real=gap_is_real)
 
@@ -627,7 +647,7 @@ def auto_re_max(spec: ProcessSpec) -> float:
     return 2.0 * max(dirichlet_bottom(spec), 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2)
 
 
-def _gap_window(f: CharDeterminant, config: SolverConfig) -> tuple[int, Box, float]:
+def _gap_window(f: CharDeterminant) -> tuple[int, Box, float]:
     """(count, box, re_max) of the smallest certified box holding a nonzero zero.
 
     Every zero has |Re q| < X (``CharDeterminant.re_q_bound``), and with
@@ -651,7 +671,7 @@ def _gap_window(f: CharDeterminant, config: SolverConfig) -> tuple[int, Box, flo
     while True:
         re_max = min(re_max, cap)
         im_max = x * math.sqrt(2.0 * sig2 * re_max - spec.mu**2 + sig2**2 * x**2)
-        count, box = _count_with_dilation(f, _search_box(re_max, im_max), config)
+        count, box = _count_with_dilation(f, _search_box(re_max, im_max))
         if count > 1:
             return count, box, re_max
         if re_max >= cap:
@@ -659,8 +679,7 @@ def _gap_window(f: CharDeterminant, config: SolverConfig) -> tuple[int, Box, flo
         re_max *= 2.0
 
 
-def gap_curve(spec_base: ProcessSpec, mu_grid,
-              config: SolverConfig = DEFAULT_CONFIG) -> list[tuple[float, float, bool]]:
+def gap_curve(spec_base: ProcessSpec, mu_grid) -> list[tuple[float, float, bool]]:
     """Spectral gap along a drift grid, each from one solve on the certified
     gap-only box of :func:`_gap_window`, which reuses that box's zero count.
 
@@ -674,8 +693,8 @@ def gap_curve(spec_base: ProcessSpec, mu_grid,
     for mu in mu_grid:
         spec = spec_base.with_mu(mu)
         try:
-            f = CharDeterminant(spec, config)
-            rep = _solve_counted(f, *_gap_window(f, config), config)
+            f = CharDeterminant(spec)
+            rep = _solve_counted(f, *_gap_window(f))
         except JumpdiffError as exc:
             raise type(exc)(f"mu={mu}: {exc}") from exc
         out.append((float(mu), rep.gap, rep.gap_is_real))

@@ -222,41 +222,18 @@ class RateFit:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances of the eigensolver: determinant series branch, Newton
-    polishing, deduplication, and contour sampling, dilation and bisection.
+    """The two eigensolver values the benchmark in ``perfbench/`` reads.
 
-    Newton steps use the determinant's exact derivative, so there is no
-    finite-difference step.  ``im_aspect`` sizes the default box of
-    ``find_spectrum`` only; ``gap_curve`` picks its own box, certified to
-    hold every eigenvalue below its right edge.
-
-    Only :mod:`jumpdiff.eigensolver` reads it, through the ``config``
-    argument of ``CharDeterminant``, ``count_zeros``, ``find_spectrum``
-    and ``gap_curve``.  It stays a record because the
-    benchmark in ``perfbench/`` reads it there: ``DEFAULT_CONFIG.newton_residual``
-    gates spectrum residuals, repeat solves are keyed on the ``config``
-    argument of ``find_spectrum``, and ``CharDeterminant(spec).config.im_aspect``
-    sizes the timed contour.  Sampler budgets and series constants are
-    module constants beside their one user.
+    ``newton_residual`` is the largest |det| / generic magnitude of an
+    accepted root; the benchmark gates spectrum residuals on
+    ``DEFAULT_CONFIG.newton_residual``.  ``im_aspect`` sizes the default box
+    of ``find_spectrum``; the benchmark reads it as
+    ``CharDeterminant(spec).config.im_aspect`` and keys repeat solves on the
+    ``config`` argument of ``find_spectrum``.  Every other tolerance is a
+    module constant of :mod:`jumpdiff.eigensolver`.
     """
 
-    # |q d| below which a term sinh(q d)/q and its derivative take their series;
-    # at 1e-2 the derivative's cancellation (eps / |q d|^3) and the series'
-    # truncation ((q d)^4 / 840) both stay near 1e-10 relative
-    sinch_series_cutoff: float = 1e-2
     newton_residual: float = 1e-10        # |det| / generic magnitude at an accepted root
-    newton_max_iter: int = 50
-    dedup_tol: float = 1e-7
-    imag_tol_scale: float = 1e-6
-    winding_int_tol: float = 0.25
-    contour_phase_step: float = 0.9
-    contour_initial_samples: int = 48
-    contour_max_samples: int = 40_000
-    contour_min_modulus_rel: float = 1e-9   # |det| / generic magnitude, per point
-    contour_dilations: int = 8
-    contour_dilation_step: float = 0.00125
-    cluster_box_diag: float = 1e-4         # stop bisecting; treat content as one multiple zero
-    cluster_rel_diag: float = 1e-5         # scale-relative part of the same cutoff
     im_aspect: float = 4.0                 # default im_max = 4 * re_max
 
 

@@ -16,7 +16,7 @@ from jumpdiff.eigensolver import (
     find_spectrum,
     gap_curve,
 )
-from jumpdiff.errors import BoxTooSmall, ConfigError
+from jumpdiff.errors import BoxTooSmall, ConfigError, ContourThroughZero
 from jumpdiff.model import DEFAULT_CONFIG, unit_spec
 from tests.test_model import make_spec
 
@@ -157,6 +157,7 @@ class CountingDet:
 
     def __init__(self, spec):
         self.det = CharDeterminant(spec)
+        self.config = self.det.config
         self.calls = 0
         self.sizes = []
         self.points = []
@@ -181,7 +182,7 @@ def test_polish_evaluates_each_point_once(spec20):
     det = CountingDet(spec20)
     start = complex(8 * PI2 + 0.5, 4 * math.pi * 20.0 + 0.5)
     box = Box(start.real - 1.0, start.real + 1.0, start.imag - 1.0, start.imag + 1.0)
-    z, r = _polish(det, box, 1, DEFAULT_CONFIG)
+    z, r = _polish(det, box, 1)
     assert r < DEFAULT_CONFIG.newton_residual
     assert abs(z - complex(8 * PI2, 4 * math.pi * 20.0)) < 1e-3
     assert len(det.points) == len(set(det.points))
@@ -194,7 +195,7 @@ def test_zero_eigenvalue_polish_stops_at_resolution(mu):
     # before the Newton iteration cap; at mu = 0 the first exact Newton step
     # from the centre reaches Im z = -3.56, so the box reaches below that
     det = CountingDet(unit_spec(mu))
-    z, r = _polish(det, Box(-1.5, 8.5, -4.0, 8.0), 1, DEFAULT_CONFIG)
+    z, r = _polish(det, Box(-1.5, 8.5, -4.0, 8.0), 1)
     assert abs(z) < 1e-12
     assert r < DEFAULT_CONFIG.newton_residual
     assert det.calls <= 40
@@ -211,8 +212,8 @@ def test_winding_count_one_kernel_call_per_round(mu, box):
     # rounds leave the finest interval at the initial step / 2^R, and one
     # kernel call per round makes 1 + R calls in all
     det = CountingDet(unit_spec(mu))
-    _winding_count(det, box, DEFAULT_CONFIG)
-    n = DEFAULT_CONFIG.contour_initial_samples
+    _winding_count(det, box)
+    n = eigensolver.CONTOUR_INITIAL_SAMPLES
     assert det.sizes[0] == 4 * n + 1
     rounds = det.calls - 1
     assert rounds >= 1
@@ -325,6 +326,26 @@ def test_count_zeros_rejects_bad_box(spec0, box):
         count_zeros(spec0, box)
 
 
+def test_count_zeros_counts_exactly_the_box_given():
+    # the top edge runs along the real axis, through the closed form's real
+    # zeros; a box dilated off them holds 8 zeros where this one holds 6
+    spec = make_spec(b=2.0, mu=6.3e-7, atoms=((1.0, 1.0),))
+    box = Box(271.2, 631.5, -150.7, 0.0)
+    assert len(centred_spectrum(2.0, 1.0, 6.3e-7, box)) == 6
+    with pytest.raises(ContourThroughZero, match=r"re_min=271\.2, re_max=631\.5"):
+        count_zeros(spec, box)
+
+
+def test_contour_refinement_budget(monkeypatch):
+    # the mu = 20 box needs more than 200 samples to resolve its phase
+    monkeypatch.setattr(eigensolver, "CONTOUR_MAX_SAMPLES", 200)
+    with pytest.raises(ContourThroughZero, match="refinement budget exhausted"):
+        count_zeros(unit_spec(20.0), Box(-0.7, 150.0, -400.0, 400.0))
+    with pytest.raises(ContourThroughZero,
+                       match=f"after {eigensolver.CONTOUR_DILATIONS} dilations"):
+        find_spectrum(unit_spec(20.0), 150.0)
+
+
 def test_gap_curve_rejects_empty_grid():
     with pytest.raises(ConfigError):
         gap_curve(unit_spec(), [])
@@ -336,9 +357,9 @@ def test_gap_curve_winds_each_box_once(monkeypatch):
     wound, solved, raised = [], [], []
     wind, solve = eigensolver._winding_count, eigensolver._solve_counted
 
-    def counted_wind(f, box, config):
+    def counted_wind(f, box):
         wound.append((f.spec.mu, box))
-        return wind(f, box, config)
+        return wind(f, box)
 
     def counted_solve(f, *args):
         solved.append(f.spec.mu)

@@ -25,7 +25,6 @@ from jumpdiff.eigensolver import (
     gap_curve,
 )
 from jumpdiff.errors import BoxTooSmall, ContourThroughZero
-from jumpdiff.model import DEFAULT_CONFIG
 from tests.test_eigensolver import centred_spectrum
 from tests.test_model import make_spec
 
@@ -217,7 +216,7 @@ def test_every_zero_lies_in_the_certified_strip(spec):
        width=st.floats(0.5, 600.0), im_min=st.floats(-2000.0, 2000.0),
        height=st.floats(0.5, 800.0))
 # the corner (2702, 0) is 0.1 from the triple zero at 2702.1: |det| / mag there
-# is 4e-10, below contour_min_modulus_rel, and no dilation moves it far enough
+# is 4e-10, below CONTOUR_MIN_MODULUS_REL, and no dilation moves it far enough
 @example(length=2.0, sigma=1.3, mu=0.0, re_min=2697.0, width=5.0, im_min=0.0, height=1.0)
 def test_count_zeros_matches_the_centred_closed_form(length, sigma, mu, re_min, width,
                                                      im_min, height):
@@ -226,7 +225,7 @@ def test_count_zeros_matches_the_centred_closed_form(length, sigma, mu, re_min, 
     spec = make_spec(b=length, sigma=sigma, mu=mu, atoms=((0.5 * length, 1.0),))
     box = Box(re_min, re_min + width, im_min, im_min + height)
     try:
-        n, used = _count_with_dilation(CharDeterminant(spec), box, DEFAULT_CONFIG)
+        n, used = _count_with_dilation(CharDeterminant(spec), box)
     except ContourThroughZero:
         return
     assert n == len(centred_spectrum(length, sigma, mu, used)), used

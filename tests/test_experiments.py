@@ -5,8 +5,9 @@ from dataclasses import fields
 
 import pytest
 
+from jumpdiff import experiments
 from jumpdiff.cli import main
-from jumpdiff.errors import ConfigError
+from jumpdiff.errors import ConfigError, NoPlateauFound
 from jumpdiff.experiments import (
     ExperimentConfig,
     invariant_limit_distance,
@@ -269,6 +270,16 @@ def test_threshold_rejects_bad_tol():
     for tol in (0.0, -1e-4, math.nan):
         with pytest.raises(ConfigError):
             threshold_locate(unit_spec(), tol)
+
+
+def test_threshold_raises_when_the_bracket_top_is_off_plateau(monkeypatch):
+    # a gap stuck at the drift-free 2 pi^2 never reaches the 8 pi^2 plateau
+    def flat_gap(spec_base, mu_grid):
+        return [(float(mu), 2 * math.pi**2, True) for mu in mu_grid]
+
+    monkeypatch.setattr(experiments, "gap_curve", flat_gap)
+    with pytest.raises(NoPlateauFound):
+        threshold_locate(unit_spec(), 1e-4)
 
 
 # --- corollary-3 report -----------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from jumpdiff.model import (
     JumpDistribution,
     ProcessSpec,
     RateFit,
+    SolverConfig,
     unit_spec,
     validate_spec,
 )
@@ -118,3 +121,17 @@ def test_every_export_resolves():
     import jumpdiff
     assert [n for n in jumpdiff.__all__ if not hasattr(jumpdiff, n)] == []
     assert len(set(jumpdiff.__all__)) == len(jumpdiff.__all__)
+
+
+def test_every_config_field_is_read():
+    # a field that no `.<field>` in the package reads is a knob that does
+    # nothing; attribute loads are parsed, so docstrings and comments do not count
+    import jumpdiff
+    from jumpdiff.experiments import ExperimentConfig
+    read = {node.attr
+            for path in Path(jumpdiff.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for record in (SolverConfig, ExperimentConfig):
+        unread = [f.name for f in dataclasses.fields(record) if f.name not in read]
+        assert unread == [], f"{record.__name__} fields nobody reads: {unread}"
