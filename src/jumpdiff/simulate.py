@@ -15,9 +15,11 @@ is the exit time of standard Brownian motion from a symmetric window
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
-and distinct stream ids give independent streams.  The per-step draw order of
-each engine is listed beside :func:`_crosses`, the one crossing rule they all
-share.
+and distinct stream ids give independent streams.  Bridge tests draw a uniform
+only for the paths within reach of a barrier, so the number of uniforms per
+step depends on the state; a rerun still reproduces every draw.  The per-step
+draw order of each engine is listed beside :func:`_hits`, the sparse entry to
+:func:`_crosses`, the one crossing rule they all share.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ DT_SCALE = 1e-4                     # default dt = DT_SCALE * (L / sigma)^2
 EXIT_STEP_BUDGET = 1_000_000_000    # steps an uncensored exit search may take
 REJECTION_MIN_ACCEPT = 1e-6         # lowest acceptance the conditioned-path check runs at
 WINDOW_TERMS = 64                   # terms of the window survival series
+WINDOW_TERM_CUT = 40.0              # a Newton round drops terms below e^-40 of the first
 WINDOW_T_MIN = 0.005                # lowest standardised exit time the inversion searches
 WINDOW_NEWTON_BUDGET = 64           # safeguarded Newton steps per inversion
 
@@ -112,16 +115,31 @@ class TVCurve:
 # ---------------------------------------------------------------------------
 # Stepping kernels
 # ---------------------------------------------------------------------------
-# Every sampler detects barrier hits with _crosses.  Per step they draw:
-#   exit times, histograms: normal, right-bridge, left-bridge, then restart
-#     uniforms for exited paths only;
-#   staged coupling: normal, meet, x-edge, y-edge, gap uniforms;
-#   mirror coupling: normal, meet, y-right, y-left, centre-right, centre-left;
-#   conditioned paths (lemma): normal, window-right, window-left, x-restart,
-#     y-restart uniforms, each for the whole batch, then indexed to the
-#     proposals still inside the window;
+# Every sampler detects barrier hits with _hits, the sparse entry to the one
+# crossing rule _crosses.  A test draws one uniform per entry within reach of
+# its barrier, in index order, and none for the others, so the number of
+# uniforms per step depends on the state.  Per step the engines draw:
+#   exit times, histograms: normals for the paths still marching, right-bridge
+#     then left-bridge uniforms, then restart uniforms for exited paths only;
+#   staged coupling: normals for the pairs still coupling, then stage I (meet,
+#     x-edge, y-edge), stage II (meet, x-edge, y-edge, gap) and stage III
+#     (upper copy at b, lower copy at a) uniforms, then the right and left
+#     uniforms of the coalesced pairs in snapshot mode;
+#   mirror coupling: normals for the paths with an open exit time, then meet,
+#     y-right, y-left, centre-right and centre-left uniforms, each only for the
+#     paths whose outcome it can still change;
+#   conditioned paths (lemma): normals for the proposals still inside the
+#     window, window-right and window-left uniforms, then x-restart and
+#     y-restart uniforms for the proposals that stayed inside;
 #   window exit times (convolution check): no steps, one uniform per path,
 #     in path order, inverted by _window_exit_times.
+
+# The bridge factor exp(-2 p / var_dt) is 2^-53 (to rounding) at p = REACH *
+# var_dt and smaller beyond.  random() returns multiples of 2^-53, so such a
+# factor fires only at u = 0 or 2^-53: treating it as a miss changes the law
+# on an event of probability at most 2^-52 per test.
+REACH = 53.0 * math.log(2.0) / 2.0
+
 
 def _crosses(d0, d1, var_dt, u):
     """Bridge-corrected hit of a barrier by a step whose distance to it goes d0 -> d1.
@@ -142,8 +160,26 @@ def _crosses(d0, d1, var_dt, u):
     return u < np.exp(e)
 
 
-def _advance(x, spec: ProcessSpec, dt: float, z, u_right, u_left):
-    """One step for an array of positions.
+def _hits(d0, d1, var_dt, gen: np.random.Generator) -> np.ndarray:
+    """_crosses for arrays of distances, drawing uniforms only where they can matter.
+
+    With p = max(d0, 0) max(d1, 0): p <= 0 is a sure hit and p >= REACH *
+    var_dt a sure miss, and neither draws.  The entries in between draw one
+    ``gen.random`` each, in index order, and get _crosses of it.
+    """
+    p = np.maximum(d0, 0.0)
+    p *= np.maximum(d1, 0.0)
+    hit = p <= 0.0
+    # the sure hits lie within reach too, so ^ leaves the entries in between
+    near = np.flatnonzero((p < REACH * var_dt) ^ hit)
+    if near.size:
+        # p is the product already, so the rule sees the distances (p, 1)
+        hit[near] = _crosses(p[near], 1.0, var_dt, gen.random(near.size))
+    return hit
+
+
+def _advance(x, spec: ProcessSpec, dt: float, z, gen: np.random.Generator):
+    """One step for an array of positions, bridge-tested at b and then at a.
 
     Returns (x_new, exit_code) with exit_code -1 for interior, 0 for a left
     exit, 1 for a right exit; a step ending at or below a is a left exit even
@@ -152,9 +188,11 @@ def _advance(x, spec: ProcessSpec, dt: float, z, u_right, u_left):
     """
     x1 = x + spec.mu * dt + spec.sigma * math.sqrt(dt) * z
     var_dt = spec.sigma**2 * dt
+    right = _hits(spec.b - x, spec.b - x1, var_dt, gen)
+    left = _hits(x - spec.a, x1 - spec.a, var_dt, gen)
     code = np.full(np.shape(x1), -1, dtype=np.int8)
-    code[_crosses(x - spec.a, x1 - spec.a, var_dt, u_left)] = LEFT
-    code[_crosses(spec.b - x, spec.b - x1, var_dt, u_right) & (x1 > spec.a)] = RIGHT
+    code[left] = LEFT
+    code[right & (x1 > spec.a)] = RIGHT
     return x1, code
 
 
@@ -213,10 +251,7 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
     x = np.full(n_paths, float(x0))
     step = 0
     while idx.size and step < max_steps:
-        z = gen.standard_normal(idx.size)
-        u1 = gen.random(idx.size)
-        u2 = gen.random(idx.size)
-        x, code = _advance(x, spec, dt, z, u1, u2)
+        x, code = _advance(x, spec, dt, gen.standard_normal(idx.size), gen)
         if not bridge:      # instrumentation: only steps that end outside exit
             code = np.select([x >= spec.b, x <= spec.a], [RIGHT, LEFT], -1)
         step += 1
@@ -244,11 +279,14 @@ def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
     where WINDOW_TERMS terms are exact to rounding (the last is e^-102).  On
     that bracket Newton's method falls back to bisection whenever a step
     leaves the bracket.  A root is kept once its Newton step is below 1e-14 of
-    it, or its residual below 1e-15 u, the rounding of S.
+    it, or its residual below 1e-15 u, the rounding of S.  Each round sums
+    only the terms above e^-WINDOW_TERM_CUT of the first at the smallest live
+    iterate: 5 terms from T = 0.3 on, 40 at WINDOW_T_MIN.
     """
     k = np.arange(WINDOW_TERMS)
     rate = (2 * k + 1) ** 2 * math.pi**2 / 8.0
     coef = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / (2 * k + 1)
+    slope = coef * rate
     out = np.full(np.shape(u), np.inf)
     idx = np.flatnonzero(u > 0.0)
     v = u[idx]
@@ -258,14 +296,15 @@ def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
     for _ in range(WINDOW_NEWTON_BUDGET):
         if not idx.size:
             break
-        e = np.outer(t, -rate)
+        n_terms = int(np.searchsorted(rate - rate[0], WINDOW_TERM_CUT / t.min()))
+        e = np.outer(t, -rate[:n_terms])
         np.exp(e, out=e)
-        resid = e @ coef - v
+        resid = e @ coef[:n_terms] - v
         below_root = resid > 0.0            # S decreases in T
         lo = np.where(below_root, t, lo)
         hi = np.where(below_root, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / (e @ (coef * rate))
+            step = resid / (e @ slope[:n_terms])
         t_new = t + step
         done = (np.abs(step) <= 1e-14 * t) | (np.abs(resid) <= 1e-15 * v)
         t_new = np.where(done | ((t_new > lo) & (t_new < hi)), t_new, 0.5 * (lo + hi))
@@ -298,10 +337,7 @@ def _evolve_histograms(spec: ProcessSpec, x: np.ndarray, snap_steps: list[int],
     out = []
     for step in range(snap_steps[-1] + 1):
         if step:
-            z = gen.standard_normal(n)
-            u1 = gen.random(n)
-            u2 = gen.random(n)
-            x, code = _advance(x, spec, dt, z, u1, u2)
+            x, code = _advance(x, spec, dt, gen.standard_normal(n), gen)
             exited = code >= 0
             n_exit = int(exited.sum())
             if n_exit:
@@ -466,32 +502,27 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     proposals = 0
     sqrt_dt = math.sqrt(dt)
     batch = max(4096, min(200_000, 8 * n_paths))
-    draws = np.empty((5, batch))
     while accepted < n_paths:
         proposals += batch
         if proposals > max(batch, n_paths / REJECTION_MIN_ACCEPT):
             raise RejectionBudgetExceeded(f"acceptance below {REJECTION_MIN_ACCEPT}")
-        # the proposals whose window motion is still inside, in batch order;
-        # the draws cover the whole batch so the stream does not depend on it
-        live = np.arange(batch)
+        # bm, xs and ys hold the proposals whose window motion is still
+        # inside, in batch order
         bm = np.zeros(batch)
         xs = np.full(batch, x_start)
         ys = np.full(batch, y_start)
         for _ in range(n_steps):
-            gen.standard_normal(out=draws[0])
-            for row in draws[1:]:
-                gen.random(out=row)
-            z, u_r, u_l, u_x, u_y = draws if live.size == batch else draws[:, live]
+            z = gen.standard_normal(bm.size)
             bm1 = bm + sqrt_dt * z
-            inside = ~(_crosses(half_j - bm, half_j - bm1, dt, u_r)
-                       | _crosses(bm + half_j, bm1 + half_j, dt, u_l))
-            incr = spec.mu * dt + spec.sigma * sqrt_dt * z
-            xs = _drive_restarted(spec, xs, incr, u_x, dt)
-            ys = _drive_restarted(spec, ys, incr, u_y, dt)
-            bm = bm1
+            inside = ~(_hits(half_j - bm, half_j - bm1, dt, gen)
+                       | _hits(bm + half_j, bm1 + half_j, dt, gen))
             if not inside.all():
-                live, bm, xs, ys = live[inside], bm[inside], xs[inside], ys[inside]
-        take = min(live.size, n_paths - accepted)
+                bm1, xs, ys, z = bm1[inside], xs[inside], ys[inside], z[inside]
+            incr = spec.mu * dt + spec.sigma * sqrt_dt * z
+            xs = _drive_restarted(spec, xs, incr, dt, gen)
+            ys = _drive_restarted(spec, ys, incr, dt, gen)
+            bm = bm1
+        take = min(bm.size, n_paths - accepted)
         in_a_x += int(((xs[:take] >= a_lo) & (xs[:take] < a_hi)).sum())
         in_a_y += int(((ys[:take] >= a_lo) & (ys[:take] < a_hi)).sum())
         accepted += take
@@ -506,9 +537,9 @@ def _check_lemma_inputs(spec: ProcessSpec, dt: float) -> None:
         raise RequiresPositiveDrift("conditioned check needs mu > 0")
 
 
-def _drive_restarted(spec: ProcessSpec, x: np.ndarray, incr: np.ndarray,
-                     u: np.ndarray, dt: float) -> np.ndarray:
+def _drive_restarted(spec: ProcessSpec, x: np.ndarray, incr: np.ndarray, dt: float,
+                     gen: np.random.Generator) -> np.ndarray:
     """Advance the restarted diffusion with shared increments (upper exits only)."""
     x1 = x + incr
-    jump = _crosses(spec.b - x, spec.b - x1, spec.sigma**2 * dt, u)
+    jump = _hits(spec.b - x, spec.b - x1, spec.sigma**2 * dt, gen)
     return np.where(jump, spec.nu.locations[0], x1)

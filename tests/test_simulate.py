@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpdiff import simulate
+from jumpdiff import coupling, simulate
 from jumpdiff.analytic import invariant_density_grid, killed_survival, mean_exit_time
 from jumpdiff.errors import (
     BelowNoiseFloor,
@@ -22,6 +24,7 @@ from jumpdiff.simulate import (
     RngStream,
     _advance,
     _crosses,
+    _hits,
     _restart_positions,
     _window_exit_times,
     ensemble_snapshots,
@@ -93,10 +96,87 @@ def test_step_ending_past_the_barrier_always_crosses(d0, d1, var_dt, u):
 
 def test_step_ending_below_a_is_a_left_exit(spec0):
     # from just below b a step far past a is a left exit even when the right
-    # bridge uniform fires too
-    x1, code = _advance(np.array([0.999]), spec0, 1e-2, np.array([-20.0]),
-                        np.array([0.0]), np.array([0.5]))
-    assert x1[0] < spec0.a and code[0] == LEFT
+    # bridge fires too; _advance tests b first, so a twin generator replays
+    # the right bridge and shows it firing on some of the copies
+    x, dt = np.full(64, 0.999), 1e-2
+    x1, code = _advance(x, spec0, dt, np.full(64, -20.0), RngStream(4).generator())
+    right = _hits(spec0.b - x, spec0.b - x1, dt, RngStream(4).generator())
+    assert right.any()
+    assert np.all(x1 < spec0.a) and np.all(code == LEFT)
+
+
+# --- the sparse entry to the crossing rule -------------------------------------
+
+def test_sparse_test_draws_nothing_for_far_and_sure_pairs():
+    var_dt = 1e-4
+    reach = simulate.REACH * var_dt
+    d0 = np.array([0.5, 1.0, reach, 0.3, -0.2, 0.0, 0.7, 1e300])
+    d1 = np.array([0.4, 1.0, 1.0, -0.1, 0.5, 0.0, 0.0, 0.0])
+    gen = RngStream(8).generator()
+    hit = _hits(d0, d1, var_dt, gen)
+    np.testing.assert_equal(gen.bit_generator.state, RngStream(8).generator().bit_generator.state)
+    np.testing.assert_array_equal(hit, [False, False, False, True, True, True, True, True])
+    # and they agree with the rule itself at every uniform from 2^-52 on: the
+    # factor at the reach is 2^-53 up to rounding
+    np.testing.assert_array_equal(hit, _crosses(d0, d1, var_dt, np.full(d0.size, 2.0**-52)))
+
+
+def test_sparse_test_near_entries_match_the_rule_on_twin_uniforms():
+    var_dt = 4e-4
+    gen = RngStream(9).generator()
+    d0 = gen.uniform(-0.01, 0.2, 5000)
+    d1 = gen.uniform(-0.01, 0.2, 5000)
+    p = np.maximum(d0, 0.0) * np.maximum(d1, 0.0)
+    near = np.flatnonzero((p > 0.0) & (p < simulate.REACH * var_dt))
+    assert 100 < near.size < 4000
+    sparse = RngStream(10).generator()
+    hit = _hits(d0, d1, var_dt, sparse)
+    twin = RngStream(10).generator()
+    u = twin.random(near.size)
+    np.testing.assert_array_equal(hit[near], _crosses(d0[near], d1[near], var_dt, u))
+    np.testing.assert_equal(sparse.bit_generator.state, twin.bit_generator.state)
+    far = np.setdiff1d(np.arange(d0.size), near)
+    np.testing.assert_array_equal(hit[far], p[far] <= 0.0)
+
+
+def test_sparse_test_hit_frequency_at_the_corner_case():
+    b, x, x1, dt = 1.0, 0.999, 0.9995, 1e-4
+    n = 1_000_000
+    hit = _hits(np.full(n, b - x), np.full(n, b - x1), dt, RngStream(12).generator())
+    se = math.sqrt(0.990 * 0.010 / n)
+    assert float(hit.mean()) == pytest.approx(0.990, abs=3 * se)
+
+
+def _calls_by_function(module):
+    """(enclosing function, callee) for every call in the module's source; the
+    callee is a bare name, or ``.attr`` for a method call."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name):
+                    out.append((owner, f.id))
+                elif isinstance(f, ast.Attribute):
+                    out.append((owner, "." + f.attr))
+            visit(child, owner)
+    visit(tree, None)
+    return out
+
+
+def test_one_crossing_rule_and_no_dense_uniform_blocks():
+    # every engine reaches _crosses through _hits, and no engine draws bridge
+    # uniforms for the whole ensemble: gen.random is left to the sparse test,
+    # restart atoms, invariant draws and the window exit times
+    calls = _calls_by_function(simulate) + _calls_by_function(coupling)
+    assert {owner for owner, callee in calls if callee == "_crosses"} == {"_hits"}
+    assert {owner for owner, callee in calls if callee == ".random"} == {
+        "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check"}
 
 
 def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):

@@ -99,12 +99,12 @@ def _convolution_bound_check():
 
 
 GOLDEN = {
-    "exit_time_ensemble": (_exit_time_ensemble, "8a8bb1ae3d4359c0"),
-    "ensemble_snapshots": (_ensemble_snapshots, "fb69f97a92f4188f"),
-    "coupling_records": (_coupling_records, "e3e6532c4653d2f0"),
-    "coupling_marginal": (_coupling_marginal, "8be7fd1dd2892a7b"),
-    "mirror_exit_dominance": (_mirror_exit_dominance, "39161dd7c43d8651"),
-    "verify_pathwise_lemma": (_verify_pathwise_lemma, "ea1da4e0e8dc561d"),
+    "exit_time_ensemble": (_exit_time_ensemble, "1719da62a0c32f3f"),
+    "ensemble_snapshots": (_ensemble_snapshots, "f186b6bf5a7b3613"),
+    "coupling_records": (_coupling_records, "199f579ad572baaf"),
+    "coupling_marginal": (_coupling_marginal, "9c0ca59361ac6903"),
+    "mirror_exit_dominance": (_mirror_exit_dominance, "a027160b19f51d0c"),
+    "verify_pathwise_lemma": (_verify_pathwise_lemma, "acd67ba499e7e21c"),
     "convolution_bound_check": (_convolution_bound_check, "8cbc455c8ef21604"),
 }
 
