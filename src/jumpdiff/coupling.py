@@ -39,7 +39,6 @@ from .errors import (
 from .model import Interval, ProcessSpec, RateFit
 from .simulate import (
     RngStream,
-    _advance,
     _check_counts,
     _check_dt,
     _check_times,
@@ -104,7 +103,20 @@ class _CouplingResult:
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
                   gen: np.random.Generator, horizon: float,
                   trace: list | None = None, snapshot_step: int | None = None):
-    """March n coupled pairs to the horizon.
+    """March n coupled pairs to the horizon, every stage by one step rule.
+
+    A pair is the upper copy's position ``hi``, the gap ``g >= 0`` and
+    whether x is the upper copy.  x always moves with +dW.  y moves with -dW
+    in stages I-II, so the gap moves by twice the upper copy's noise, and with
+    +dW in stage III and after coalescence (stage 4), so the gap stays exactly
+    half the length, or 0.  Each step bridge-tests the upper copy at b and the
+    lower copy at a for every pair, the gap at 0 for stage I-II pairs and the
+    gap at half for the stage II pairs that neither met nor exited.  The
+    transitions then run on the event indices, a meet before an exit before
+    reaching half: a meet glues the pair at its midpoint; in stages I-II the
+    exiting copy restarts at x0 (stage I becomes II, and a restart that
+    leaves the gap within the meet tolerance glues the pair); from stage III
+    on an exit puts both copies at x0; reaching half sets the gap to half.
 
     Coalesced pairs are dropped from the working set (the aggregation is a
     commutative merge keyed by original index), except in snapshot mode,
@@ -114,172 +126,99 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     """
     a, b, x0 = spec.a, spec.b, spec.nu.locations[0]
     half = 0.5 * spec.length
-    sig = spec.sigma
-    sqrt_dt = math.sqrt(dt)
-    sig2dt = sig**2 * dt
-    gap2dt = 4.0 * sig**2 * dt          # distance process has volatility 2 sigma
-    tol0 = COALESCE_TOL_STEPS * sig * sqrt_dt
+    sig_sqrt_dt = spec.sigma * math.sqrt(dt)
+    sig2dt = spec.sigma**2 * dt
+    gap2dt = 4.0 * sig2dt               # the gap has volatility 2 sigma in stages I-II
+    tol0 = COALESCE_TOL_STEPS * sig_sqrt_dt
     drift = spec.mu * dt
 
     res = _CouplingResult(n)
-    xs = np.full(n, float(x))
-    ys = np.full(n, float(y))
+    hi = np.full(n, float(y))           # x <= y: y starts as the upper copy
+    g = np.full(n, float(y - x))
+    x_up = np.zeros(n, dtype=bool)
     stage = np.ones(n, dtype=np.int8)
-    upper_is_x = np.zeros(n, dtype=bool)
     orig = np.arange(n)
-
-    same = np.isclose(xs, ys)
-    if same.any():
-        res.tau_1[same] = 0.0
-        res.tau_2[same] = 0.0
-        res.tau_c[same] = 0.0
-        res.coalesced_stage[same] = 1
-        stage[same] = 4
     snapshot = np.full(n, np.nan) if snapshot_step is not None else None
+    if np.isclose(x, y):
+        for tau in (res.tau_1, res.tau_2, res.tau_c):
+            tau[:] = 0.0
+        res.coalesced_stage[:] = 1
+        if snapshot is None:
+            return res, None
+        hi[:], g[:], stage[:] = x, 0.0, 4
 
     n_steps = int(round(horizon / dt))
     work = 0
     for step in range(n_steps):
-        if snapshot_step is None and xs.size == 0:
+        if not hi.size:
             break
         t = (step + 1) * dt
-        m = xs.size
         # the budget guards the coupling stages; the post-coalescence march
         # in snapshot mode is bounded by n * snapshot_step by construction
-        work += int((stage < 4).sum()) if snapshot_step is not None else m
+        work += int((stage < 4).sum()) if snapshot is not None else hi.size
         if work > STAGE_STEP_BUDGET:
             raise StageBudgetExceeded(f"coupling exceeded the step budget {STAGE_STEP_BUDGET}")
-        z = gen.standard_normal(m)
-        dw = sig * sqrt_dt * z
+        z = gen.standard_normal(hi.size)
+        opp = stage <= 2                # the copies take opposite noise signs
+        dw = sig_sqrt_dt * z            # the upper copy's noise
+        np.negative(dw, out=dw, where=opp & ~x_up)
+        hi1 = hi + drift + dw
+        g1 = g + 2.0 * dw * opp
+        up_b = _hits(b - hi, b - hi1, sig2dt, gen)
+        lo_a = _hits(hi - g - a, hi1 - g1 - a, sig2dt, gen)
+        o = np.flatnonzero(opp)
+        # g1 <= tol0 is a sure meet, a sign change of the gap included
+        meet = o[(g1[o] <= tol0) | _hits(g[o], g1[o], gap2dt, gen)]
+        up_b[meet] = lo_a[meet] = False
+        out = up_b | lo_a
+        calm = ~out
+        calm[meet] = False
+        h = np.flatnonzero(calm & (stage == 2))
+        to3 = h[_hits(half - g[h], half - g1[h], gap2dt, gen)]
+        hi, g = hi1, g1
 
-        # freeze the stage assignment for this step: a pair that transitions
-        # waits until the next step for its new dynamics (otherwise it would
-        # be advanced twice with the same noise)
-        in_stage = stage.copy()
+        e = np.flatnonzero(out)
+        st = stage[e]
+        r = e[st <= 2]
+        if r.size:
+            p_up = np.where(up_b[r], x0, hi[r])
+            p_lo = np.where(lo_a[r], x0, hi[r] - g[r])
+            hi[r] = np.maximum(p_up, p_lo)
+            g[r] = np.abs(p_up - p_lo)
+            x_up[r] ^= p_lo > p_up
+            first = r[stage[r] == 1]
+            res.tau_1[orig[first]] = t
+            stage[first] = 2
+            meet = np.concatenate((meet, r[g[r] <= tol0]))
+        q = e[st >= 3]
+        hi[q] = x0
+        g[q] = 0.0
+        hi[meet] = np.clip(hi[meet] - 0.5 * g[meet], a + 1e-12, b - 1e-12)
+        g[meet] = 0.0
+        done = np.concatenate((meet, e[st == 3]))
+        if done.size:
+            k = orig[done]
+            res.tau_1[k] = np.minimum(res.tau_1[k], t)
+            res.tau_2[k] = np.minimum(res.tau_2[k], t)
+            res.tau_c[k] = t
+            res.coalesced_stage[k] = stage[done]
+            stage[done] = 4
+        g[to3] = half
+        stage[to3] = 3
+        res.tau_2[orig[to3]] = t
 
-        # --- stage I: opposite drivers until meet / x hits a / y hits b
-        s1 = np.flatnonzero(in_stage == 1)
-        if s1.size:
-            x_old, y_old = xs[s1], ys[s1]
-            x_new = x_old + drift + dw[s1]
-            y_new = y_old + drift - dw[s1]
-            d_old, d_new = y_old - x_old, y_new - x_new
-            meet = (d_new <= tol0) | _hits(d_old, d_new, gap2dt, gen)
-            hit_a = _hits(x_old - a, x_new - a, sig2dt, gen)
-            hit_b = _hits(b - y_old, b - y_new, sig2dt, gen)
-            xs[s1], ys[s1] = x_new, y_new
-            glue = s1[meet]
-            if glue.size:
-                pos = np.clip(0.5 * (xs[glue] + ys[glue]), a + 1e-12, b - 1e-12)
-                xs[glue] = pos
-                ys[glue] = pos
-                stage[glue] = 4
-                _record(res, orig[glue], t, t, t, 1)
-            both = s1[~meet & hit_a & hit_b]
-            if both.size:
-                xs[both] = x0
-                ys[both] = x0
-                stage[both] = 4
-                _record(res, orig[both], t, t, t, 2)
-            for moved, arr in ((s1[~meet & hit_a & ~hit_b], xs),
-                               (s1[~meet & ~hit_a & hit_b], ys)):
-                if moved.size:
-                    arr[moved] = x0
-                    stage[moved] = 2
-                    res.tau_1[orig[moved]] = t
+        if snapshot is None:
+            if done.size:
+                keep = stage < 4
+                hi, g, x_up, stage, orig = hi[keep], g[keep], x_up[keep], stage[keep], orig[keep]
+        elif step + 1 == snapshot_step:
+            snapshot[:] = np.where(x_up, hi, hi - g)
 
-        # --- stage II: opposite drivers, restarts via b, gap to {0, half}
-        s2 = np.flatnonzero(in_stage == 2)
-        if s2.size:
-            x_old, y_old = xs[s2], ys[s2]
-            x_mid = x_old + drift + dw[s2]
-            y_mid = y_old + drift - dw[s2]
-            # the signed gap is affine in the shared noise between restarts;
-            # a sign change is a sure zero hit, distinct from the sign flip a
-            # restart produces
-            g_old = y_old - x_old
-            g_mid = y_mid - x_mid
-            d_old, d_mid = np.abs(g_old), np.abs(g_mid)
-            hit0 = (g_old * g_mid <= 0.0) | (d_mid <= tol0) | \
-                _hits(d_old, d_mid, gap2dt, gen)
-            # restarts go through b only; a is a hard exit without a bridge
-            jump_x = _hits(b - x_old, b - x_mid, sig2dt, gen) | (x_mid <= a)
-            jump_y = _hits(b - y_old, b - y_mid, sig2dt, gen) | (y_mid <= a)
-            x_new = np.where(jump_x & ~hit0, x0, x_mid)
-            y_new = np.where(jump_y & ~hit0, x0, y_mid)
-            xs[s2], ys[s2] = x_new, y_new
-            jumped = (jump_x | jump_y) & ~hit0
-            d_new = np.abs(y_new - x_new)
-            hit0 |= d_new <= tol0       # e.g. both copies restarted together
-            # a restart takes the gap off its affine path: only the step end counts
-            to_half = ~hit0 & np.where(
-                jumped, d_new >= half, _hits(half - d_old, half - d_mid, gap2dt, gen))
-            glue = s2[hit0]
-            if glue.size:
-                pos = np.clip(0.5 * (xs[glue] + ys[glue]), a + 1e-12, b - 1e-12)
-                xs[glue] = pos
-                ys[glue] = pos
-                stage[glue] = 4
-                _record(res, orig[glue], None, t, t, 2)
-            to3 = s2[to_half]
-            if to3.size:
-                stage[to3] = 3
-                res.tau_2[orig[to3]] = t
-                up_x = xs[to3] >= ys[to3]
-                upper_is_x[to3] = up_x
-                upper = np.where(up_x, xs[to3], ys[to3])
-                xs[to3] = np.where(up_x, upper, upper - half)
-                ys[to3] = np.where(up_x, upper - half, upper)
-
-        # --- stage III: parallel motion at exact half-length separation
-        s3 = np.flatnonzero(in_stage == 3)
-        if s3.size:
-            upper_old = np.where(upper_is_x[s3], xs[s3], ys[s3])
-            upper_new = upper_old + drift + dw[s3]
-            done = _hits(b - upper_old, b - upper_new, sig2dt, gen) | \
-                _hits(upper_old - half - a, upper_new - half - a, sig2dt, gen)
-            glue = s3[done]
-            move = s3[~done]
-            if move.size:
-                up = upper_new[~done]
-                xs[move] = np.where(upper_is_x[move], up, up - half)
-                ys[move] = np.where(upper_is_x[move], up - half, up)
-            if glue.size:
-                xs[glue] = x0
-                ys[glue] = x0
-                stage[glue] = 4
-                _record(res, orig[glue], None, None, t, 3)
-
-        # --- coalesced pairs evolve further only when a marginal is requested
-        if snapshot_step is not None:
-            s4 = np.flatnonzero(in_stage == 4)
-            if s4.size:
-                x_new, code = _advance(xs[s4], spec, dt, z[s4], gen)
-                x_new = np.where(code >= 0, x0, x_new)
-                xs[s4] = x_new
-                ys[s4] = x_new
-            if step + 1 == snapshot_step:
-                snapshot[orig] = xs
-        elif (stage == 4).any():
-            keep = stage < 4
-            xs, ys = xs[keep], ys[keep]
-            stage = stage[keep]
-            upper_is_x = upper_is_x[keep]
-            orig = orig[keep]
-
-        if trace is not None and xs.size:
-            trace.append((t, float(xs[0]), float(ys[0]), int(stage[0]), float(z[0])))
+        if trace is not None and hi.size:
+            pair = (float(hi[0]), float(hi[0] - g[0]))
+            trace.append((t, *(pair if x_up[0] else pair[::-1]), int(stage[0]), float(z[0])))
 
     return res, snapshot
-
-
-def _record(res: _CouplingResult, idx: np.ndarray, t1, t2, tc, stage_no: int) -> None:
-    if t1 is not None:
-        res.tau_1[idx] = np.minimum(res.tau_1[idx], t1)
-    if t2 is not None:
-        res.tau_2[idx] = t2
-    res.tau_c[idx] = tc
-    res.coalesced_stage[idx] = stage_no
 
 
 def _check_staged_inputs(spec: ProcessSpec, x: float, y: float, dt: float) -> None:

@@ -121,10 +121,10 @@ class TVCurve:
 # uniforms per step depends on the state.  Per step the engines draw:
 #   exit times, histograms: normals for the paths still marching, right-bridge
 #     then left-bridge uniforms, then restart uniforms for exited paths only;
-#   staged coupling: normals for the pairs still coupling, then stage I (meet,
-#     x-edge, y-edge), stage II (meet, x-edge, y-edge, gap) and stage III
-#     (upper copy at b, lower copy at a) uniforms, then the right and left
-#     uniforms of the coalesced pairs in snapshot mode;
+#   staged coupling: normals for the pairs still marching (in snapshot mode
+#     the coalesced pairs too), then upper-copy-at-b and lower-copy-at-a
+#     uniforms for all of them, gap-at-0 uniforms for the stage I-II pairs and
+#     gap-at-half uniforms for the stage II pairs that neither met nor exited;
 #   mirror coupling: normals for the paths with an open exit time, then meet,
 #     y-right, y-left, centre-right and centre-left uniforms, each only for the
 #     paths whose outcome it can still change;

@@ -177,6 +177,17 @@ def test_one_crossing_rule_and_no_dense_uniform_blocks():
     assert {owner for owner, callee in calls if callee == "_crosses"} == {"_hits"}
     assert {owner for owner, callee in calls if callee == ".random"} == {
         "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check"}
+    # the staged coupling takes one step rule for every stage: four bridge
+    # tests and no hard comparison of a position against a or b
+    run = [callee for owner, callee in calls if owner == "_run_coupling"]
+    assert run.count("_hits") == 4 and "_advance" not in run
+    tree = ast.parse(Path(coupling.__file__).read_text(encoding="utf-8"))
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_run_coupling")
+    barrier_tests = [ast.unparse(node) for node in ast.walk(body)
+                     if isinstance(node, ast.Compare)
+                     and {"a", "b"} & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}]
+    assert barrier_tests == []
 
 
 def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
