@@ -110,13 +110,14 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     in stages I-II, so the gap moves by twice the upper copy's noise, and with
     +dW in stage III and after coalescence (stage 4), so the gap stays exactly
     half the length, or 0.  Each step bridge-tests the upper copy at b and the
-    lower copy at a for every pair, the gap at 0 for stage I-II pairs and the
-    gap at half for the stage II pairs that neither met nor exited.  The
-    transitions then run on the event indices, a meet before an exit before
-    reaching half: a meet glues the pair at its midpoint; in stages I-II the
-    exiting copy restarts at x0 (stage I becomes II, and a restart that
-    leaves the gap within the meet tolerance glues the pair); from stage III
-    on an exit puts both copies at x0; reaching half sets the gap to half.
+    lower copy at a for every pair, the lower copy at b and the gap at 0 for
+    stage I-II pairs and the gap at half for the stage II pairs that neither
+    met nor exited.  The transitions then run on the event indices, a meet
+    before an exit before reaching half: a meet glues the pair at its
+    midpoint; in stages I-II each exiting copy restarts at x0 and stage I
+    becomes II, and the pair glues if both copies restarted or a stage II
+    restart leaves the gap within the meet tolerance; from stage III on an
+    exit puts both copies at x0; reaching half sets the gap to half.
 
     Coalesced pairs are dropped from the working set (the aggregation is a
     commutative merge keyed by original index), except in snapshot mode,
@@ -165,12 +166,14 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         hi1 = hi + drift + dw
         g1 = g + 2.0 * dw * opp
         up_b = _hits(b - hi, b - hi1, sig2dt, gen)
-        lo_a = _hits(hi - g - a, hi1 - g1 - a, sig2dt, gen)
+        lo_out = _hits(hi - g - a, hi1 - g1 - a, sig2dt, gen)
         o = np.flatnonzero(opp)
+        # in stages I-II a drift step can carry both copies past b
+        lo_out[o[_hits(b - hi[o] + g[o], b - hi1[o] + g1[o], sig2dt, gen)]] = True
         # g1 <= tol0 is a sure meet, a sign change of the gap included
         meet = o[(g1[o] <= tol0) | _hits(g[o], g1[o], gap2dt, gen)]
-        up_b[meet] = lo_a[meet] = False
-        out = up_b | lo_a
+        up_b[meet] = lo_out[meet] = False
+        out = up_b | lo_out
         calm = ~out
         calm[meet] = False
         h = np.flatnonzero(calm & (stage == 2))
@@ -181,15 +184,19 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         st = stage[e]
         r = e[st <= 2]
         if r.size:
+            both = up_b[r] & lo_out[r]
             p_up = np.where(up_b[r], x0, hi[r])
-            p_lo = np.where(lo_a[r], x0, hi[r] - g[r])
+            p_lo = np.where(lo_out[r], x0, hi[r] - g[r])
             hi[r] = np.maximum(p_up, p_lo)
             g[r] = np.abs(p_up - p_lo)
             x_up[r] ^= p_lo > p_up
-            first = r[stage[r] == 1]
+            in2 = stage[r] == 2
+            first = r[~in2]
             res.tau_1[orig[first]] = t
             stage[first] = 2
-            meet = np.concatenate((meet, r[g[r] <= tol0]))
+            # both copies restarted, or a stage II restart within the meet
+            # tolerance of the other copy: the pair glues in stage II
+            meet = np.concatenate((meet, r[both | (in2 & (g[r] <= tol0))]))
         q = e[st >= 3]
         hi[q] = x0
         g[q] = 0.0

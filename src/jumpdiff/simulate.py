@@ -123,8 +123,9 @@ class TVCurve:
 #     then left-bridge uniforms, then restart uniforms for exited paths only;
 #   staged coupling: normals for the pairs still marching (in snapshot mode
 #     the coalesced pairs too), then upper-copy-at-b and lower-copy-at-a
-#     uniforms for all of them, gap-at-0 uniforms for the stage I-II pairs and
-#     gap-at-half uniforms for the stage II pairs that neither met nor exited;
+#     uniforms for all of them, lower-copy-at-b and gap-at-0 uniforms for the
+#     stage I-II pairs and gap-at-half uniforms for the stage II pairs that
+#     neither met nor exited;
 #   mirror coupling: normals for the paths with an open exit time, then meet,
 #     y-right, y-left, centre-right and centre-left uniforms, each only for the
 #     paths whose outcome it can still change;

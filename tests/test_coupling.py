@@ -148,6 +148,13 @@ def test_coupled_marginal_has_process_law():
     assert tv < 0.02
 
 
+def test_coupled_marginal_stays_inside_at_coarse_steps():
+    # with a drift step of 0.4 both copies often end a stage I-II step past
+    # b; each must restart, so no copy is ever outside the interval
+    xs = coupling_marginal(unit_spec(200.0), 0.25, 0.75, 4000, 2e-3, 3, 0.01)
+    assert np.all((xs > 0.0) & (xs < 1.0))
+
+
 def test_coupling_inequality_quick(spec0):
     # empirical TV is below the empirical coalescence survival within errors
     grid = [0.05, 0.1, 0.15, 0.2]

@@ -177,10 +177,10 @@ def test_one_crossing_rule_and_no_dense_uniform_blocks():
     assert {owner for owner, callee in calls if callee == "_crosses"} == {"_hits"}
     assert {owner for owner, callee in calls if callee == ".random"} == {
         "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check"}
-    # the staged coupling takes one step rule for every stage: four bridge
+    # the staged coupling takes one step rule for every stage: five bridge
     # tests and no hard comparison of a position against a or b
     run = [callee for owner, callee in calls if owner == "_run_coupling"]
-    assert run.count("_hits") == 4 and "_advance" not in run
+    assert run.count("_hits") == 5 and "_advance" not in run
     tree = ast.parse(Path(coupling.__file__).read_text(encoding="utf-8"))
     body = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "_run_coupling")
