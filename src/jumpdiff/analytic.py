@@ -13,7 +13,6 @@ evaluate in parallel without coordination.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -22,12 +21,10 @@ from .errors import (
     RequiresCenteredDelta,
     RequiresPositiveDrift,
     SeriesOverflow,
-    TruncationWarning,
 )
 from .model import Interval, JumpDistribution, ProcessSpec
 
-SURVIVAL_N_TERMS = 64          # default truncation of the survival eigenexpansion
-SURVIVAL_TAIL_WARN = 1e-8      # tail bound above which killed_survival warns
+SURVIVAL_MAX_ENTRIES = 2**22   # largest terms-by-times array one survival series builds
 MU_SWITCH_SCALE = 1e-4         # drift-free Green below MU_SWITCH_SCALE * sigma^2 / L
 
 
@@ -167,64 +164,29 @@ def dirichlet_bottom(spec: ProcessSpec) -> float:
     return spec.sigma**2 * math.pi**2 / (2.0 * L**2) + spec.mu**2 / (2.0 * spec.sigma**2)
 
 
-def killed_survival(spec: ProcessSpec, x: float, t: float, n_terms: int | None = None,
-                    interval: Interval | None = None) -> float:
+def killed_survival(spec: ProcessSpec, x: float, t: float) -> float:
     """P_x(exit time > t) by eigenexpansion of the killed drifted generator.
 
     Eigenvalues sigma^2 k^2 pi^2 / (2 L^2) + mu^2 / (2 sigma^2) with
     eigenfunctions exp(-mu (x-a)/sigma^2) sin(k pi (x-a)/L); the projection
     weights are the closed-form integrals of exp(+mu (y-a)/sigma^2)
-    sin(k pi (y-a)/L).  Truncated at ``n_terms`` (default
-    ``SURVIVAL_N_TERMS``); emits :class:`TruncationWarning` when the
-    geometric tail bound exceeds ``SURVIVAL_TAIL_WARN``.  ``interval`` restricts the exit problem to a
-    sub-interval (the restart measure is irrelevant to the killed process).
+    sin(k pi (y-a)/L).  The series sizes itself (:func:`_survival_grid`).
 
     Raises:
-        OutOfDomain: x outside the (possibly overridden) open interval, or
-            t < 0.
+        OutOfDomain: x outside the open interval, or t < 0.
         SeriesOverflow: a term exceeds double range at t > 0 (large
-            mu (L - u) / sigma^2 at small t).
+            mu (L - u) / sigma^2 at small t), or the series outgrows
+            ``SURVIVAL_MAX_ENTRIES``.
     """
-    val = float(_survival_grid(spec, [x], np.array([t]), n_terms, interval)[0, 0])
-    if t > 0.0:
-        iv = interval or spec.interval
-        n = n_terms or SURVIVAL_N_TERMS
-        _warn_survival_tail(spec, x - iv.a, iv.length, n, t)
-    return val
+    return float(_survival_grid(spec, [x], [t])[0, 0])
 
 
-def _warn_survival_tail(spec: ProcessSpec, u: float, L: float, n: int, t: float) -> None:
-    beta = spec.mu / spec.sigma**2
-    w1 = (n + 1) * math.pi / L
-    lam1 = 0.5 * spec.sigma**2 * w1**2 + spec.mu**2 / (2.0 * spec.sigma**2)
-    m1 = (2.0 / L) * w1 / (beta**2 + w1**2) * (
-        math.exp(min(700.0, -beta * u - lam1 * t))
-        + math.exp(min(700.0, beta * (L - u) - lam1 * t))
-    )
-    w2 = (n + 2) * math.pi / L
-    lam2 = 0.5 * spec.sigma**2 * w2**2 + spec.mu**2 / (2.0 * spec.sigma**2)
-    ratio = math.exp(-(lam2 - lam1) * t) * (n + 2) / (n + 1)
-    if ratio >= 1.0:
-        warnings.warn(TruncationWarning("survival tail bound diverges at this t"))
-        return
-    if m1 / (1.0 - ratio) > SURVIVAL_TAIL_WARN:
-        warnings.warn(TruncationWarning(
-            f"survival tail bound {m1 / (1.0 - ratio):.3e} above threshold"))
+def killed_survival_grid(spec: ProcessSpec, x: float, ts: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`killed_survival`, with the same errors."""
+    return _survival_grid(spec, [x], ts)[:, 0]
 
 
-def killed_survival_grid(spec: ProcessSpec, x: float, ts: np.ndarray,
-                         n_terms: int | None = None,
-                         interval: Interval | None = None) -> np.ndarray:
-    """Vectorized :func:`killed_survival`; silent, as the tail bound diverges at t = 0.
-
-    Raises:
-        OutOfDomain: x outside the (possibly overridden) open interval, or a
-            negative time.
-    """
-    return _survival_grid(spec, [x], ts, n_terms, interval)[:, 0]
-
-
-def _survival_grid(spec, xs, ts, n_terms, interval) -> np.ndarray:
+def _survival_grid(spec: ProcessSpec, xs, ts) -> np.ndarray:
     """Eigenexpansion shared by the survival functions: one row per time in
     ts, one column per start in xs.  The k-th term is
         (2/L) sin(omega_k u) * omega_k / (beta^2 + omega_k^2)
@@ -232,17 +194,30 @@ def _survival_grid(spec, xs, ts, n_terms, interval) -> np.ndarray:
     Its time factor exp(-(lam_k - lam_1) t) is the same for every start, so
     each bracket is one matrix product over k, scaled afterwards by
     exp(-beta u - lam_1 t) or exp(beta (L - u) - lam_1 t).  Those exponents
-    stay combined, so large drifts cannot overflow prematurely.
+    stay combined, so large drifts cannot overflow prematurely.  Every term
+    is at most exp(top - lam_k t), top = max over xs of max(-beta u,
+    beta (L - u)), so the series ends at the first k with lam_k t - top >
+    53 ln 2 at the smallest positive t (k = 1 if there is none).  Before
+    anything is allocated, k len(ts) > SURVIVAL_MAX_ENTRIES raises.
     """
     ts = np.asarray(ts, dtype=float)
     if (ts < 0.0).any():
         raise OutOfDomain("time must be nonnegative")
-    iv = interval or spec.interval
-    _require_inside(iv, *xs)
-    n = n_terms or SURVIVAL_N_TERMS
-    L = iv.length
-    u = np.asarray(xs, dtype=float) - iv.a
+    _require_inside(spec.interval, *xs)
+    L = spec.length
+    u = np.asarray(xs, dtype=float) - spec.a
     beta = spec.mu / spec.sigma**2
+    n = 1.0
+    if (ts > 0.0).any():
+        t_min = ts[ts > 0.0].min()
+        reach = (53.0 * math.log(2.0) + np.maximum(-beta * u, beta * (L - u)).max()
+                 - spec.mu**2 * t_min / (2.0 * spec.sigma**2))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            k = L / math.pi * np.sqrt(2.0 * max(reach, 0.0) / (spec.sigma**2 * t_min))
+        n = max(n, np.ceil(k))
+    if n * ts.size > SURVIVAL_MAX_ENTRIES:
+        raise SeriesOverflow(f"survival series needs {n:.4g} terms at each of {ts.size} "
+                             f"times, above its budget of {SURVIVAL_MAX_ENTRIES}")
     omega = np.arange(1, n + 1, dtype=float) * math.pi / L
     lam = 0.5 * spec.sigma**2 * omega**2 + spec.mu**2 / (2.0 * spec.sigma**2)
     base = (2.0 / L) * np.sin(np.outer(omega, u)) * (omega / (beta**2 + omega**2))[:, None]
@@ -271,21 +246,31 @@ def fast_coupling_bound(spec: ProcessSpec, t: float) -> float:
     """Upper bound on the total-variation distance between mirrored starts.
 
     exp((b-a)/2 * mu/sigma^2) * exp(-mu^2 t / (2 sigma^2)); valid for
-    positive drift and a centered single-atom restart.
+    positive drift and a centered single-atom restart.  Raises
+    :class:`SeriesOverflow` where the exponent leaves double range.
     """
     _require_centered(spec)
     if not spec.mu > 0.0:
         raise RequiresPositiveDrift("bound needs mu > 0")
     if t < 0.0:
         raise OutOfDomain("time must be nonnegative")
-    lam = spec.mu**2 / (2.0 * spec.sigma**2)
-    return math.exp(0.5 * spec.length * spec.mu / spec.sigma**2 - lam * t)
+    top = 0.5 * spec.length * spec.mu / spec.sigma**2 - spec.mu**2 / (2.0 * spec.sigma**2) * t
+    try:
+        return math.exp(top)
+    except OverflowError:
+        raise SeriesOverflow(f"coupling bound overflows at t = {t:.6g}: exponent "
+                             f"{top:.1f} (exp overflows above 709.8)") from None
+
+
+def _plateau(spec: ProcessSpec) -> float:
+    """8 sigma^2 pi^2 / L^2, read without any requirement on the restart."""
+    return 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2
 
 
 def theoretical_gap(spec: ProcessSpec) -> float:
     """Drift-independent plateau value 8 sigma^2 pi^2 / (b-a)^2."""
     _require_centered(spec)
-    return 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2
+    return _plateau(spec)
 
 
 def conjectured_threshold(spec: ProcessSpec) -> float:
@@ -304,7 +289,5 @@ def coupling_tail_bound_rate(spec: ProcessSpec) -> float:
     conjectured threshold drift.
     """
     _require_centered(spec)
-    L = spec.length
-    stage3 = 2.0 * spec.sigma**2 * math.pi**2 / L**2 + spec.mu**2 / (2.0 * spec.sigma**2)
-    stage2 = 8.0 * spec.sigma**2 * math.pi**2 / L**2
-    return min(stage3, stage2)
+    stage3 = 2.0 * spec.sigma**2 * math.pi**2 / spec.length**2 + spec.mu**2 / (2.0 * spec.sigma**2)
+    return min(stage3, _plateau(spec))

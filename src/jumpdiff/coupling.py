@@ -36,7 +36,7 @@ from .errors import (
     RequiresPositiveDrift,
     StageBudgetExceeded,
 )
-from .model import Interval, ProcessSpec, RateFit
+from .model import Interval, JumpDistribution, ProcessSpec, RateFit
 from .simulate import (
     RngStream,
     _check_counts,
@@ -407,10 +407,12 @@ def convolution_bound_check(spec: ProcessSpec, j_halfwidth: float | None, t_grid
     _check_counts(n_paths)
     taus = _window_exit_times(RngStream(seed, 0).generator().random(n_paths), h)
 
-    sub = Interval(spec.a, x0)
+    # the killed law on (a, x0) never reads its restart atom
+    fast = ProcessSpec(Interval(spec.a, x0), spec.sigma, spec.mu,
+                       JumpDistribution.delta(0.5 * (spec.a + x0)))
     xs = np.linspace(spec.a, x0, 35)[1:-1]
     us = np.linspace(0.0, t_grid[-1], 2001)
-    sup_surv = _survival_grid(spec, xs, us, 128, sub).max(axis=1)
+    sup_surv = _survival_grid(fast, xs, us).max(axis=1)
 
     rows = []
     excesses = []

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import dirichlet_bottom
+from .analytic import _plateau, dirichlet_bottom
 from .errors import BoxTooSmall, ConfigError, ContourThroughZero, JumpdiffError
 from .model import DEFAULT_CONFIG, ComplexEigenvalue, ProcessSpec, SolverConfig
 
@@ -644,7 +644,7 @@ def auto_re_max(spec: ProcessSpec) -> float:
     The second term is the plateau value, here without the centered-restart
     requirement of :func:`analytic.theoretical_gap`.
     """
-    return 2.0 * max(dirichlet_bottom(spec), 8.0 * spec.sigma**2 * math.pi**2 / spec.length**2)
+    return 2.0 * max(dirichlet_bottom(spec), _plateau(spec))
 
 
 def _gap_window(f: CharDeterminant) -> tuple[int, Box, float]:
@@ -667,7 +667,7 @@ def _gap_window(f: CharDeterminant) -> tuple[int, Box, float]:
     x = f.re_q_bound()
     sig2 = spec.sigma**2
     cap = auto_re_max(spec)
-    re_max = 0.6 * 8.0 * sig2 * math.pi**2 / spec.length**2
+    re_max = 0.6 * _plateau(spec)
     while True:
         re_max = min(re_max, cap)
         im_max = x * math.sqrt(2.0 * sig2 * re_max - spec.mu**2 + sig2**2 * x**2)

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Every error raised by jumpdiff derives from :class:`JumpdiffError`, so callers
-can catch one type at the CLI boundary.  ``TruncationWarning`` is a
-``Warning`` because a truncated eigenexpansion still returns a usable value.
+can catch one type at the CLI boundary.
 """
 
 
@@ -43,11 +42,7 @@ class RequiresCenteredDelta(JumpdiffError):
 
 
 class SeriesOverflow(JumpdiffError):
-    """Eigenexpansion terms overflow double precision at the requested time."""
-
-
-class TruncationWarning(Warning):
-    """Eigenexpansion tail bound exceeded the reporting threshold."""
+    """A closed form leaves double range, or its series outgrows its term budget."""
 
 
 # --- eigensolver -----------------------------------------------------------

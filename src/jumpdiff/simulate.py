@@ -297,15 +297,15 @@ def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
     for _ in range(WINDOW_NEWTON_BUDGET):
         if not idx.size:
             break
-        n_terms = int(np.searchsorted(rate - rate[0], WINDOW_TERM_CUT / t.min()))
-        e = np.outer(t, -rate[:n_terms])
+        kept = int(np.searchsorted(rate - rate[0], WINDOW_TERM_CUT / t.min()))
+        e = np.outer(t, -rate[:kept])
         np.exp(e, out=e)
-        resid = e @ coef[:n_terms] - v
+        resid = e @ coef[:kept] - v
         below_root = resid > 0.0            # S decreases in T
         lo = np.where(below_root, t, lo)
         hi = np.where(below_root, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / (e @ slope[:n_terms])
+            step = resid / (e @ slope[:kept])
         t_new = t + step
         done = (np.abs(step) <= 1e-14 * t) | (np.abs(resid) <= 1e-15 * v)
         t_new = np.where(done | ((t_new > lo) & (t_new < hi)), t_new, 0.5 * (lo + hi))
@@ -488,7 +488,7 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     # refuse upfront instead of burning the proposal budget
     window = ProcessSpec(Interval(-half_j, half_j), 1.0, 0.0,
                          JumpDistribution.delta(0.0))
-    est_accept = killed_survival(window, 0.0, t_n, n_terms=256)
+    est_accept = killed_survival(window, 0.0, t_n)
     if est_accept < REJECTION_MIN_ACCEPT:
         raise RejectionBudgetExceeded(
             f"window-survival acceptance {est_accept:.2e} below {REJECTION_MIN_ACCEPT}")

@@ -2,8 +2,9 @@ import math
 import os
 import subprocess
 import sys
-import warnings
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -29,7 +30,6 @@ from jumpdiff.errors import (
     RequiresCenteredDelta,
     RequiresPositiveDrift,
     SeriesOverflow,
-    TruncationWarning,
 )
 from jumpdiff.model import Interval, JumpDistribution, ProcessSpec, unit_spec
 from jumpdiff.simulate import RngStream, exit_time_ensemble
@@ -178,7 +178,7 @@ def test_green_occupation_identity():
     # cross-checked against the survival-function integral
     for spec, x in ((unit_spec(0.0), 0.5), (unit_spec(3.0), 0.3)):
         e_tau = mean_exit_time(spec, x)
-        from_survival, _ = quad(lambda t: killed_survival(spec, x, t, n_terms=256),
+        from_survival, _ = quad(lambda t: killed_survival(spec, x, t),
                                 0.0, 40.0, limit=400)
         assert e_tau == pytest.approx(from_survival, rel=1e-6)
 
@@ -250,6 +250,7 @@ def test_dirichlet_bottom_examples():
 
 def test_killed_survival_at_zero_is_one(spec0):
     assert killed_survival(spec0, 0.5, 0.0) == 1.0
+    assert killed_survival_grid(spec0, 0.5, [0.0, 1e-5, 0.1])[0] == 1.0
 
 
 def test_killed_survival_monotone_and_bounded(spec20):
@@ -277,19 +278,42 @@ def test_killed_survival_tail_rate():
     assert rates[-1] == pytest.approx(PI2 / 2 + 0.5, rel=1e-3)
 
 
-def test_killed_survival_truncation_warning(spec0):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        killed_survival(spec0, 0.5, 1e-5, n_terms=4)
-    assert any(issubclass(w.category, TruncationWarning) for w in caught)
+def _survival_by_images(x, t) -> mpmath.mpf:
+    """P_x(exit time > t) for Brownian motion killed outside (0, 1), by the
+    method of images: sum_n [Phi((1 - x + 2n) / sqrt t) - Phi((2n - x) / sqrt t)
+    - Phi((1 + x + 2n) / sqrt t) + Phi((x + 2n) / sqrt t)]."""
+    r = 1 / mpmath.sqrt(t)
+    return mpmath.fsum(mpmath.ncdf((1 - x + 2 * n) * r) - mpmath.ncdf((2 * n - x) * r)
+                       - mpmath.ncdf((1 + x + 2 * n) * r) + mpmath.ncdf((x + 2 * n) * r)
+                       for n in range(-20, 21))
+
+
+def test_killed_survival_small_t_matches_image_series():
+    # the image series shares no code with the eigenexpansion; at small t the
+    # eigenexpansion needs hundreds of terms, which it must find by itself
+    spec = unit_spec(0.0)
+    with mpmath.workdps(40):
+        for x, t in ((0.5, 1e-5), (0.01, 1e-4), (0.05, 1e-3), (0.3, 0.0064), (0.5, 0.1)):
+            exact = float(_survival_by_images(mpmath.mpf(x), mpmath.mpf(t)))
+            assert abs(killed_survival(spec, x, t) - exact) <= 1e-14, (x, t)
+
+
+def test_killed_survival_series_budget_raises_before_allocating():
+    ts = 1e-6 * np.linspace(0.0, 1.0, 10_001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SeriesOverflow, match="budget"):
+            killed_survival_grid(unit_spec(0.0), 0.5, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_killed_survival_is_one_point_grid(spec20):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for t in (0.0, 1e-3, 0.05, 0.4):
-            for x in (0.2, 0.5, 0.8):
-                assert killed_survival(spec20, x, t) == killed_survival_grid(spec20, x, [t])[0]
+    for t in (0.0, 1e-3, 0.05, 0.4):
+        for x in (0.2, 0.5, 0.8):
+            assert killed_survival(spec20, x, t) == killed_survival_grid(spec20, x, [t])[0]
 
 
 def test_killed_survival_overflow_raises_instead_of_nan():
@@ -304,13 +328,6 @@ def test_killed_survival_overflow_raises_instead_of_nan():
     assert killed_survival_grid(spec, 0.25, [0.0])[0] == 1.0
 
 
-def test_killed_survival_grid_does_not_warn_from_zero(spec0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWarning)
-        vals = killed_survival_grid(spec0, 0.5, [0.0, 1e-5, 0.1], n_terms=4)
-    assert vals[0] == 1.0
-
-
 def test_killed_survival_rejects_negative_time():
     spec = unit_spec(5.0)
     for t in (-0.1, -1e-3):
@@ -318,13 +335,6 @@ def test_killed_survival_rejects_negative_time():
             killed_survival(spec, 0.5, t)
         with pytest.raises(OutOfDomain):
             killed_survival_grid(spec, 0.5, [0.0, t, 0.1])
-
-
-def test_killed_survival_interval_override(spec20):
-    sub = Interval(0.0, 0.5)
-    full = killed_survival(spec20, 0.25, 0.01, interval=sub)
-    same = killed_survival(make_spec(b=0.5, mu=20.0, atoms=((0.25, 1.0),)), 0.25, 0.01)
-    assert full == pytest.approx(same, rel=1e-12)
 
 
 # --- explicit drift-dependent bounds ----------------------------------------
@@ -343,6 +353,15 @@ def test_fast_coupling_bound_preconditions():
         fast_coupling_bound(unit_spec(0.0), 1.0)
     with pytest.raises(RequiresCenteredDelta):
         fast_coupling_bound(make_spec(mu=4.0, atoms=((0.4, 1.0),)), 1.0)
+
+
+def test_fast_coupling_bound_overflow_is_typed():
+    # exponent L mu / (2 sigma^2) - mu^2 t / (2 sigma^2) = 10^4 - 2 10^6 t
+    spec = make_spec(sigma=0.1, mu=200.0)
+    for t in (0.0, 1e-4, 1e-3):
+        with pytest.raises(SeriesOverflow, match="exponent"):
+            fast_coupling_bound(spec, t)
+    assert fast_coupling_bound(spec, 5e-3) == pytest.approx(1.0)
 
 
 def test_theoretical_gap_examples():

@@ -135,3 +135,21 @@ def test_every_config_field_is_read():
     for record in (SolverConfig, ExperimentConfig):
         unread = [f.name for f in dataclasses.fields(record) if f.name not in read]
         assert unread == [], f"{record.__name__} fields nobody reads: {unread}"
+
+
+def test_every_module_constant_is_read():
+    # an UPPER_CASE module constant that no Name or Attribute load in the
+    # package reads is a knob that does nothing
+    import jumpdiff
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(jumpdiff.__file__).parent.glob("*.py")]
+    assigned = {target.id
+                for tree in trees for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name) and target.id.isupper()}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert assigned, "no module constants found"
+    assert sorted(assigned - loaded) == []
