@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -250,7 +251,6 @@ def test_dirichlet_bottom_examples():
 
 def test_killed_survival_at_zero_is_one(spec0):
     assert killed_survival(spec0, 0.5, 0.0) == 1.0
-    assert killed_survival_grid(spec0, 0.5, [0.0, 1e-5, 0.1])[0] == 1.0
 
 
 def test_killed_survival_monotone_and_bounded(spec20):
@@ -326,6 +326,13 @@ def test_killed_survival_overflow_raises_instead_of_nan():
         killed_survival_grid(spec, 0.25, [0.0, 0.0064, 0.1])
     # at t = 0 the value is 1 by definition and nothing is raised
     assert killed_survival_grid(spec, 0.25, [0.0])[0] == 1.0
+
+
+def test_killed_survival_grid_does_not_warn_from_zero(spec0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = killed_survival_grid(spec0, 0.5, [0.0, 1e-5, 0.1])
+    assert vals[0] == 1.0
 
 
 def test_killed_survival_rejects_negative_time():
