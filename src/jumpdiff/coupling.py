@@ -34,7 +34,7 @@ from .errors import (
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
-    StageBudgetExceeded,
+    StepBudgetExceeded,
 )
 from .model import Interval, JumpDistribution, ProcessSpec, RateFit
 from .simulate import (
@@ -43,12 +43,12 @@ from .simulate import (
     _check_dt,
     _check_times,
     _hits,
+    _step_count,
     _window_exit_times,
     fit_rate,
 )
 
 STAGE_LABELS = {1: "I", 2: "II", 3: "III"}
-STAGE_STEP_BUDGET = 100_000_000     # pair-steps one coupling run may take
 COALESCE_TOL_STEPS = 0.5            # meet tolerance = COALESCE_TOL_STEPS * sigma * sqrt(dt)
 
 
@@ -102,7 +102,7 @@ class _CouplingResult:
 
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
                   gen: np.random.Generator, horizon: float,
-                  trace: list | None = None, snapshot_step: int | None = None):
+                  trace: list | None = None, snapshot: bool = False):
     """March n coupled pairs to the horizon, every stage by one step rule.
 
     A pair is the upper copy's position ``hi``, the gap ``g >= 0`` and
@@ -119,12 +119,14 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     restart leaves the gap within the meet tolerance; from stage III on an
     exit puts both copies at x0; reaching half sets the gap to half.
 
-    Coalesced pairs are dropped from the working set (the aggregation is a
-    commutative merge keyed by original index), except in snapshot mode,
-    where they keep evolving as single restarted paths so the x-marginal at
-    ``snapshot_step`` has the process law.  Optionally records a per-step
-    trace (n == 1 only).
+    Pairs that start within the meet tolerance coalesce at t = 0.  Coalesced
+    pairs are dropped from the working set (the aggregation is a commutative
+    merge keyed by original index), except in snapshot mode, where they keep
+    evolving as single restarted paths so the x-positions returned at the
+    horizon have the process law.  Optionally records a per-step trace (n ==
+    1 only).
     """
+    n_steps = _step_count(n, horizon, dt)
     a, b, x0 = spec.a, spec.b, spec.nu.locations[0]
     half = 0.5 * spec.length
     sig_sqrt_dt = spec.sigma * math.sqrt(dt)
@@ -139,26 +141,18 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     x_up = np.zeros(n, dtype=bool)
     stage = np.ones(n, dtype=np.int8)
     orig = np.arange(n)
-    snapshot = np.full(n, np.nan) if snapshot_step is not None else None
-    if np.isclose(x, y):
+    if y - x <= tol0:
         for tau in (res.tau_1, res.tau_2, res.tau_c):
             tau[:] = 0.0
         res.coalesced_stage[:] = 1
-        if snapshot is None:
+        if not snapshot:
             return res, None
         hi[:], g[:], stage[:] = x, 0.0, 4
 
-    n_steps = int(round(horizon / dt))
-    work = 0
     for step in range(n_steps):
         if not hi.size:
             break
         t = (step + 1) * dt
-        # the budget guards the coupling stages; the post-coalescence march
-        # in snapshot mode is bounded by n * snapshot_step by construction
-        work += int((stage < 4).sum()) if snapshot is not None else hi.size
-        if work > STAGE_STEP_BUDGET:
-            raise StageBudgetExceeded(f"coupling exceeded the step budget {STAGE_STEP_BUDGET}")
         z = gen.standard_normal(hi.size)
         opp = stage <= 2                # the copies take opposite noise signs
         dw = sig_sqrt_dt * z            # the upper copy's noise
@@ -214,18 +208,15 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         stage[to3] = 3
         res.tau_2[orig[to3]] = t
 
-        if snapshot is None:
-            if done.size:
-                keep = stage < 4
-                hi, g, x_up, stage, orig = hi[keep], g[keep], x_up[keep], stage[keep], orig[keep]
-        elif step + 1 == snapshot_step:
-            snapshot[:] = np.where(x_up, hi, hi - g)
+        if done.size and not snapshot:
+            keep = stage < 4
+            hi, g, x_up, stage, orig = hi[keep], g[keep], x_up[keep], stage[keep], orig[keep]
 
         if trace is not None and hi.size:
             pair = (float(hi[0]), float(hi[0] - g[0]))
             trace.append((t, *(pair if x_up[0] else pair[::-1]), int(stage[0]), float(z[0])))
 
-    return res, snapshot
+    return res, (np.where(x_up, hi, hi - g) if snapshot else None)
 
 
 def _check_staged_inputs(spec: ProcessSpec, x: float, y: float, dt: float) -> None:
@@ -252,7 +243,7 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng: RngSt
     horizon = 64.0 * spec.length**2 / spec.sigma**2
     res, _ = _run_coupling(spec, x, y, 1, dt, gen, horizon, trace=rows)
     if not np.isfinite(res.tau_c[0]):
-        raise StageBudgetExceeded("pair did not coalesce within the step budget")
+        raise StepBudgetExceeded(f"pair did not coalesce within t={horizon:.6g}")
     record = CouplingRecord(
         tau_I=float(res.tau_1[0]), tau_II=float(res.tau_2[0]),
         tau_coup=float(res.tau_c[0]),
@@ -279,8 +270,7 @@ def coupling_marginal(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: f
     _check_counts(n_pairs)
     _check_times([t])
     gen = RngStream(seed, 0).generator()
-    step = int(round(t / dt))
-    _, snap = _run_coupling(spec, x, y, n_pairs, dt, gen, t, snapshot_step=step)
+    _, snap = _run_coupling(spec, x, y, n_pairs, dt, gen, t, snapshot=True)
     return snap
 
 
@@ -328,6 +318,7 @@ def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
     if not interval.contains(y):
         raise OutOfDomain(f"start {y} outside open interval")
     t_grid = _check_times(t_grid)
+    n_steps = _step_count(n_paths, t_grid[-1], dt)
     a, b = interval.a, interval.b
     x0 = interval.midpoint
     m = 0.5 * (y - x0)                  # B level at which the copies meet
@@ -343,7 +334,6 @@ def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
     tau_y = np.full(n_paths, np.inf)
     tau_c = np.full(n_paths, np.inf)
     sgn = 1.0 if m >= 0.0 else -1.0
-    n_steps = int(round(t_grid[-1] / dt))
     for step in range(n_steps):
         if not live.size:
             break

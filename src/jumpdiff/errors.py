@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised by jumpdiff derives from :class:`JumpdiffError`, so callers
-can catch one type at the CLI boundary.
+can catch one type at the CLI boundary; every sampler's one path-step budget
+ends in :class:`StepBudgetExceeded`.
 """
 
 
@@ -61,8 +62,8 @@ class NonpositiveDt(JumpdiffError):
     """Time step must be strictly positive."""
 
 
-class HorizonExceeded(JumpdiffError):
-    """Exit sampling ran past the diagnostic step budget."""
+class StepBudgetExceeded(JumpdiffError):
+    """A sampler run needs more path-steps than its budget."""
 
 
 class WindowTooSparse(JumpdiffError):
@@ -74,11 +75,7 @@ class BelowNoiseFloor(JumpdiffError):
 
 
 class RejectionBudgetExceeded(JumpdiffError):
-    """Conditioned-path rejection sampling acceptance fell below budget."""
-
-
-class StageBudgetExceeded(JumpdiffError):
-    """Coupling construction exceeded its step budget."""
+    """Analytic acceptance of the conditioned-path rejection is below its floor."""
 
 
 # --- experiments -----------------------------------------------------------

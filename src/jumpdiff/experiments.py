@@ -24,16 +24,6 @@ from .model import ProcessSpec
 from .simulate import default_dt, ensemble_tv, fit_rate, verify_pathwise_lemma
 from .svgplot import line_plot
 
-EXPERIMENTS = (
-    "gap-sweep",
-    "spectrum",
-    "invariant",
-    "tv-decay",
-    "coupling-tail",
-    "lemma6-check",
-    "convolution-check",
-)
-
 # fraction of the interval length excluded around each restart atom and ahead
 # of the drift-side boundary when comparing against the large-drift limit
 # (the finite-drift density has a boundary layer there for every drift)
@@ -461,6 +451,7 @@ _BODIES = {
     "lemma6-check": _run_lemma6,
     "convolution-check": _run_convolution,
 }
+EXPERIMENTS = tuple(_BODIES)
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:

@@ -11,7 +11,9 @@ statistics converge at O(dt) instead of O(sqrt(dt)).  Exits are attributed
 to the end of the step in which they are detected, and the restart position
 is the recorded state at that grid time.  The one law sampled without steps
 is the exit time of standard Brownian motion from a symmetric window
-(:func:`_window_exit_times`), drawn exactly by inverting its series.
+(:func:`_window_exit_times`), drawn exactly by inverting its series.  Every
+stepping engine sizes its run with :func:`_step_count`, which refuses paths
+times steps over the one budget ``PATH_STEP_BUDGET`` before allocating.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -33,12 +35,12 @@ from .analytic import invariant_density_grid, killed_survival
 from .errors import (
     BelowNoiseFloor,
     ConfigError,
-    HorizonExceeded,
     NonpositiveDt,
     OutOfDomain,
     RejectionBudgetExceeded,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
+    StepBudgetExceeded,
     WindowTooSparse,
 )
 from .model import (
@@ -50,7 +52,7 @@ from .model import (
 
 LEFT, RIGHT = 0, 1
 DT_SCALE = 1e-4                     # default dt = DT_SCALE * (L / sigma)^2
-EXIT_STEP_BUDGET = 1_000_000_000    # steps an uncensored exit search may take
+PATH_STEP_BUDGET = 2**32            # paths times steps one sampler run may take
 REJECTION_MIN_ACCEPT = 1e-6         # lowest acceptance the conditioned-path check runs at
 WINDOW_TERMS = 64                   # terms of the window survival series
 WINDOW_TERM_CUT = 40.0              # a Newton round drops terms below e^-40 of the first
@@ -211,6 +213,18 @@ def _check_dt(dt: float) -> None:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
 
 
+def _step_count(paths: int, t: float, dt: float) -> int:
+    """Steps of dt to time t; StepBudgetExceeded if paths * max(1, t / dt),
+    the worst case with every path held at least one step, exceeds
+    PATH_STEP_BUDGET.  The comparison is in floating point, so a t / dt that
+    overflows to inf, or an infinite t, is refused rather than converted."""
+    steps = t / dt
+    if not paths * max(steps, 1.0) <= PATH_STEP_BUDGET:
+        raise StepBudgetExceeded(f"{paths} paths to t={t:.6g} at dt={dt:.6g} "
+                                 f"exceed {PATH_STEP_BUDGET} path-steps")
+    return int(round(steps))
+
+
 def _check_counts(n: int, bins: int | None = None) -> None:
     """Refuse an empty ensemble (fewer than one path or pair) or fewer than 32 bins."""
     if not n >= 1:
@@ -235,6 +249,7 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
     """Vectorized exit sampling: (exit times, sides) over n_paths starts at x0.
 
     Paths still alive at the horizon get tau = +inf and side = -1 (censored).
+    Without a horizon, a path inside after the budget raises StepBudgetExceeded.
     ``bridge=False`` counts only steps that end outside, so exits are detected
     late (test instrumentation for the size of the bridge correction).
     """
@@ -244,7 +259,10 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
     if not spec.interval.contains(x0):
         raise OutOfDomain(f"start {x0} outside open interval")
     censoring = np.isfinite(horizon)
-    max_steps = int(round(horizon / dt)) if censoring else EXIT_STEP_BUDGET
+    # without a horizon the run may spend the whole budget
+    max_steps = _step_count(n_paths, horizon if censoring else 0.0, dt)
+    if not censoring:
+        max_steps = PATH_STEP_BUDGET // n_paths
     gen = rng.generator()
     taus = np.full(n_paths, np.inf)
     sides = np.full(n_paths, -1, dtype=np.int8)
@@ -264,7 +282,7 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
             idx = idx[keep]
             x = x[keep]
     if not censoring and (sides < 0).any():
-        raise HorizonExceeded("exit sampling ran past the step budget")
+        raise StepBudgetExceeded(f"paths still inside after {max_steps} steps")
     return taus, sides
 
 
@@ -360,11 +378,12 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
         OutOfDomain: a time is negative, or the start lies outside (a, b).
         ConfigError: the time grid is empty, two times snap to the same step,
             there are no paths or fewer than 32 bins.
+        StepBudgetExceeded: paths times steps exceed ``PATH_STEP_BUDGET``.
     """
     _check_dt(dt)
     _check_counts(n_paths, bins)
     times = _check_times(times)
-    steps = [int(round(t / dt)) for t in times]
+    steps = [_step_count(n_paths, t, dt) for t in times]
     snapped = list(zip(steps, times))
     for (k0, t0), (k1, t1) in zip(snapped, snapped[1:]):
         if k0 == k1:
@@ -472,8 +491,9 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     and 0 up to discretization slack.
 
     Raises:
-        RejectionBudgetExceeded: conditional acceptance below
+        RejectionBudgetExceeded: the analytic acceptance is below
             ``REJECTION_MIN_ACCEPT``.
+        StepBudgetExceeded: proposals times steps exceed ``PATH_STEP_BUDGET``.
     """
     _check_lemma_inputs(spec, dt)
     _check_counts(n_paths)
@@ -482,10 +502,9 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     gap = b - x0
     half_j = gap / (4.0 * spec.sigma)
     t_n = gap * n / spec.mu
-    n_steps = max(1, int(round(t_n / dt)))
 
     # the acceptance probability is the window survival, known analytically;
-    # refuse upfront instead of burning the proposal budget
+    # refuse upfront instead of burning the path-step budget
     window = ProcessSpec(Interval(-half_j, half_j), 1.0, 0.0,
                          JumpDistribution.delta(0.0))
     est_accept = killed_survival(window, 0.0, t_n)
@@ -505,8 +524,7 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     batch = max(4096, min(200_000, 8 * n_paths))
     while accepted < n_paths:
         proposals += batch
-        if proposals > max(batch, n_paths / REJECTION_MIN_ACCEPT):
-            raise RejectionBudgetExceeded(f"acceptance below {REJECTION_MIN_ACCEPT}")
+        n_steps = max(1, _step_count(proposals, t_n, dt))
         # bm, xs and ys hold the proposals whose window motion is still
         # inside, in batch order
         bm = np.zeros(batch)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpdiff import coupling
+from jumpdiff import simulate
 from jumpdiff.coupling import (
     CouplingRecord,
     TailTable,
@@ -18,7 +18,7 @@ from jumpdiff.errors import (
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
-    StageBudgetExceeded,
+    StepBudgetExceeded,
 )
 from jumpdiff.model import Interval, unit_spec
 from jumpdiff.simulate import RngStream, ensemble_snapshots, ensemble_tv
@@ -48,6 +48,20 @@ def test_equal_starts_coalesce_immediately(spec20):
     rec = staged_coupling(spec20, 0.4, 0.4, 1e-3, RngStream(1))
     assert rec.coalesced_in_stage == "I"
     assert rec.tau_coup == 0.0
+
+
+def test_start_meet_test_does_not_depend_on_the_offset():
+    # starts half a length apart never meet at t = 0, however far the
+    # interval sits from 0 (a relative tolerance of 1e-5 |y| glued them all
+    # on (1e5, 1e5 + 1))
+    surv = {}
+    for a in (0.0, 1e5):
+        spec = make_spec(a=a, b=a + 1.0, mu=20.0, atoms=((a + 0.5, 1.0),))
+        _, _, tau_c, _ = coupling_records(spec, a + 0.25, a + 0.75, 2000, 2e-4, 1, 0.03)
+        assert not (tau_c == 0.0).any()
+        surv[a] = float((tau_c > 0.03).mean())
+    se = math.sqrt(surv[0.0] * (1.0 - surv[0.0]) / 2000)
+    assert abs(surv[1e5] - surv[0.0]) <= 3.0 * se
 
 
 def test_staged_coupling_preconditions(spec20):
@@ -110,9 +124,9 @@ def test_stage_two_distance_moves_with_shared_noise_only(spec20):
 
 
 def test_stage_step_budget(spec20, monkeypatch):
-    # 10 pairs from (1/4, 3/4) cannot coalesce within 3 steps of 1e-4
-    monkeypatch.setattr(coupling, "STAGE_STEP_BUDGET", 25)
-    with pytest.raises(StageBudgetExceeded):
+    # 10 pairs to t = 1 at dt 1e-4 ask for 10^5 pair-steps, far over 25
+    monkeypatch.setattr(simulate, "PATH_STEP_BUDGET", 25)
+    with pytest.raises(StepBudgetExceeded):
         coupling_records(spec20, 0.25, 0.75, 10, 1e-4, 1, horizon=1.0)
 
 
@@ -153,6 +167,13 @@ def test_coupled_marginal_stays_inside_at_coarse_steps():
     # b; each must restart, so no copy is ever outside the interval
     xs = coupling_marginal(unit_spec(200.0), 0.25, 0.75, 4000, 2e-3, 3, 0.01)
     assert np.all((xs > 0.0) & (xs < 1.0))
+
+
+@pytest.mark.parametrize("t", [0.0, 4e-4])
+def test_coupled_marginal_within_half_a_step_is_the_start(spec20, t):
+    # t rounds to step 0 of dt = 1e-3: the x-copy has not moved
+    xs = coupling_marginal(spec20, 0.25, 0.75, 4, 1e-3, 1, t)
+    assert np.array_equal(xs, np.full(4, 0.25))
 
 
 def test_coupling_inequality_quick(spec0):

@@ -17,7 +17,7 @@ from jumpdiff.eigensolver import (
     gap_curve,
 )
 from jumpdiff.errors import BoxTooSmall, ConfigError, ContourThroughZero
-from jumpdiff.model import DEFAULT_CONFIG, unit_spec
+from jumpdiff.model import DEFAULT_CONFIG, unit_spec, validate_spec
 from tests.test_model import make_spec
 
 PI2 = math.pi**2
@@ -431,3 +431,23 @@ def test_scaling_law_via_determinant(rng):
     narrow = unit_spec(20.0)
     rep_narrow = find_spectrum(narrow, auto_re_max(narrow))
     assert rep_wide.gap == pytest.approx(rep_narrow.gap / 4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [0.0, 3.0, 11.0, 30.0, 60.0])
+def test_gap_metamorphic_relations(mu):
+    # no closed form for this spec: reflecting it (mu -> -mu, x -> a + b - x)
+    # keeps the gap, and the map (a, b, sigma, mu, atoms) -> (s + c a, s + c b,
+    # k sigma, k^2 mu / c, s + c atoms) is a time change by k^2 / c^2
+    a, b, atoms = 0.0, 1.0, ((0.2, 0.3), (0.45, 0.5), (0.8, 0.2))
+    c, k, s = 2.5, 1.7, -3.0
+
+    def gap(a, b, sigma, mu, atoms):
+        spec = validate_spec(make_spec(a=a, b=b, sigma=sigma, mu=mu, atoms=atoms))
+        return gap_curve(spec, [mu])[0][1]
+
+    base = gap(a, b, 1.0, mu, atoms)
+    mirrored = gap(a, b, 1.0, -mu, tuple((a + b - x, w) for x, w in atoms))
+    mapped = gap(s + c * a, s + c * b, k, k**2 * mu / c,
+                 tuple((s + c * x, w) for x, w in atoms))
+    assert mirrored == pytest.approx(base, rel=1e-10)
+    assert mapped == pytest.approx(k**2 / c**2 * base, rel=1e-10)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -172,6 +174,25 @@ def test_cli_solver_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, experiment="spectrum", re_max=1.0,
                        out=str(tmp_path / "out"))
     assert main(["spectrum", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("dt", [1e-320, 1e-9])
+@pytest.mark.parametrize("experiment, n_paths", [("tv-decay", 1000), ("coupling-tail", 10_000)])
+def test_cli_step_budget_is_a_solver_error(tmp_path, experiment, n_paths, dt):
+    # t / dt overflows to inf at 1e-320; at 1e-9 the first default grid time,
+    # 0.02, asks for 2e10 path-steps or more: one line on stdout, no traceback
+    cfg = write_config(tmp_path, experiment=experiment, n_paths=n_paths, dt=dt,
+                       out=str(tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "jumpdiff.cli", experiment, "--config", cfg],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 3
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error:")
+    assert "path-steps" in lines[0]
+    assert proc.stderr == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_spectrum_driftfree_wide_box(tmp_path):

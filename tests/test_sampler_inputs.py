@@ -4,7 +4,13 @@ typed error.
 A step dt <= 0 raises NonpositiveDt, a negative time or horizon raises
 OutOfDomain, and an empty time grid, an empty ensemble (fewer than one path
 or pair) or fewer than 32 bins raise ConfigError, before any path is drawn.
+A step so small, or an end time so large, that the paths times the steps
+exceed the path-step budget (t / dt overflowing to inf included) raises
+StepBudgetExceeded, also before any path is drawn, so within a second.
 """
+
+import math
+import time
 
 import pytest
 
@@ -16,7 +22,7 @@ from jumpdiff.coupling import (
     mirror_exit_dominance,
     staged_coupling,
 )
-from jumpdiff.errors import ConfigError, NonpositiveDt, OutOfDomain
+from jumpdiff.errors import ConfigError, NonpositiveDt, OutOfDomain, StepBudgetExceeded
 from jumpdiff.model import Interval, unit_spec
 from jumpdiff.simulate import (
     RngStream,
@@ -29,33 +35,38 @@ from jumpdiff.simulate import (
 SPEC = unit_spec(20.0)
 
 # entry -> (call at step dt and time grid ts, the inputs it takes);
-# single-time entries read ts[0]
+# single-time entries read ts[0]; "end" marks a time that must be finite
+# (an exit search without a horizon is uncensored, not refused)
 ENTRIES = {
     "exit_time_ensemble": (lambda dt, ts: exit_time_ensemble(
         SPEC, 0.5, 10, dt, RngStream(1), horizon=ts[0]), "dt time"),
     "ensemble_snapshots": (lambda dt, ts: ensemble_snapshots(
-        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "dt time grid"),
+        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "dt time end grid"),
     "ensemble_tv": (lambda dt, ts: ensemble_tv(
-        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "dt time grid"),
+        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "dt time end grid"),
     "verify_pathwise_lemma": (lambda dt, ts: verify_pathwise_lemma(
         SPEC, 1, 10, dt, 1), "dt"),
     "staged_coupling": (lambda dt, ts: staged_coupling(
         SPEC, 0.25, 0.75, dt, RngStream(1)), "dt"),
     "coupling_records": (lambda dt, ts: coupling_records(
-        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time"),
+        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time end"),
     "coupling_marginal": (lambda dt, ts: coupling_marginal(
-        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time"),
+        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time end"),
     "coupling_tail": (lambda dt, ts: coupling_tail(
-        SPEC, 0.25, 0.75, 10_000, dt, ts, 1), "dt time grid"),
+        SPEC, 0.25, 0.75, 10_000, dt, ts, 1), "dt time end grid"),
     "mirror_exit_dominance": (lambda dt, ts: mirror_exit_dominance(
-        Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "dt time grid"),
+        Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "dt time end grid"),
     "convolution_bound_check": (lambda dt, ts: convolution_bound_check(
         SPEC, None, ts, 10, 1), "time grid"),
 }
 
 BAD_INPUTS = {
-    "dt": [("dt=0", 0.0, [0.1], NonpositiveDt), ("dt<0", -1e-3, [0.1], NonpositiveDt)],
+    "dt": [("dt=0", 0.0, [0.1], NonpositiveDt), ("dt<0", -1e-3, [0.1], NonpositiveDt),
+           # t / dt overflows to inf; and 10 paths of 1e11 steps or more
+           ("dt=1e-320", 1e-320, [0.1], StepBudgetExceeded),
+           ("dt=1e-12", 1e-12, [0.1], StepBudgetExceeded)],
     "time": [("t<0", 1e-3, [-0.1, 0.1], OutOfDomain)],
+    "end": [("t=inf", 1e-3, [math.inf], StepBudgetExceeded)],
     "grid": [("empty", 1e-3, [], ConfigError)],
 }
 
@@ -67,8 +78,10 @@ CASES = [pytest.param(call, dt, ts, exc, id=f"{name}-{label}")
 
 @pytest.mark.parametrize("call, dt, ts, exc", CASES)
 def test_bad_step_or_times_raise_typed_errors(call, dt, ts, exc):
+    start = time.perf_counter()
     with pytest.raises(exc):
         call(dt, ts)
+    assert time.perf_counter() - start < 1.0
 
 
 # entry -> call with n paths or pairs; the other inputs are valid

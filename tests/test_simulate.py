@@ -12,10 +12,10 @@ from jumpdiff import coupling, simulate
 from jumpdiff.analytic import invariant_density_grid, killed_survival, mean_exit_time
 from jumpdiff.errors import (
     BelowNoiseFloor,
-    HorizonExceeded,
     NonpositiveDt,
     OutOfDomain,
     RejectionBudgetExceeded,
+    StepBudgetExceeded,
     WindowTooSparse,
 )
 from jumpdiff.model import Interval, JumpDistribution, ProcessSpec, unit_spec
@@ -190,6 +190,26 @@ def test_one_crossing_rule_and_no_dense_uniform_blocks():
     assert barrier_tests == []
 
 
+def test_one_step_count_for_every_sampler():
+    # every engine sizes its run through the one budgeted step count, and no
+    # time is divided by dt or rounded to a step anywhere else
+    calls = _calls_by_function(simulate) + _calls_by_function(coupling)
+    assert {owner for owner, callee in calls if callee == "_step_count"} == {
+        "exit_time_ensemble", "ensemble_snapshots", "verify_pathwise_lemma",
+        "_run_coupling", "mirror_exit_dominance"}
+    assert {owner for owner, callee in calls if callee in ("round", ".round", ".rint")} == {
+        "_step_count"}
+    for module in (simulate, coupling):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name != "_step_count":
+                by_dt = [ast.unparse(node) for node in ast.walk(fn)
+                         if isinstance(node, ast.BinOp)
+                         and isinstance(node.op, (ast.Div, ast.FloorDiv))
+                         and ast.unparse(node.right) == "dt"]
+                assert by_dt == [], fn.name
+
+
 def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
     # simulate dense Brownian bridges between fixed endpoints and compare the
     # empirical crossing frequency with that of the library's crossing rule
@@ -214,8 +234,8 @@ def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
 
 # from the midpoint, no path can leave (0, 1) within 3 steps of 1e-6
 def test_uncensored_ensemble_step_budget(spec0, monkeypatch):
-    monkeypatch.setattr(simulate, "EXIT_STEP_BUDGET", 3)
-    with pytest.raises(HorizonExceeded):
+    monkeypatch.setattr(simulate, "PATH_STEP_BUDGET", 30)
+    with pytest.raises(StepBudgetExceeded):
         exit_time_ensemble(spec0, 0.5, 10, 1e-6, RngStream(1))
 
 
