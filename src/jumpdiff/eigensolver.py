@@ -25,6 +25,14 @@ Analytic Functions, 2000).  One kernel evaluates the determinant, its
 generic magnitude ``mag`` and its exact lambda-derivative; there is no
 finite difference.  Residuals are |det| relative to ``mag``.
 
+The same samples give, by the trapezoid rule, the first two power sums
+s_k = (1/2 pi i) oint zeta^k D'/D dz of the enclosed zeros in the box's own
+coordinate zeta = (z - centre) / half-diagonal (Delves & Lyness, Math.
+Comp. 21, 1967).  Newton starts from them, not from the box centre: from
+s_1 in a one-zero box, from the two roots of zeta^2 - s_1 zeta +
+(s_1^2 - s_2) / 2 in a two-zero box, and from s_1 / m for an unresolved
+m-fold cluster.  A box whose starts or polishes fail is split.
+
 Tolerances are the upper-case constants below, read at call time; the
 ``SolverConfig`` a ``CharDeterminant`` carries holds only ``newton_residual``
 and the default ``find_spectrum`` height ``im_aspect``.
@@ -330,8 +338,18 @@ class _BadContour(Exception):
     """Internal: contour too close to a zero, or refinement budget spent."""
 
 
-def _winding_count(f: CharDeterminant, box: Box) -> int:
-    """Number of determinant zeros inside the box by adaptive phase tracking.
+class _Winding(NamedTuple):
+    """Zero count of a box and the power sums s_1, s_2 of its zeros in the
+    box coordinate zeta = (z - centre) / half-diagonal."""
+
+    count: int
+    s1: complex
+    s2: complex
+
+
+def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
+    """Number of determinant zeros inside the box by adaptive phase tracking,
+    with the first two power sums of those zeros.
 
     One array of samples runs once around the closed contour, starting from
     CONTOUR_INITIAL_SAMPLES points per edge.  Each refinement round
@@ -345,6 +363,11 @@ def _winding_count(f: CharDeterminant, box: Box) -> int:
     unusable (``_BadContour``) where |det| falls below CONTOUR_MIN_MODULUS_REL
     times ``mag``, or where refinement needs more than CONTOUR_MAX_SAMPLES
     points.
+
+    The power sums s_k = (1/2 pi i) oint zeta^k D'/D dz, k = 1, 2, with zeta
+    = (z - centre) / half-diagonal, are the trapezoid rule on the final
+    samples and their D'/D: no further kernel call.  They are the Newton
+    starts of ``_locate_zeros``.
     """
     def sample(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         det, mag, ddet = f.with_derivative(z)
@@ -355,17 +378,18 @@ def _winding_count(f: CharDeterminant, box: Box) -> int:
             raise _BadContour("determinant not finite on contour")
         if (np.abs(det) < CONTOUR_MIN_MODULUS_REL * mag).any():
             raise _BadContour("contour passes too close to a zero")
-        return det, np.abs(ddet / det)
+        return det, ddet / det
 
     corners = np.array(box.corners())
     t = np.arange(CONTOUR_INITIAL_SAMPLES) / CONTOUR_INITIAL_SAMPLES
     edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
     z = np.append(edges.ravel(), corners[0])
-    fs, rate = sample(z)
+    fs, logd = sample(z)
     # each round halves the offending intervals; a feature that survives 64
     # halvings is noise, not geometry
     for _ in range(64):
         dphi = np.angle(fs[1:] / fs[:-1])
+        rate = np.abs(logd)
         reach = np.maximum(rate[:-1], rate[1:]) * np.abs(np.diff(z))
         bad = np.flatnonzero((np.abs(dphi) > CONTOUR_PHASE_STEP) | (reach > CONTOUR_PHASE_STEP))
         if bad.size == 0:
@@ -373,10 +397,10 @@ def _winding_count(f: CharDeterminant, box: Box) -> int:
         if z.size + bad.size > CONTOUR_MAX_SAMPLES:
             raise _BadContour("contour refinement budget exhausted")
         mid = 0.5 * (z[bad] + z[bad + 1])
-        mid_fs, mid_rate = sample(mid)
+        mid_fs, mid_logd = sample(mid)
         z = np.insert(z, bad + 1, mid)
         fs = np.insert(fs, bad + 1, mid_fs)
-        rate = np.insert(rate, bad + 1, mid_rate)
+        logd = np.insert(logd, bad + 1, mid_logd)
     else:
         raise _BadContour("contour refinement stalled")
 
@@ -386,13 +410,20 @@ def _winding_count(f: CharDeterminant, box: Box) -> int:
         raise _BadContour(f"winding {winding:.3f} not near an integer")
     if nearest < 0:
         raise _BadContour(f"negative winding {nearest}")
-    return int(nearest)
+    zeta = (z - box.center) / (0.5 * box.diag)
+    g1 = zeta * logd
+    g2 = zeta * g1
+    dz = np.diff(z) / (4j * math.pi)   # trapezoid weight over 2 pi i
+    s1 = complex(((g1[:-1] + g1[1:]) * dz).sum())
+    s2 = complex(((g2[:-1] + g2[1:]) * dz).sum())
+    return _Winding(int(nearest), s1, s2)
 
 
-def _count_with_dilation(f: CharDeterminant, box: Box) -> tuple[int, Box]:
+def _count_with_dilation(f: CharDeterminant, box: Box) -> tuple[_Winding, Box]:
     """Count zeros of a search box, nudging its contour outward when it sits
     on a zero: up to CONTOUR_DILATIONS times, by CONTOUR_DILATION_STEP more
-    each time (about one percent in all).  Returns the box it counted."""
+    each time (about one percent in all).  Returns the winding count and
+    power sums, and the box it counted."""
     last = None
     for k in range(CONTOUR_DILATIONS + 1):
         b = box if k == 0 else box.dilate(1.0 + CONTOUR_DILATION_STEP * k)
@@ -418,7 +449,7 @@ def count_zeros(spec: ProcessSpec, box: Box | tuple) -> int:
             and -math.inf < box.im_min < box.im_max < math.inf):
         raise ConfigError(f"box needs finite edges with min < max, got {box}")
     try:
-        return _winding_count(CharDeterminant(spec), box)
+        return _winding_count(CharDeterminant(spec), box).count
     except _BadContour as exc:
         raise ContourThroughZero(f"contour of box {box} unusable: {exc}") from exc
 
@@ -433,10 +464,13 @@ def _value(f: CharDeterminant, z: complex) -> tuple[complex, float]:
     return complex(det[0]), float(abs(det[0]) / mag[0])
 
 
-def _polish(f: CharDeterminant, box: Box, multiplicity: int) -> tuple[complex, float]:
-    """Order-aware Newton iteration from the box centre.
+def _polish(f: CharDeterminant, box: Box, multiplicity: int,
+            start: complex) -> tuple[complex, float]:
+    """Order-aware Newton iteration from ``start`` inside the box.
 
-    Each step is one kernel call, which returns the determinant, its
+    The start comes from the box's power sums (``_winding_count``), which
+    place it within a small fraction of the box diagonal of the zero.  Each
+    step is one kernel call, which returns the determinant, its
     magnitude and its exact derivative at the same scale, so D / D' is the
     true Newton step; for an m-fold zero the step is multiplied by m,
     restoring quadratic convergence.  It stops when the iterate leaves the
@@ -449,7 +483,7 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int) -> tuple[complex, f
         det, mag, ddet = f.with_derivative(np.asarray([z], dtype=complex))
         return complex(det[0]), float(abs(det[0]) / mag[0]), complex(ddet[0])
 
-    z = box.center
+    z = start
     value, best_r, deriv = newton_data(z)
     best_z = z
     stall = 0
@@ -478,22 +512,54 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int) -> tuple[complex, f
 _SPLIT_FRACTIONS = (0.5, 0.54, 0.46, 0.58, 0.42, 0.62, 0.38, 0.66, 0.34)
 
 
-def _locate_zeros(f: CharDeterminant, box: Box, count: int, out: list) -> None:
+def _moment_starts(box: Box, w: _Winding) -> list[complex]:
+    """Newton starts of a one- or two-zero box from its power sums: zeta =
+    s_1 for one zero, the roots of zeta^2 - s_1 zeta + (s_1^2 - s_2) / 2
+    for two (by the quadratic formula; ``np.roots`` would load LAPACK)."""
+    if w.count == 1:
+        zetas = [w.s1]
+    else:
+        root = cmath.sqrt(2.0 * w.s2 - w.s1 * w.s1)
+        zetas = [0.5 * (w.s1 + root), 0.5 * (w.s1 - root)]
+    return [box.center + 0.5 * box.diag * zeta for zeta in zetas]
+
+
+def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
+                  min_sep: float) -> list | None:
+    """Each zero of a one- or two-zero box, polished from its moment start.
+
+    None unless every start lies in the box, every polish converges there
+    to ``newton_residual``, and two roots are more than ``min_sep`` apart;
+    the box is then split instead.  The iterate never leaves the box, so
+    converged polishes are the counted zeros and not neighbours.
+    """
+    roots = []
+    for start in _moment_starts(box, w):
+        if not box.contains(start):
+            return None
+        z, r = _polish(f, box, 1, start)
+        if r > f.config.newton_residual:
+            return None
+        roots.append((z, 1, r))
+    if len(roots) == 2 and abs(roots[0][0] - roots[1][0]) <= min_sep:
+        return None
+    return roots
+
+
+def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
+    count = w.count
     if count == 0:
         return
     # below this size an m-fold zero's contour values sink into FP noise
     cluster_diag = max(CLUSTER_BOX_DIAG, CLUSTER_REL_DIAG * (1.0 + abs(box.center)))
     if box.diag <= cluster_diag:
-        _append_cluster(f, box, count, out)
+        _append_cluster(f, box, w, out)
         return
-    if count == 1:
-        # the iterate never leaves the box, so a converged polish is the
-        # counted zero and not a neighbor
-        z, r = _polish(f, box, 1)
-        if r <= f.config.newton_residual:
-            out.append((z, 1, r))
+    if count <= 2:
+        roots = _moment_roots(f, box, w, cluster_diag)
+        if roots is not None:
+            out.extend(roots)
             return
-        # polish left the box or stalled; tighten the box around the zero first
     last = None
     for frac in _SPLIT_FRACTIONS:
         if box.height > box.width and box.im_min < 0.0 < box.im_max:
@@ -504,29 +570,31 @@ def _locate_zeros(f: CharDeterminant, box: Box, count: int, out: list) -> None:
                 continue
         b1, b2 = box.split(frac)
         try:
-            c1 = _winding_count(f, b1)
-            c2 = _winding_count(f, b2)
+            w1 = _winding_count(f, b1)
+            w2 = _winding_count(f, b2)
         except _BadContour as exc:
             last = exc
             continue
-        if c1 + c2 != count:
-            last = _BadContour(f"split miscount {c1}+{c2} != {count}")
+        if w1.count + w2.count != count:
+            last = _BadContour(f"split miscount {w1.count}+{w2.count} != {count}")
             continue
-        _locate_zeros(f, b1, c1, out)
-        _locate_zeros(f, b2, c2, out)
+        _locate_zeros(f, b1, w1, out)
+        _locate_zeros(f, b2, w2, out)
         return
     if box.diag <= 0.01 * (1.0 + abs(box.center)):
         # every split line failed on a small box: the contents are one
         # cluster below floating-point resolution (an m-fold zero whose
         # determinant values are noise at this scale)
-        _append_cluster(f, box, count, out)
+        _append_cluster(f, box, w, out)
         return
     raise ContourThroughZero(f"no usable split line for box {box}: {last}")
 
 
-def _append_cluster(f: CharDeterminant, box: Box, count: int, out: list) -> None:
-    """Report an unresolvable box as one zero of multiplicity ``count``."""
-    z, r = _polish(f, box, count)
+def _append_cluster(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
+    """Report an unresolvable box as one zero of multiplicity ``count``,
+    polished from the centroid s_1 / count of its zeros."""
+    count = w.count
+    z, r = _polish(f, box, count, box.center + 0.5 * box.diag * w.s1 / count)
     if count > 1 and box.im_min <= 0.0 <= box.im_max:
         # conjugate symmetry: an unresolved cluster straddling the real
         # axis is indistinguishable from a real m-fold zero
@@ -578,12 +646,18 @@ def _assemble_eigenvalues(raw: list, re_max: float,
         eigs.append(ComplexEigenvalue(complex(mean.real, abs(mean.imag)), mj, res))
 
     for e in eigs:
-        if e.value.real < -1e-9:
+        if e.value.real < -_zero_tol(re_max):
             raise JumpdiffError(f"eigenvalue {e.value} has negative real part")
         if e.residual > residual:
             raise JumpdiffError(
                 f"eigenvalue {e.value} residual {e.residual:.2e} above polish tolerance")
     return tuple(sorted(eigs, key=lambda e: (e.value.real, e.value.imag)))
+
+
+def _zero_tol(re_max: float) -> float:
+    """Distance from 0 within which a polished zero is lambda = 0, relative
+    to the box scale; no eigenvalue lies further left of the imaginary axis."""
+    return 1e-8 * (1.0 + re_max)
 
 
 def _search_box(re_max: float, im_max: float) -> Box:
@@ -615,17 +689,18 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
         raise ConfigError(f"re_max and im_max must be finite and positive, "
                           f"got {re_max}, {im_max}")
     f = CharDeterminant(spec, config)
-    count, box = _count_with_dilation(f, _search_box(re_max, im_max))
-    return _solve_counted(f, count, box, re_max)
+    w, box = _count_with_dilation(f, _search_box(re_max, im_max))
+    return _solve_counted(f, w, box, re_max)
 
 
-def _solve_counted(f: CharDeterminant, count: int, box: Box, re_max: float) -> SpectrumReport:
-    """The report of :func:`find_spectrum` for a box whose zero count is known."""
+def _solve_counted(f: CharDeterminant, w: _Winding, box: Box, re_max: float) -> SpectrumReport:
+    """The report of :func:`find_spectrum` for a box whose winding count and
+    power sums are known."""
     raw: list = []
-    _locate_zeros(f, box, count, raw)
+    _locate_zeros(f, box, w, raw)
     eigs = _assemble_eigenvalues(raw, re_max, f.config.newton_residual)
 
-    zero_tol = 1e-8 * (1.0 + re_max)
+    zero_tol = _zero_tol(re_max)
     if not any(abs(e.value) <= zero_tol for e in eigs):
         raise JumpdiffError("constant eigenfunction (lambda = 0) not found in box")
     nonzero = [e for e in eigs if abs(e.value) > zero_tol]
@@ -647,8 +722,8 @@ def auto_re_max(spec: ProcessSpec) -> float:
     return 2.0 * max(dirichlet_bottom(spec), _plateau(spec))
 
 
-def _gap_window(f: CharDeterminant) -> tuple[int, Box, float]:
-    """(count, box, re_max) of the smallest certified box holding a nonzero zero.
+def _gap_window(f: CharDeterminant) -> tuple[_Winding, Box, float]:
+    """(winding, box, re_max) of the smallest certified box holding a nonzero zero.
 
     Every zero has |Re q| < X (``CharDeterminant.re_q_bound``), and with
     lambda = (mu^2 - sigma^4 q^2) / (2 sigma^2) every eigenvalue with
@@ -657,8 +732,9 @@ def _gap_window(f: CharDeterminant) -> tuple[int, Box, float]:
     lowest nonzero zero is the gap (X > |mu| / sigma^2, so the root is
     real).  R starts at 0.6 of the plateau 8 sigma^2 pi^2 / L^2 and doubles,
     on winding counts alone, until the box holds a zero besides lambda = 0.
-    The count and the (possibly dilated) box are those of the last round,
-    so the solve need not wind around the box again.
+    The winding count, its power sums and the (possibly dilated) box are
+    those of the last round, so the solve need not wind around the box
+    again.
 
     Raises:
         BoxTooSmall: still no nonzero zero at ``auto_re_max(spec)``.
@@ -671,9 +747,9 @@ def _gap_window(f: CharDeterminant) -> tuple[int, Box, float]:
     while True:
         re_max = min(re_max, cap)
         im_max = x * math.sqrt(2.0 * sig2 * re_max - spec.mu**2 + sig2**2 * x**2)
-        count, box = _count_with_dilation(f, _search_box(re_max, im_max))
-        if count > 1:
-            return count, box, re_max
+        w, box = _count_with_dilation(f, _search_box(re_max, im_max))
+        if w.count > 1:
+            return w, box, re_max
         if re_max >= cap:
             raise BoxTooSmall(f"no nonzero eigenvalue below re_max={cap}")
         re_max *= 2.0

@@ -9,6 +9,7 @@ from jumpdiff import eigensolver
 from jumpdiff.eigensolver import (
     Box,
     CharDeterminant,
+    _moment_starts,
     _polish,
     _winding_count,
     auto_re_max,
@@ -18,6 +19,7 @@ from jumpdiff.eigensolver import (
 )
 from jumpdiff.errors import BoxTooSmall, ConfigError, ContourThroughZero
 from jumpdiff.model import DEFAULT_CONFIG, unit_spec, validate_spec
+from tests.conftest import CountingDet
 from tests.test_model import make_spec
 
 PI2 = math.pi**2
@@ -151,38 +153,13 @@ def test_residuals_below_polish_tolerance(spec20):
     assert all(e.value.real >= -1e-9 for e in rep.eigenvalues)
 
 
-class CountingDet:
-    """A determinant that counts its kernel calls and records every point
-    they evaluate, with or without the derivative."""
-
-    def __init__(self, spec):
-        self.det = CharDeterminant(spec)
-        self.config = self.det.config
-        self.calls = 0
-        self.sizes = []
-        self.points = []
-
-    def _count(self, lam_arr):
-        self.calls += 1
-        self.sizes.append(len(lam_arr))
-        self.points.extend(complex(z) for z in lam_arr)
-
-    def with_scale(self, lam_arr):
-        self._count(lam_arr)
-        return self.det.with_scale(lam_arr)
-
-    def with_derivative(self, lam_arr):
-        self._count(lam_arr)
-        return self.det.with_derivative(lam_arr)
-
-
 def test_polish_evaluates_each_point_once(spec20):
     # a Newton step's value at z is the residual of the step before, and the
     # last step lands on the iterate before it
     det = CountingDet(spec20)
     start = complex(8 * PI2 + 0.5, 4 * math.pi * 20.0 + 0.5)
     box = Box(start.real - 1.0, start.real + 1.0, start.imag - 1.0, start.imag + 1.0)
-    z, r = _polish(det, box, 1)
+    z, r = _polish(det, box, 1, box.center)
     assert r < DEFAULT_CONFIG.newton_residual
     assert abs(z - complex(8 * PI2, 4 * math.pi * 20.0)) < 1e-3
     assert len(det.points) == len(set(det.points))
@@ -195,7 +172,8 @@ def test_zero_eigenvalue_polish_stops_at_resolution(mu):
     # before the Newton iteration cap; at mu = 0 the first exact Newton step
     # from the centre reaches Im z = -3.56, so the box reaches below that
     det = CountingDet(unit_spec(mu))
-    z, r = _polish(det, Box(-1.5, 8.5, -4.0, 8.0), 1)
+    box = Box(-1.5, 8.5, -4.0, 8.0)
+    z, r = _polish(det, box, 1, box.center)
     assert abs(z) < 1e-12
     assert r < DEFAULT_CONFIG.newton_residual
     assert det.calls <= 40
@@ -226,6 +204,71 @@ def test_winding_count_one_kernel_call_per_round(mu, box):
             (pts.real == box.re_min, pts.imag, box.height)):
         finest = min(finest, np.diff(np.unique(along[on_edge])).min() / (length / n))
     assert finest == pytest.approx(2.0**-rounds, rel=1e-6)
+
+
+def test_power_sums_place_the_zeros(spec20):
+    # the moment start of a box lies within 1e-2 half-diagonals of each
+    # closed-form zero it holds: 8 pi^2 +- 80 pi i at mu = 20
+    f = CharDeterminant(spec20)
+    upper = complex(8 * PI2, 80 * math.pi)
+    for box, zeros in ((Box(58.96, 108.96, 226.33, 291.33), [upper]),
+                       (Box(50.0, 110.0, -300.0, 300.0), [upper, upper.conjugate()])):
+        w = _winding_count(f, box)
+        assert w.count == len(zeros)
+        starts = _moment_starts(box, w)
+        for z in zeros:
+            assert min(abs(s - z) for s in starts) <= 1e-2 * 0.5 * box.diag, (z, starts)
+
+
+def test_gap_curve_kernel_call_budget(kernel_calls):
+    # polishing from the moment start instead of the box centre halved the
+    # kernel calls of the 8-drift unit sweep (600 before)
+    gap_curve(unit_spec(), [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 25.0, 30.0])
+    assert kernel_calls.total() <= 300, kernel_calls
+
+
+def test_full_box_kernel_call_budget(kernel_calls):
+    # the mu = 120 full box took 1,082 kernel calls polishing from box centres
+    spec = unit_spec(120.0)
+    find_spectrum(spec, auto_re_max(spec))
+    assert kernel_calls.total() <= 541, kernel_calls
+
+
+def random_spec(rng):
+    """1-4 atoms at least 0.02 L from the edges, |mu| L / sigma^2 <= 60."""
+    length = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+    sigma = float(rng.choice([0.5, 1.0, 2.0]))
+    a = float(rng.uniform(-2.0, 2.0))
+    n = int(rng.integers(1, 5))
+    locs = np.sort(rng.uniform(a + 0.02 * length, a + 0.98 * length, size=n))
+    weights = rng.uniform(0.1, 1.0, size=n)
+    mu = float(rng.uniform(-60.0, 60.0)) * sigma**2 / length
+    return validate_spec(make_spec(a=a, b=a + length, sigma=sigma, mu=mu,
+                                   atoms=tuple(zip(locs, weights / weights.sum()))))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_spec_spectrum_complete(seed):
+    # every zero the search box winds around is reported, polished, and the
+    # gap-only solve finds the same gap
+    spec = random_spec(np.random.default_rng([20261019, seed]))
+    rep = find_spectrum(spec, auto_re_max(spec))
+    assert sum(e.multiplicity for e in rep.eigenvalues) == count_zeros(spec, rep.search_box)
+    assert all(e.residual <= DEFAULT_CONFIG.newton_residual for e in rep.eigenvalues)
+    [(_, gap, gap_is_real)] = gap_curve(spec, [spec.mu])
+    assert gap == pytest.approx(rep.gap, rel=1e-12)
+    assert gap_is_real == rep.gap_is_real
+
+
+def test_zero_eigenvalue_below_axis_at_large_drift():
+    # lambda = 0 polishes to -1.2e-9 here; the sign test must use the same
+    # scale-relative tolerance that recognises lambda = 0
+    spec = make_spec(mu=140.9, atoms=((0.999536, 1.0),))
+    rep = find_spectrum(spec, auto_re_max(spec))
+    [(_, gap, gap_is_real)] = gap_curve(spec, [140.9])
+    assert gap == pytest.approx(9931.412955388589, rel=1e-12)
+    assert gap == pytest.approx(rep.gap, rel=1e-12)
+    assert gap_is_real and rep.gap_is_real
 
 
 def centred_spectrum(length, sigma, mu, box):

@@ -225,7 +225,7 @@ def test_count_zeros_matches_the_centred_closed_form(length, sigma, mu, re_min, 
     spec = make_spec(b=length, sigma=sigma, mu=mu, atoms=((0.5 * length, 1.0),))
     box = Box(re_min, re_min + width, im_min, im_min + height)
     try:
-        n, used = _count_with_dilation(CharDeterminant(spec), box)
+        w, used = _count_with_dilation(CharDeterminant(spec), box)
     except ContourThroughZero:
         return
-    assert n == len(centred_spectrum(length, sigma, mu, used)), used
+    assert w.count == len(centred_spectrum(length, sigma, mu, used)), used
