@@ -33,6 +33,15 @@ s_1 in a one-zero box, from the two roots of zeta^2 - s_1 zeta +
 (s_1^2 - s_2) / 2 in a two-zero box, and from s_1 / m for an unresolved
 m-fold cluster.  A box whose starts or polishes fail is split.
 
+The determinant is real on the real axis, so its zeros below the axis are
+the conjugates of those above it.  The search box is symmetric about the
+axis and no split line comes within 2% of a box's height of it, so only
+boxes meeting the closed upper half-plane are searched: a box wholly below
+the axis is wound once, to check its parent's split, and never entered.
+Each zero found above the axis is reported with its conjugate, one within
+the real-axis tolerance is real, and one below is dropped.  The
+multiplicities must then add up to the search box's winding count.
+
 Tolerances are the upper-case constants below, read at call time; the
 ``SolverConfig`` a ``CharDeterminant`` carries holds only ``newton_residual``
 and the default ``find_spectrum`` height ``im_aspect``.
@@ -548,7 +557,8 @@ def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
 
 def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
     count = w.count
-    if count == 0:
+    if count == 0 or box.im_max < 0.0:
+        # a box below the real axis holds the conjugates of zeros above it
         return
     # below this size an m-fold zero's contour values sink into FP noise
     cluster_diag = max(CLUSTER_BOX_DIAG, CLUSTER_REL_DIAG * (1.0 + abs(box.center)))
@@ -603,48 +613,27 @@ def _append_cluster(f: CharDeterminant, box: Box, w: _Winding, out: list) -> Non
     out.append((z, count, r))
 
 
-def _assemble_eigenvalues(raw: list, re_max: float,
+def _assemble_eigenvalues(raw: list, count: int, re_max: float,
                           residual: float) -> tuple[ComplexEigenvalue, ...]:
-    """Deduplicate, enforce conjugate symmetry, and check every residual
-    against ``residual``."""
-    merged: list[list] = []
-    for z, m, r in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):
-        for g in merged:
-            if abs(g[0] - z) <= DEDUP_TOL:
-                g[1] += m
-                g[2] = max(g[2], r)
-                break
-        else:
-            merged.append([z, m, r])
+    """Eigenvalues from the zeros found on and above the real axis.
 
-    # pair conjugates and make the symmetry exact; an m-fold zero is located
-    # only to about residual^(1/m), so the real-axis snap scales with it
+    A zero within the real-axis tolerance is real (an m-fold zero is located
+    only to about residual^(1/m), so the tolerance scales with it), one above
+    is reported with its conjugate at the same multiplicity and residual, and
+    one below is dropped.  The multiplicities must add up to ``count``, the
+    box's winding count, and every residual must be within ``residual``.
+    """
     eigs: list[ComplexEigenvalue] = []
-    used = [False] * len(merged)
     base_tol = max(DEDUP_TOL, 1e-9 * (1.0 + re_max))
-    for i, (z, m, r) in enumerate(merged):
-        if used[i]:
-            continue
-        used[i] = True
-        pair_tol = max(base_tol, 10.0 * r ** (1.0 / m))
-        if abs(z.imag) <= pair_tol:
+    for z, m, r in raw:
+        if abs(z.imag) <= max(base_tol, 10.0 * r ** (1.0 / m)):
             eigs.append(ComplexEigenvalue(complex(z.real, 0.0), m, r))
-            continue
-        partner = None
-        for j in range(i + 1, len(merged)):
-            if not used[j] and abs(merged[j][0] - z.conjugate()) <= pair_tol:
-                partner = j
-                break
-        if partner is None:
-            eigs.append(ComplexEigenvalue(z, m, r))
-            continue
-        used[partner] = True
-        zj, mj, rj = merged[partner]
-        mean = 0.5 * (z + zj.conjugate())
-        res = max(r, rj)
-        eigs.append(ComplexEigenvalue(complex(mean.real, -abs(mean.imag)), m, res))
-        eigs.append(ComplexEigenvalue(complex(mean.real, abs(mean.imag)), mj, res))
-
+        elif z.imag > 0.0:
+            eigs += [ComplexEigenvalue(z, m, r), ComplexEigenvalue(z.conjugate(), m, r)]
+    found = sum(e.multiplicity for e in eigs)
+    if found != count:
+        raise JumpdiffError(f"multiplicities add up to {found}, "
+                            f"but the box winds around {count} zeros")
     for e in eigs:
         if e.value.real < -_zero_tol(re_max):
             raise JumpdiffError(f"eigenvalue {e.value} has negative real part")
@@ -672,10 +661,11 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
 
     Recursively bisects until each sub-box isolates one zero (a cluster
     smaller than the resolution floor is reported once with its winding
-    multiplicity), Newton-polishes each, deduplicates, and extracts the gap
-    as the minimal real part over nonzero eigenvalues.  ``im_max`` defaults
-    to ``config.im_aspect * re_max``.  A contour through a zero is dilated
-    (see ``_count_with_dilation``), and the box searched is reported as
+    multiplicity) and Newton-polishes each, on and above the real axis only,
+    adds the conjugates, and extracts the gap as the minimal real part over
+    nonzero eigenvalues.  ``im_max`` defaults to ``config.im_aspect *
+    re_max``.  A contour through a zero is dilated (see
+    ``_count_with_dilation``), and the box searched is reported as
     ``search_box``.
 
     Raises:
@@ -698,7 +688,7 @@ def _solve_counted(f: CharDeterminant, w: _Winding, box: Box, re_max: float) -> 
     power sums are known."""
     raw: list = []
     _locate_zeros(f, box, w, raw)
-    eigs = _assemble_eigenvalues(raw, re_max, f.config.newton_residual)
+    eigs = _assemble_eigenvalues(raw, w.count, re_max, f.config.newton_residual)
 
     zero_tol = _zero_tol(re_max)
     if not any(abs(e.value) <= zero_tol for e in eigs):

@@ -20,6 +20,10 @@ class NonpositiveSigma(JumpdiffError):
     """Diffusion scale must be strictly positive."""
 
 
+class NonfiniteDrift(JumpdiffError):
+    """Drift must be a finite number."""
+
+
 class AtomOutOfRange(JumpdiffError):
     """A jump-distribution atom lies on or outside the interval."""
 

@@ -388,7 +388,7 @@ def _fit_summary(times, values, window, hi_cut: float, floor: float) -> str:
     try:
         fit = fit_rate((times, values), window, noise_floor=0.0)
     except JumpdiffError as exc:
-        return f"fit failed on window {window}: {exc}"
+        return f"fit failed on window [{window[0]:g}, {window[1]:g}]: {exc}"
     return (f"fitted rate {fit.rate:.6g} +- {fit.stderr:.2g} "
             f"on window [{window[0]:g}, {window[1]:g}] ({fit.n_points} points)")
 

@@ -14,6 +14,7 @@ from .errors import (
     AtomOutOfRange,
     ConfigError,
     InvalidInterval,
+    NonfiniteDrift,
     NonpositiveSigma,
     WeightsNotNormalized,
 )
@@ -94,7 +95,7 @@ class ProcessSpec:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise NonpositiveSigma(f"sigma must be > 0, got {self.sigma}")
         if not math.isfinite(self.mu):
-            raise NonpositiveSigma(f"mu must be finite, got {self.mu}")
+            raise NonfiniteDrift(f"mu must be finite, got {self.mu}")
 
     @property
     def a(self) -> float:

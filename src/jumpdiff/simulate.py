@@ -453,8 +453,9 @@ def fit_rate(curve, window: tuple[float, float], noise_floor: float = 0.0) -> Ra
     t, v = _curve_arrays(curve)
     t_min, t_max = window
     in_window = (t >= t_min) & (t <= t_max)
-    if int(in_window.sum()) < 3:
-        raise WindowTooSparse(f"{int(in_window.sum())} points in window {window}")
+    n_window = int(in_window.sum())
+    if n_window < 3:
+        raise WindowTooSparse(f"{n_window} points in window [{t_min:g}, {t_max:g}]")
     usable = in_window & (v > max(noise_floor, 0.0))
     if int(usable.sum()) < 3:
         raise BelowNoiseFloor("fewer than 3 points above the noise floor")

@@ -81,3 +81,17 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(CharDeterminant, "_kernel", counted_kernel)
     monkeypatch.setattr(eigensolver, "_winding_count", counted_winding_count)
     return calls
+
+
+@pytest.fixture
+def wound_boxes(monkeypatch):
+    """Records every box ``_winding_count`` winds around, in order."""
+    boxes = []
+    winding_count = eigensolver._winding_count
+
+    def recorded_winding_count(f, box):
+        boxes.append(box)
+        return winding_count(f, box)
+
+    monkeypatch.setattr(eigensolver, "_winding_count", recorded_winding_count)
+    return boxes

@@ -79,6 +79,16 @@ def test_green_out_of_domain(spec0):
         green_function(spec0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: invariant_density_grid(unit_spec(), [0.0, 0.5]),
+    lambda: invariant_density_grid(unit_spec(), [0.5, 1.0]),
+    lambda: fast_coupling_bound(unit_spec(4.0), -1e-3),
+], ids=["density-grid-on-a", "density-grid-on-b", "coupling-bound-t<0"])
+def test_closed_forms_refuse_points_off_their_domain(call):
+    with pytest.raises(OutOfDomain):
+        call()
+
+
 def test_green_matches_ode_oracle(rng):
     for _ in range(12):
         mu = float(rng.uniform(-10.0, 30.0))

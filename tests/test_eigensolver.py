@@ -9,6 +9,7 @@ from jumpdiff import eigensolver
 from jumpdiff.eigensolver import (
     Box,
     CharDeterminant,
+    _assemble_eigenvalues,
     _moment_starts,
     _polish,
     _winding_count,
@@ -17,8 +18,8 @@ from jumpdiff.eigensolver import (
     find_spectrum,
     gap_curve,
 )
-from jumpdiff.errors import BoxTooSmall, ConfigError, ContourThroughZero
-from jumpdiff.model import DEFAULT_CONFIG, unit_spec, validate_spec
+from jumpdiff.errors import BoxTooSmall, ConfigError, ContourThroughZero, JumpdiffError
+from jumpdiff.model import DEFAULT_CONFIG, ComplexEigenvalue, unit_spec, validate_spec
 from tests.conftest import CountingDet
 from tests.test_model import make_spec
 
@@ -232,6 +233,42 @@ def test_full_box_kernel_call_budget(kernel_calls):
     spec = unit_spec(120.0)
     find_spectrum(spec, auto_re_max(spec))
     assert kernel_calls.total() <= 541, kernel_calls
+
+
+THREE_ATOM_SPEC = make_spec(mu=-30.0, atoms=((0.2, 0.3), (0.45, 0.5), (0.8, 0.2)))
+
+
+@pytest.mark.parametrize("spec", [unit_spec(120.0), THREE_ATOM_SPEC],
+                         ids=["mu=120", "three-atom-mu=-30"])
+def test_no_search_below_the_real_axis(wound_boxes, spec):
+    # a box wholly below the axis is wound to check its parent's split, and
+    # then left: its zeros are the conjugates of zeros found above the axis
+    find_spectrum(spec, auto_re_max(spec))
+    below = [b for b in wound_boxes if b.im_max < 0.0]
+    assert below
+    for outer in below:
+        for box in wound_boxes:
+            inside = (outer.re_min <= box.re_min and box.re_max <= outer.re_max
+                      and outer.im_min <= box.im_min and box.im_max <= outer.im_max)
+            assert box == outer or not inside, (outer, box)
+
+
+def test_assemble_reports_each_upper_zero_with_its_conjugate():
+    raw = [(complex(-1e-12, 3e-13), 1, 2e-15), (complex(50.0, 2e-11), 1, 1e-15),
+           (complex(80.0, 40.0), 2, 3e-14), (complex(80.0, -40.0), 2, 4e-14)]
+    eigs = _assemble_eigenvalues(raw, 6, 100.0, DEFAULT_CONFIG.newton_residual)
+    assert eigs == (ComplexEigenvalue(complex(-1e-12, 0.0), 1, 2e-15),
+                    ComplexEigenvalue(complex(50.0, 0.0), 1, 1e-15),
+                    ComplexEigenvalue(complex(80.0, -40.0), 2, 3e-14),
+                    ComplexEigenvalue(complex(80.0, 40.0), 2, 3e-14))
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_assemble_checks_the_winding_count(count):
+    raw = [(0j, 1, 1e-15), (complex(80.0, 40.0), 2, 3e-14)]
+    assert len(_assemble_eigenvalues(raw, 5, 100.0, DEFAULT_CONFIG.newton_residual)) == 3
+    with pytest.raises(JumpdiffError, match="winds around"):
+        _assemble_eigenvalues(raw, count, 100.0, DEFAULT_CONFIG.newton_residual)
 
 
 def random_spec(rng):

@@ -61,6 +61,12 @@ def test_nonpositive_knob_rejected():
         validate_config({"spec": BASE_SPEC, "experiment": "tv-decay", "dt": -1e-4})
 
 
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_nonfinite_drift_rejected(mu):
+    with pytest.raises(ConfigError, match="mu must be finite"):
+        validate_config({"spec": dict(BASE_SPEC, mu=mu), "experiment": "spectrum"})
+
+
 def test_valid_config_roundtrip():
     cfg = validate_config({"spec": BASE_SPEC, "experiment": "gap-sweep",
                            "mu_grid": [0, 10], "seed": 7})
@@ -158,15 +164,59 @@ TV_SMALL = {"experiment": "tv-decay", "t_grid": [0.01], "dt": 1e-3, "n_paths": 2
     ("tv-decay", dict(TV_SMALL, n_paths=500)),
     ("tv-decay", dict(TV_SMALL, bins=16)),
     ("gap-sweep", {"mu_grid": [0, float("nan")]}),
+    *[("spectrum", {"experiment": "spectrum", "spec": dict(BASE_SPEC, mu=mu)})
+      for mu in (math.inf, -math.inf, math.nan)],
+    ("invariant", {"experiment": "invariant"}),
+    ("coupling-tail", dict(TV_SMALL, experiment="coupling-tail", n_paths=10_000,
+                           start_y="invariant")),
 ], ids=["dt-string", "spec-string", "fit-window-3", "start-y-word", "t-grid-scalar",
         "top-level-list", "coupling-few-pairs", "tv-few-paths", "tv-few-bins",
-        "mu-grid-nan"])
+        "mu-grid-nan", "mu-inf", "mu-minus-inf", "mu-nan", "invariant-no-mu-grid",
+        "coupling-start-y-invariant"])
 def test_cli_malformed_config_exits_2(tmp_path, experiment, config):
     if isinstance(config, dict):
         config = dict({"spec": BASE_SPEC}, **config)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("text", [None, '{"experiment": "gap-sweep",'],
+                         ids=["missing-file", "malformed-json"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["gap-sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_seed_override_matches_config_seed(tmp_path):
+    small = dict(experiment="tv-decay", t_grid=[0.02, 0.04], n_paths=2000, dt=1e-3)
+    in_config = write_config(tmp_path, "c7.json", seed=7, **small)
+    overridden = write_config(tmp_path, "c1.json", seed=1, **small)
+    assert main(["tv-decay", "--config", in_config, "--out", str(tmp_path / "o")]) == 0
+    want = (tmp_path / "o" / "tv-decay.csv").read_bytes()
+    assert main(["tv-decay", "--config", overridden, "--seed", "7",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "tv-decay.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("window, head, tail", [
+    ([0.01, 0.05], "fitted rate ", " on window [0.01, 0.05] (5 points)"),
+    (None, "fit skipped: ", ""),
+    ([0.5, 0.9], "fit failed on window [0.5, 0.9]: ", ""),
+], ids=["fitted", "skipped", "failed"])
+def test_cli_tv_decay_fit_summary(tmp_path, capsys, window, head, tail):
+    knobs = dict(experiment="tv-decay", spec=dict(BASE_SPEC, mu=20.0),
+                 t_grid=[0.01 * k for k in range(1, 9)], n_paths=20_000, dt=5e-4)
+    if window is not None:
+        knobs["fit_window"] = window
+    cfg = write_config(tmp_path, **knobs)
+    assert main(["tv-decay", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = capsys.readouterr().out.rstrip()
+    assert summary.startswith("tv-decay: " + head)
+    assert summary.endswith(tail)
 
 
 def test_cli_solver_error_exit_code(tmp_path):

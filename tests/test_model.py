@@ -1,12 +1,15 @@
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
 
 from jumpdiff.errors import (
     AtomOutOfRange,
+    ConfigError,
     InvalidInterval,
+    NonfiniteDrift,
     NonpositiveSigma,
     WeightsNotNormalized,
 )
@@ -80,6 +83,23 @@ def test_sigma_must_be_positive():
         make_spec(sigma=0.0)
 
 
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_drift_must_be_finite(mu):
+    with pytest.raises(NonfiniteDrift):
+        make_spec(mu=mu)
+
+
+@pytest.mark.parametrize("build, exc", [
+    (lambda: Interval(0.0, math.inf), InvalidInterval),
+    (lambda: JumpDistribution(()), WeightsNotNormalized),
+    (lambda: ProcessSpec.from_json_dict({"a": 0, "b": 1, "sigma": 1, "nu": [[0.5, 1.0]]}),
+     ConfigError),
+], ids=["interval-to-inf", "no-atoms", "json-missing-mu"])
+def test_malformed_spec_raises_typed_error(build, exc):
+    with pytest.raises(exc):
+        build()
+
+
 def test_centered_delta_predicate():
     assert make_spec(atoms=((0.5, 1.0),)).is_centered_delta
     assert not make_spec(atoms=((0.4, 1.0),)).is_centered_delta
@@ -94,7 +114,6 @@ def test_json_round_trip_exact_shape():
 
 
 def test_json_unknown_key_rejected():
-    from jumpdiff.errors import ConfigError
     with pytest.raises(ConfigError):
         ProcessSpec.from_json_dict({"a": 0, "b": 1, "sigma": 1, "mu": 0,
                                     "nu": [[0.5, 1.0]], "extra": 1})

@@ -7,6 +7,9 @@ or pair) or fewer than 32 bins raise ConfigError, before any path is drawn.
 A step so small, or an end time so large, that the paths times the steps
 exceed the path-step budget (t / dt overflowing to inf included) raises
 StepBudgetExceeded, also before any path is drawn, so within a second.
+A start outside the open interval (or an unknown start name) raises
+OutOfDomain, and the conditioned-path check refuses any spec but a centred
+atom with positive drift.
 """
 
 import math
@@ -22,7 +25,14 @@ from jumpdiff.coupling import (
     mirror_exit_dominance,
     staged_coupling,
 )
-from jumpdiff.errors import ConfigError, NonpositiveDt, OutOfDomain, StepBudgetExceeded
+from jumpdiff.errors import (
+    ConfigError,
+    NonpositiveDt,
+    OutOfDomain,
+    RequiresCenteredDelta,
+    RequiresPositiveDrift,
+    StepBudgetExceeded,
+)
 from jumpdiff.model import Interval, unit_spec
 from jumpdiff.simulate import (
     RngStream,
@@ -31,6 +41,7 @@ from jumpdiff.simulate import (
     exit_time_ensemble,
     verify_pathwise_lemma,
 )
+from tests.test_model import make_spec
 
 SPEC = unit_spec(20.0)
 
@@ -116,3 +127,18 @@ def test_empty_ensemble_raises_config_error(name, n):
 def test_too_few_bins_raise_config_error(call, bins):
     with pytest.raises(ConfigError):
         call(bins)
+
+
+@pytest.mark.parametrize("call, exc", [
+    (lambda: ensemble_snapshots(SPEC, "centre", [0.1], 10, 64, 1e-3, RngStream(1)),
+     OutOfDomain),
+    (lambda: mirror_exit_dominance(Interval(0.0, 1.0), 1.5, [0.1], 10, 1, dt=1e-3),
+     OutOfDomain),
+    (lambda: verify_pathwise_lemma(make_spec(mu=20.0, atoms=((0.4, 1.0),)),
+                                   1, 10, 1e-3, 1), RequiresCenteredDelta),
+    (lambda: verify_pathwise_lemma(unit_spec(0.0), 1, 10, 1e-3, 1), RequiresPositiveDrift),
+], ids=["ensemble_snapshots-start-name", "mirror_exit_dominance-y-outside",
+        "verify_pathwise_lemma-off-centre", "verify_pathwise_lemma-mu=0"])
+def test_bad_start_or_spec_raises_typed_error(call, exc):
+    with pytest.raises(exc):
+        call()
