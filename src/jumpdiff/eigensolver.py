@@ -25,13 +25,15 @@ Analytic Functions, 2000).  One kernel evaluates the determinant, its
 generic magnitude ``mag`` and its exact lambda-derivative; there is no
 finite difference.  Residuals are |det| relative to ``mag``.
 
-The same samples give, by the trapezoid rule, the first two power sums
-s_k = (1/2 pi i) oint zeta^k D'/D dz of the enclosed zeros in the box's own
-coordinate zeta = (z - centre) / half-diagonal (Delves & Lyness, Math.
-Comp. 21, 1967).  Newton starts from them, not from the box centre: from
-s_1 in a one-zero box, from the two roots of zeta^2 - s_1 zeta +
-(s_1^2 - s_2) / 2 in a two-zero box, and from s_1 / m for an unresolved
-m-fold cluster.  A box whose starts or polishes fail is split.
+The same samples give, by the trapezoid rule, the power sums s_k = (1/2 pi
+i) oint zeta^k D'/D dz, k = 1..MOMENT_MAX_ZEROS, of the enclosed zeros in
+the box's own coordinate zeta = (z - centre) / half-diagonal (Delves &
+Lyness, Math. Comp. 21, 1967).  Newton starts from them, not from the box
+centre.  In a box with m <= MOMENT_MAX_ZEROS zeros, Newton's identities turn
+s_1..s_m into the coefficients of the monic polynomial whose roots are the
+zeros, and a plain-Python Durand-Kerner iteration gives its m roots as the
+starts; an unresolved m-fold cluster starts from s_1 / m.  A box whose
+starts, polishes or root iteration fail is split.
 
 The determinant is real on the real axis, so its zeros below the axis are
 the conjugates of those above it.  The search box is symmetric about the
@@ -81,6 +83,7 @@ CONTOUR_DILATIONS = 8
 CONTOUR_DILATION_STEP = 0.00125
 CLUSTER_BOX_DIAG = 1e-4          # stop bisecting; treat content as one multiple zero
 CLUSTER_REL_DIAG = 1e-5          # scale-relative part of the same cutoff
+MOMENT_MAX_ZEROS = 4             # boxes with up to this many zeros polish from moments
 
 
 class Box(NamedTuple):
@@ -348,17 +351,16 @@ class _BadContour(Exception):
 
 
 class _Winding(NamedTuple):
-    """Zero count of a box and the power sums s_1, s_2 of its zeros in the
-    box coordinate zeta = (z - centre) / half-diagonal."""
+    """Zero count of a box and the power sums s_1..s_MOMENT_MAX_ZEROS of its
+    zeros in the box coordinate zeta = (z - centre) / half-diagonal."""
 
     count: int
-    s1: complex
-    s2: complex
+    sums: tuple[complex, ...]
 
 
 def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
     """Number of determinant zeros inside the box by adaptive phase tracking,
-    with the first two power sums of those zeros.
+    with the first MOMENT_MAX_ZEROS power sums of those zeros.
 
     One array of samples runs once around the closed contour, starting from
     CONTOUR_INITIAL_SAMPLES points per edge.  Each refinement round
@@ -373,10 +375,10 @@ def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
     times ``mag``, or where refinement needs more than CONTOUR_MAX_SAMPLES
     points.
 
-    The power sums s_k = (1/2 pi i) oint zeta^k D'/D dz, k = 1, 2, with zeta
-    = (z - centre) / half-diagonal, are the trapezoid rule on the final
-    samples and their D'/D: no further kernel call.  They are the Newton
-    starts of ``_locate_zeros``.
+    The power sums s_k = (1/2 pi i) oint zeta^k D'/D dz, k = 1..
+    MOMENT_MAX_ZEROS, with zeta = (z - centre) / half-diagonal, are the
+    trapezoid rule on the final samples and their D'/D: no further kernel
+    call.  They give the Newton starts of ``_locate_zeros``.
     """
     def sample(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         det, mag, ddet = f.with_derivative(z)
@@ -420,12 +422,13 @@ def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
     if nearest < 0:
         raise _BadContour(f"negative winding {nearest}")
     zeta = (z - box.center) / (0.5 * box.diag)
-    g1 = zeta * logd
-    g2 = zeta * g1
+    g = zeta * logd
     dz = np.diff(z) / (4j * math.pi)   # trapezoid weight over 2 pi i
-    s1 = complex(((g1[:-1] + g1[1:]) * dz).sum())
-    s2 = complex(((g2[:-1] + g2[1:]) * dz).sum())
-    return _Winding(int(nearest), s1, s2)
+    sums = []
+    for _ in range(MOMENT_MAX_ZEROS):
+        sums.append(complex(dz @ (g[:-1] + g[1:])))
+        g *= zeta
+    return _Winding(int(nearest), tuple(sums))
 
 
 def _count_with_dilation(f: CharDeterminant, box: Box) -> tuple[_Winding, Box]:
@@ -474,7 +477,7 @@ def _value(f: CharDeterminant, z: complex) -> tuple[complex, float]:
 
 
 def _polish(f: CharDeterminant, box: Box, multiplicity: int,
-            start: complex) -> tuple[complex, float]:
+            start: complex) -> tuple[complex, float, float]:
     """Order-aware Newton iteration from ``start`` inside the box.
 
     The start comes from the box's power sums (``_winding_count``), which
@@ -486,32 +489,37 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
     box, when the step is at floating-point resolution, after four steps
     without improvement, after NEWTON_MAX_ITER steps, or once the residual
     |det| / mag is below ``f.config.newton_residual`` and no longer
-    improving.
+    improving.  Returns the best iterate, its residual, and the length of
+    the Newton step there: a point of small residual that is not a zero
+    (near a cluster, with the next step leaving the box) still has a long
+    step.
     """
     def newton_data(z: complex) -> tuple[complex, float, complex]:
         det, mag, ddet = f.with_derivative(np.asarray([z], dtype=complex))
         return complex(det[0]), float(abs(det[0]) / mag[0]), complex(ddet[0])
 
+    def step_at(value: complex, deriv: complex) -> complex:
+        # infinite where D' vanishes, which ends the iteration at the box edge
+        return multiplicity * value / deriv if deriv != 0 else complex(math.inf)
+
     z = start
     value, best_r, deriv = newton_data(z)
-    best_z = z
+    best_z, best_step = z, abs(step_at(value, deriv))
     stall = 0
     for _ in range(NEWTON_MAX_ITER):
-        if deriv == 0:
-            break
-        step = multiplicity * value / deriv
+        step = step_at(value, deriv)
         z = z - step
         if not box.contains(z) or abs(step) <= 2.0 * np.finfo(float).eps * (1.0 + abs(z)):
             break
         value, r, deriv = newton_data(z)
         if r < best_r:
-            best_z, best_r = z, r
+            best_z, best_r, best_step = z, r, abs(step_at(value, deriv))
             stall = 0
         else:
             stall += 1
         if stall >= 4 or (best_r < f.config.newton_residual and stall >= 1):
             break
-    return best_z, best_r
+    return best_z, best_r, best_step
 
 
 # ---------------------------------------------------------------------------
@@ -521,37 +529,69 @@ def _polish(f: CharDeterminant, box: Box, multiplicity: int,
 _SPLIT_FRACTIONS = (0.5, 0.54, 0.46, 0.58, 0.42, 0.62, 0.38, 0.66, 0.34)
 
 
-def _moment_starts(box: Box, w: _Winding) -> list[complex]:
-    """Newton starts of a one- or two-zero box from its power sums: zeta =
-    s_1 for one zero, the roots of zeta^2 - s_1 zeta + (s_1^2 - s_2) / 2
-    for two (by the quadratic formula; ``np.roots`` would load LAPACK)."""
-    if w.count == 1:
-        zetas = [w.s1]
-    else:
-        root = cmath.sqrt(2.0 * w.s2 - w.s1 * w.s1)
-        zetas = [0.5 * (w.s1 + root), 0.5 * (w.s1 - root)]
-    return [box.center + 0.5 * box.diag * zeta for zeta in zetas]
+def _moment_starts(box: Box, w: _Winding) -> list[complex] | None:
+    """Newton starts of a box with m = count <= MOMENT_MAX_ZEROS zeros from
+    its power sums, or None if their root iteration does not settle.
+
+    Newton's identities k c_k = -(c_{k-1} s_1 + ... + c_0 s_k), c_0 = 1,
+    give the monic polynomial zeta^m + c_1 zeta^(m-1) + ... + c_m whose
+    roots are the zeros in the box coordinate.  Its roots come from a
+    Durand-Kerner iteration in plain Python (``np.roots`` would load
+    LAPACK), stopped once no root moves by more than 1e-10: they are only
+    starts.
+    """
+    m = w.count
+    coef = [1.0 + 0j]
+    for k in range(1, m + 1):
+        coef.append(-sum(coef[k - i] * w.sums[i - 1] for i in range(1, k + 1)) / k)
+    zetas = [(0.4 + 0.9j) ** i for i in range(m)]
+    for _ in range(100):   # Durand-Kerner, each root updated in turn
+        moved = 0.0
+        for i, x in enumerate(zetas):
+            value = 0j
+            for c in coef:
+                value = value * x + c
+            denom = 1.0 + 0j
+            for j, y in enumerate(zetas):
+                if j != i:
+                    denom *= x - y
+            if denom == 0:
+                return None
+            step = value / denom
+            zetas[i] = x - step
+            moved = max(moved, abs(step))
+        if moved <= 1e-10:
+            return [box.center + 0.5 * box.diag * zeta for zeta in zetas]
+    return None
 
 
 def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
                   min_sep: float) -> list | None:
-    """Each zero of a one- or two-zero box, polished from its moment start.
+    """Each zero of a box with up to MOMENT_MAX_ZEROS zeros, polished from
+    its moment start (``_moment_starts``).
 
-    None unless every start lies in the box, every polish converges there
-    to ``newton_residual``, and two roots are more than ``min_sep`` apart;
-    the box is then split instead.  The iterate never leaves the box, so
-    converged polishes are the counted zeros and not neighbours.
+    None unless the root iteration settles, every start lies in the box,
+    every polish converges there, and every two roots are more than
+    ``min_sep`` apart; the box is then split instead.  A polish has
+    converged when its residual is within ``newton_residual`` and its last
+    Newton step is below 1e-3 ``min_sep``: next to a cluster the residual
+    alone can pass a point a few thousandths away from any zero.  The
+    iterate never leaves the box, so converged polishes are the counted
+    zeros and not neighbours.
     """
+    starts = _moment_starts(box, w)
+    if starts is None:
+        return None
     roots = []
-    for start in _moment_starts(box, w):
+    for start in starts:
         if not box.contains(start):
             return None
-        z, r = _polish(f, box, 1, start)
-        if r > f.config.newton_residual:
+        z, r, step = _polish(f, box, 1, start)
+        if r > f.config.newton_residual or step > 1e-3 * min_sep:
+            return None
+        if any(abs(z - other) <= min_sep for other, _, _ in roots):
             return None
         roots.append((z, 1, r))
-    if len(roots) == 2 and abs(roots[0][0] - roots[1][0]) <= min_sep:
-        return None
     return roots
 
 
@@ -565,7 +605,7 @@ def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
     if box.diag <= cluster_diag:
         _append_cluster(f, box, w, out)
         return
-    if count <= 2:
+    if count <= MOMENT_MAX_ZEROS:
         roots = _moment_roots(f, box, w, cluster_diag)
         if roots is not None:
             out.extend(roots)
@@ -604,7 +644,7 @@ def _append_cluster(f: CharDeterminant, box: Box, w: _Winding, out: list) -> Non
     """Report an unresolvable box as one zero of multiplicity ``count``,
     polished from the centroid s_1 / count of its zeros."""
     count = w.count
-    z, r = _polish(f, box, count, box.center + 0.5 * box.diag * w.s1 / count)
+    z, r, _ = _polish(f, box, count, box.center + 0.5 * box.diag * w.sums[0] / count)
     if count > 1 and box.im_min <= 0.0 <= box.im_max:
         # conjugate symmetry: an unresolved cluster straddling the real
         # axis is indistinguishable from a real m-fold zero

@@ -47,9 +47,18 @@ def _number(cast, positive: bool = False):
     return parse
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value such as 1000.0;
+    a bool, a string or any other float is refused, not truncated."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 _float = _number(float)
 _positive_float = _number(float, positive=True)
-_positive_int = _number(int, positive=True)
+_positive_int = _number(_integer, positive=True)
 
 
 def _experiment(value) -> str:
@@ -77,7 +86,7 @@ def _start_y(value) -> float | str:
 
 
 def _n_values(value) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in value)
+    vals = tuple(_integer(v) for v in value)
     if any(v < 1 for v in vals):
         raise ValueError("must be positive integers")
     return vals
@@ -114,7 +123,7 @@ class ExperimentConfig:
     n_paths: int = _key(_positive_int, default=100_000)
     bins: int = _key(_positive_int, default=64)
     t_grid: tuple[float, ...] = _key(_time_grid, default=())
-    seed: int = _key(_number(int), default=20240808)
+    seed: int = _key(_integer, default=20240808)
     start_x: float | None = _key(_float, default=None)
     start_y: float | str | None = _key(_start_y, default=None)
     n_values: tuple[int, ...] = _key(_n_values, _for_lemma6, default=(1, 2))
@@ -206,10 +215,22 @@ def write_csv(path_or_buf, header: list[str], rows: list[tuple],
 # ---------------------------------------------------------------------------
 
 def threshold_locate(spec_base: ProcessSpec, tol: float) -> ThresholdResult:
-    """Bisect for the smallest drift whose gap sits on the plateau.
+    """Search for the smallest drift whose gap sits on the plateau.
 
     The predicate is |gap(mu) - plateau| < tol * plateau; the bracket is
-    [0, 4x the conjectured threshold].  The located value is reported as
+    [0, 4x the conjectured threshold], shrunk until it is narrower than
+    1e-3 of the threshold.  Below the plateau the gap is a smooth curve in
+    mu (2 sigma^2 pi^2 / L^2 + mu^2 / (2 sigma^2) for the centred restart),
+    so once three off-plateau gaps are known each probe aims at where the
+    quadratic through the last three meets (1 - tol) * plateau, the edge of
+    the predicate.  It probes a quarter of the stopping width past that
+    crossing, on the plateau side, so that no probe sits within rounding of
+    the edge and, when the crossing is right, the last two probes straddle
+    it; every aimed probe is kept at least half the stopping width inside
+    the bracket.  The midpoint is probed instead while fewer than three
+    off-plateau gaps are known, when the quadratic has no real crossing
+    within half the stopping width of the bracket, and after an aimed probe
+    that did not halve the bracket.  The located value is reported as
     conjecture-consistent, not as ground truth.
 
     Raises:
@@ -220,23 +241,61 @@ def threshold_locate(spec_base: ProcessSpec, tol: float) -> ThresholdResult:
         raise ConfigError(f"tol must be positive, got {tol}")
     target = analytic.theoretical_gap(spec_base)
     upper = 4.0 * analytic.conjectured_threshold(spec_base)
+    width = 1e-3 * upper / 4.0
+    off: list[tuple[float, float]] = []   # (mu, gap) of every off-plateau probe
 
     def on_plateau(mu: float) -> bool:
         gap = gap_curve(spec_base, [mu])[0][1]
-        return abs(gap - target) < tol * target
+        if abs(gap - target) < tol * target:
+            return True
+        off.append((mu, gap))
+        return False
 
     if not on_plateau(upper):
         raise NoPlateauFound(f"gap still off-plateau at mu={upper}")
     lo, hi = 0.0, upper
     if on_plateau(lo):
         return ThresholdResult(mu=0.0, bracket_width=0.0)
-    while hi - lo > 1e-3 * upper / 4.0:
-        mid = 0.5 * (lo + hi)
-        if on_plateau(mid):
-            hi = mid
+    aim = True
+    while hi - lo > width:
+        crossing = None
+        if aim and len(off) >= 3:
+            crossing = _quadratic_crossing(off[-3:], (1.0 - tol) * target,
+                                           lo - 0.5 * width, hi + 0.5 * width)
+        if crossing is None:
+            probe = 0.5 * (lo + hi)
         else:
-            lo = mid
+            probe = min(max(crossing + 0.25 * width, lo + 0.5 * width), hi - 0.5 * width)
+        before = hi - lo
+        if on_plateau(probe):
+            hi = probe
+        else:
+            lo = probe
+        aim = crossing is None or hi - lo <= 0.5 * before
     return ThresholdResult(mu=hi, bracket_width=hi - lo)
+
+
+def _quadratic_crossing(points: list[tuple[float, float]], level: float,
+                        lo: float, hi: float) -> float | None:
+    """Smallest x in (lo, hi) where the quadratic through three (x, y)
+    points equals ``level``, or None if there is none."""
+    (x0, y0), (x1, y1), (x2, y2) = points
+    d01 = (y1 - y0) / (x1 - x0)
+    d12 = (y2 - y1) / (x2 - x1)
+    # y = y2 + b t + a t^2 in t = x - x2
+    a = (d12 - d01) / (x2 - x0)
+    b = d12 + a * (x2 - x1)
+    c = y2 - level
+    if a == 0.0:
+        ts = [-c / b] if b != 0.0 else []
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return None
+        half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        ts = [half / a] + ([c / half] if half != 0.0 else [])
+    inside = [x2 + t for t in ts if lo < x2 + t < hi]
+    return min(inside, default=None)
 
 
 def report_corollary3(spec_base: ProcessSpec, mu_grid, out: str | None = None) -> str:

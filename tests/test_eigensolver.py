@@ -160,7 +160,7 @@ def test_polish_evaluates_each_point_once(spec20):
     det = CountingDet(spec20)
     start = complex(8 * PI2 + 0.5, 4 * math.pi * 20.0 + 0.5)
     box = Box(start.real - 1.0, start.real + 1.0, start.imag - 1.0, start.imag + 1.0)
-    z, r = _polish(det, box, 1, box.center)
+    z, r, _ = _polish(det, box, 1, box.center)
     assert r < DEFAULT_CONFIG.newton_residual
     assert abs(z - complex(8 * PI2, 4 * math.pi * 20.0)) < 1e-3
     assert len(det.points) == len(set(det.points))
@@ -174,7 +174,7 @@ def test_zero_eigenvalue_polish_stops_at_resolution(mu):
     # from the centre reaches Im z = -3.56, so the box reaches below that
     det = CountingDet(unit_spec(mu))
     box = Box(-1.5, 8.5, -4.0, 8.0)
-    z, r = _polish(det, box, 1, box.center)
+    z, r, _ = _polish(det, box, 1, box.center)
     assert abs(z) < 1e-12
     assert r < DEFAULT_CONFIG.newton_residual
     assert det.calls <= 40
@@ -208,15 +208,19 @@ def test_winding_count_one_kernel_call_per_round(mu, box):
 
 
 def test_power_sums_place_the_zeros(spec20):
-    # the moment start of a box lies within 1e-2 half-diagonals of each
-    # closed-form zero it holds: 8 pi^2 +- 80 pi i at mu = 20
+    # the moment starts of a box lie within 1e-2 half-diagonals of each
+    # closed-form zero it holds, from one zero (8 pi^2 + 80 pi i at mu = 20)
+    # to four (two of the real family 200 + 2 pi^2 m^2 and a complex pair)
     f = CharDeterminant(spec20)
-    upper = complex(8 * PI2, 80 * math.pi)
-    for box, zeros in ((Box(58.96, 108.96, 226.33, 291.33), [upper]),
-                       (Box(50.0, 110.0, -300.0, 300.0), [upper, upper.conjugate()])):
+    for box, count in ((Box(58.96, 108.96, 226.33, 291.33), 1),
+                       (Box(50.0, 110.0, -300.0, 300.0), 2),
+                       (Box(150.0, 450.0, -60.0, 60.0), 3),
+                       (Box(250.0, 400.0, -600.0, 600.0), 4)):
+        zeros = centred_spectrum(1.0, 1.0, 20.0, box)
         w = _winding_count(f, box)
-        assert w.count == len(zeros)
+        assert w.count == len(zeros) == count
         starts = _moment_starts(box, w)
+        assert len(starts) == count
         for z in zeros:
             assert min(abs(s - z) for s in starts) <= 1e-2 * 0.5 * box.diag, (z, starts)
 
@@ -233,6 +237,20 @@ def test_full_box_kernel_call_budget(kernel_calls):
     spec = unit_spec(120.0)
     find_spectrum(spec, auto_re_max(spec))
     assert kernel_calls.total() <= 541, kernel_calls
+
+
+def test_gap_curve_winding_budget(wound_boxes):
+    # boxes with up to four zeros polish from their moments instead of
+    # splitting: 30 windings when only one- and two-zero boxes did
+    gap_curve(unit_spec(), [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 25.0, 30.0])
+    assert len(wound_boxes) <= 20
+
+
+def test_full_box_winding_budget(wound_boxes):
+    # 75 windings when only one- and two-zero boxes polished from moments
+    spec = unit_spec(120.0)
+    find_spectrum(spec, auto_re_max(spec))
+    assert len(wound_boxes) <= 48
 
 
 THREE_ATOM_SPEC = make_spec(mu=-30.0, atoms=((0.2, 0.3), (0.45, 0.5), (0.8, 0.2)))
@@ -306,6 +324,17 @@ def test_zero_eigenvalue_below_axis_at_large_drift():
     assert gap == pytest.approx(9931.412955388589, rel=1e-12)
     assert gap == pytest.approx(rep.gap, rel=1e-12)
     assert gap_is_real and rep.gap_is_real
+
+
+def test_moment_roots_need_a_converged_newton_step():
+    # an atom 9e-5 L from the edge splits 2 pi^2 sigma^2 / L^2 into two
+    # real zeros 3.6e-3 apart; between them a Newton iterate of residual
+    # 1.3e-11, 2.5e-3 from either, passed newton_residual, and its long
+    # last step is what marks it as no zero
+    spec = make_spec(b=0.5, sigma=0.5, atoms=((0.499953861383885, 1.0),))
+    rep = find_spectrum(spec, auto_re_max(spec))
+    assert sum(e.multiplicity for e in rep.eigenvalues) == count_zeros(spec, rep.search_box)
+    assert [e.value.imag for e in rep.eigenvalues if e.value.real < 30.0] == [0.0] * 3
 
 
 def centred_spectrum(length, sigma, mu, box):

@@ -20,11 +20,15 @@ from jumpdiff.eigensolver import (
     Box,
     CharDeterminant,
     _count_with_dilation,
+    _gap_window,
+    _solve_counted,
     auto_re_max,
+    count_zeros,
     find_spectrum,
     gap_curve,
 )
-from jumpdiff.errors import BoxTooSmall, ContourThroughZero
+from jumpdiff.errors import BoxTooSmall, ContourThroughZero, JumpdiffError
+from jumpdiff.model import DEFAULT_CONFIG, validate_spec
 from tests.test_eigensolver import centred_spectrum
 from tests.test_model import make_spec
 
@@ -229,3 +233,47 @@ def test_count_zeros_matches_the_centred_closed_form(length, sigma, mu, re_min, 
     except ContourThroughZero:
         return
     assert w.count == len(centred_spectrum(length, sigma, mu, used)), used
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the solver
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fuzz_specs(draw):
+    """1-4 atoms, some within 1e-3 of an edge, and a drift with |mu| L /
+    sigma^2 <= 200."""
+    length = draw(st.floats(0.5, 3.0))
+    sigma = draw(st.floats(0.5, 2.0))
+    peclet = draw(st.floats(-200.0, 200.0))
+    n = draw(st.integers(1, 4))
+    place = st.one_of(st.floats(0.01, 0.99), st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6))
+    locs = draw(st.lists(place, min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    return validate_spec(make_spec(b=length, sigma=sigma, mu=peclet * sigma**2 / length,
+                                   atoms=tuple((x * length, w / total)
+                                               for x, w in zip(locs, weights))))
+
+
+def _assert_complete(solve, spec) -> None:
+    """The report of ``solve()`` accounts for every zero of its search box,
+    each polished, with a finite gap, unless the solve raises a typed error."""
+    try:
+        rep = solve()
+    except JumpdiffError:
+        return
+    assert math.isfinite(rep.gap)
+    assert sum(e.multiplicity for e in rep.eigenvalues) == count_zeros(spec, rep.search_box)
+    assert all(e.residual <= DEFAULT_CONFIG.newton_residual for e in rep.eigenvalues)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_specs())
+def test_fuzzed_specs_solve_completely_or_raise_typed_errors(spec):
+    # the gap-only solve of gap_curve up to |mu| L / sigma^2 = 200, and the
+    # full automatic box up to 60
+    f = CharDeterminant(spec)
+    _assert_complete(lambda: _solve_counted(f, *_gap_window(f)), spec)
+    if abs(spec.mu) * spec.length / spec.sigma**2 <= 60.0:
+        _assert_complete(lambda: find_spectrum(spec, auto_re_max(spec)), spec)

@@ -61,6 +61,28 @@ def test_nonpositive_knob_rejected():
         validate_config({"spec": BASE_SPEC, "experiment": "tv-decay", "dt": -1e-4})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_paths", 1000.7), ("bins", 64.5), ("seed", 1.9), ("n_values", [1.5]),
+    ("n_paths", True), ("bins", "12"), ("seed", True), ("seed", "12"),
+    ("n_values", [True]), ("grid_points", math.inf),
+], ids=["n_paths-1000.7", "bins-64.5", "seed-1.9", "n_values-1.5", "n_paths-true",
+        "bins-str", "seed-true", "seed-str", "n_values-true", "grid_points-inf"])
+def test_integer_key_refuses_what_it_would_truncate(tmp_path, key, value):
+    raw = {"spec": BASE_SPEC, "experiment": "lemma6-check", key: value}
+    with pytest.raises(ConfigError, match=f"invalid {key}"):
+        validate_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["lemma6-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_integer_key_takes_an_integral_float():
+    cfg = validate_config({"spec": BASE_SPEC, "experiment": "lemma6-check",
+                           "n_paths": 1000.0, "bins": 64, "seed": -3.0, "n_values": [2.0, 5]})
+    assert (cfg.n_paths, cfg.bins, cfg.seed, cfg.n_values) == (1000, 64, -3, (2, 5))
+    assert all(type(v) is int for v in (cfg.n_paths, cfg.seed, *cfg.n_values))
+
+
 @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
 def test_nonfinite_drift_rejected(mu):
     with pytest.raises(ConfigError, match="mu must be finite"):
@@ -335,6 +357,29 @@ def test_threshold_scales_with_interval_length():
     res = threshold_locate(wide, 1e-4)
     want = math.sqrt(3) * math.pi
     assert abs(res.mu - want) / want < 0.05
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-2, 0.5])
+@pytest.mark.parametrize("length,sigma", [(1.0, 1.0), (3.0, 1.3)])
+def test_threshold_brackets_the_closed_form_edge(monkeypatch, length, sigma, tol):
+    # below the plateau the centred gap is 2 sigma^2 pi^2 / L^2 + mu^2 /
+    # (2 sigma^2) (the branch of coupling_tail_bound_rate), so the predicate
+    # turns true where that reaches (1 - tol) of 8 sigma^2 pi^2 / L^2
+    spec = make_spec(b=length, sigma=sigma, atoms=((0.5 * length, 1.0),))
+    solves = []
+    gap_curve = experiments.gap_curve
+
+    def counted_gap_curve(spec_base, mu_grid):
+        solves.append(mu_grid)
+        return gap_curve(spec_base, mu_grid)
+
+    monkeypatch.setattr(experiments, "gap_curve", counted_gap_curve)
+    res = threshold_locate(spec, tol)
+    plateau = 8 * sigma**2 * PI2 / length**2
+    edge = sigma * math.sqrt(2 * ((1 - tol) * plateau - 2 * sigma**2 * PI2 / length**2))
+    assert res.mu - res.bracket_width < edge <= res.mu
+    # a blind bisection of the same bracket takes 14 solves
+    assert len(solves) <= (8 if tol == 1e-4 else 14)
 
 
 def test_threshold_rejects_bad_tol():
