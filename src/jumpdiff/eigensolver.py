@@ -577,7 +577,11 @@ def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
     Newton step is below 1e-3 ``min_sep``: next to a cluster the residual
     alone can pass a point a few thousandths away from any zero.  The
     iterate never leaves the box, so converged polishes are the counted
-    zeros and not neighbours.
+    zeros and not neighbours.  Hence a root whose conjugate lies in the box
+    within ``min_sep`` of it is real, since that conjugate would be one
+    more zero; it is reported on the axis, because next to another zero its
+    polish can end further off the axis than ``_assemble_eigenvalues``
+    allows.
     """
     starts = _moment_starts(box, w)
     if starts is None:
@@ -592,7 +596,8 @@ def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
         if any(abs(z - other) <= min_sep for other, _, _ in roots):
             return None
         roots.append((z, 1, r))
-    return roots
+    return [(complex(z.real, 0.0) if 2.0 * abs(z.imag) <= min_sep
+             and box.contains(z.conjugate()) else z, 1, r) for z, _, r in roots]
 
 
 def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:

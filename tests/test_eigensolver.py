@@ -326,15 +326,20 @@ def test_zero_eigenvalue_below_axis_at_large_drift():
     assert gap_is_real and rep.gap_is_real
 
 
-def test_moment_roots_need_a_converged_newton_step():
-    # an atom 9e-5 L from the edge splits 2 pi^2 sigma^2 / L^2 into two
-    # real zeros 3.6e-3 apart; between them a Newton iterate of residual
-    # 1.3e-11, 2.5e-3 from either, passed newton_residual, and its long
-    # last step is what marks it as no zero
-    spec = make_spec(b=0.5, sigma=0.5, atoms=((0.499953861383885, 1.0),))
+@pytest.mark.parametrize("sigma, atom", [(0.5, 0.499953861383885), (0.617591101116841, 0.499995)],
+                         ids=["newton-step", "conjugate-in-box"])
+def test_edge_atom_splits_real_zeros_into_close_pairs(sigma, atom):
+    # at mu = 0 an atom this close to b splits each real zero 2 pi^2 k^2
+    # sigma^2 / L^2 into two, 6e-4 to 3.6e-3 apart.  newton-step: between
+    # two of them an iterate of residual 1.3e-11 passed newton_residual, and
+    # only its long last step shows it is no zero.  conjugate-in-box: the
+    # zero 120.4649 polishes to 4.3e-7 below the axis, past the real-axis
+    # tolerance, but its conjugate would be a zero closer than the cluster
+    # size, so it is real
+    spec = make_spec(b=0.5, sigma=sigma, atoms=((atom, 1.0),))
     rep = find_spectrum(spec, auto_re_max(spec))
     assert sum(e.multiplicity for e in rep.eigenvalues) == count_zeros(spec, rep.search_box)
-    assert [e.value.imag for e in rep.eigenvalues if e.value.real < 30.0] == [0.0] * 3
+    assert all(e.value.imag == 0.0 for e in rep.eigenvalues)
 
 
 def centred_spectrum(length, sigma, mu, box):

@@ -268,7 +268,7 @@ def _assert_complete(solve, spec) -> None:
     assert all(e.residual <= DEFAULT_CONFIG.newton_residual for e in rep.eigenvalues)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fuzz_specs())
 def test_fuzzed_specs_solve_completely_or_raise_typed_errors(spec):
     # the gap-only solve of gap_curve up to |mu| L / sigma^2 = 200, and the
