@@ -38,11 +38,13 @@ from .errors import (
 )
 from .model import Interval, JumpDistribution, ProcessSpec, RateFit
 from .simulate import (
+    LEFT,
     RngStream,
     _check_counts,
     _check_dt,
     _check_times,
     _hits,
+    _interval_exits,
     _step_count,
     _window_exit_times,
     fit_rate,
@@ -306,63 +308,40 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
 
 def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
                           seed: int, dt: float = 1e-4) -> list[tuple[float, float, float]]:
-    """Empirical exit-time survivals of the mirror-coupled pair.
+    """Empirical exit-time survivals of the mirror-coupled pair, sampled exactly.
 
-    Standard Brownian motions from y (driven by -B) and from the center
+    Standard Brownian motions from y (driven by -B) and from the centre x0
     (driven by +B) share one noise until they meet, then glue.  Returns rows
-    (t, survival from y, survival from center); the construction makes the
-    centered survival dominate up to Monte Carlo error.
+    (t, survival from y, survival from centre).  Both copies are functionals
+    of B, so each path is at most two exits of B from an interval, drawn by
+    _interval_exits with no time step.  A y below x0 is reflected about x0,
+    which leaves the law of the pair unchanged; then the copies meet when B
+    reaches m = (y - x0) / 2, and until then the copy from y can leave only
+    at b, when B reaches y - b, while the centre copy stays inside.  Phase 1
+    is B's exit from (y - b, m); phase 2 is the centre copy's exit from
+    (a, b), from where phase 1 ended.  The copy from y exits at the end of
+    phase 1 if B left at y - b, and with the centre copy if they met, so its
+    exit time is at most the centre one on every path.  At m = 0 the copies
+    are glued from the start: phase 1 ends at once with no draw, and one
+    exit gives both times.  ``dt`` is
+    ignored; it stays in the signature because existing callers still pass
+    it.
     """
-    _check_dt(dt)
     _check_counts(n_paths)
     if not interval.contains(y):
         raise OutOfDomain(f"start {y} outside open interval")
     t_grid = _check_times(t_grid)
-    n_steps = _step_count(n_paths, t_grid[-1], dt)
     a, b = interval.a, interval.b
     x0 = interval.midpoint
+    y = max(y, 2.0 * x0 - y)
     m = 0.5 * (y - x0)                  # B level at which the copies meet
     gen = RngStream(seed, 0).generator()
-    sqrt_dt = math.sqrt(dt)
-
-    def exits(old, new):
-        return _hits(b - old, b - new, dt, gen) | _hits(old - a, new - a, dt, gen)
-
-    live = np.arange(n_paths)           # paths with an exit time still open
-    bm = np.zeros(n_paths)
-    met = np.full(n_paths, m == 0.0)
-    tau_y = np.full(n_paths, np.inf)
-    tau_c = np.full(n_paths, np.inf)
-    sgn = 1.0 if m >= 0.0 else -1.0
-    for step in range(n_steps):
-        if not live.size:
-            break
-        t = (step + 1) * dt
-        bm1 = bm + sqrt_dt * gen.standard_normal(live.size)
-        open_y = np.isinf(tau_y[live])
-        open_c = np.isinf(tau_c[live])
-
-        # the meet matters only while the copy from y is inside; a copy that
-        # meets follows the centre one from this step on
-        i = np.flatnonzero(open_y & ~met)
-        met[i] = _hits(sgn * (m - bm[i]), sgn * (m - bm1[i]), dt, gen)
-
-        # process started at y: y - B until met
-        i = np.flatnonzero(open_y & ~met)
-        tau_y[live[i[exits(y - bm[i], y - bm1[i])]]] = t
-
-        # process started at the center: x0 + B throughout, and the glued
-        # copy from y with it, so glued pairs share a single exit decision
-        i = np.flatnonzero(open_c | (open_y & met))
-        exit_c = exits(x0 + bm[i], x0 + bm1[i])
-        tau_c[live[i[exit_c & open_c[i]]]] = t
-        tau_y[live[i[exit_c & open_y[i] & met[i]]]] = t
-
-        keep = np.isinf(tau_y[live]) | np.isinf(tau_c[live])
-        bm = bm1
-        if not keep.all():
-            live, bm, met = live[keep], bm[keep], met[keep]
-
+    tau_1, side = _interval_exits(np.full(n_paths, b - y), np.full(n_paths, m), gen)
+    exited = side == LEFT               # the copy from y reached b before the meet
+    c = x0 + np.where(exited, y - b, m)     # the centre copy when phase 1 ends
+    tau_2, _ = _interval_exits(c - a, b - c, gen)
+    tau_c = tau_1 + tau_2
+    tau_y = np.where(exited, tau_1, tau_c)
     return [(t, float((tau_y > t).mean()), float((tau_c > t).mean())) for t in t_grid]
 
 

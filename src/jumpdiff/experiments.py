@@ -20,7 +20,7 @@ from . import analytic
 from .coupling import convolution_bound_check, coupling_tail
 from .errors import ConfigError, JumpdiffError, NoPlateauFound
 from .eigensolver import auto_re_max, find_spectrum, gap_curve
-from .model import ProcessSpec
+from .model import ProcessSpec, _json_float
 from .simulate import default_dt, ensemble_tv, fit_rate, verify_pathwise_lemma
 from .svgplot import line_plot
 
@@ -56,8 +56,8 @@ def _integer(value) -> int:
     return int(value)
 
 
-_float = _number(float)
-_positive_float = _number(float, positive=True)
+_float = _number(_json_float)
+_positive_float = _number(_json_float, positive=True)
 _positive_int = _number(_integer, positive=True)
 
 

@@ -8,6 +8,7 @@ All types are immutable after validation and safe to share between workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -22,6 +23,14 @@ from .errors import (
 CENTER_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_RENORM_TOL = 1e-9
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float; a bool, a string or any other value is
+    refused with ConfigError rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{value!r} is not a number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -140,10 +149,10 @@ class ProcessSpec:
         if missing:
             raise ConfigError(f"missing spec keys: {sorted(missing)}")
         spec = cls(
-            interval=Interval(float(d["a"]), float(d["b"])),
-            sigma=float(d["sigma"]),
-            mu=float(d["mu"]),
-            nu=JumpDistribution(tuple((float(x), float(w)) for x, w in d["nu"])),
+            interval=Interval(_json_float(d["a"]), _json_float(d["b"])),
+            sigma=_json_float(d["sigma"]),
+            mu=_json_float(d["mu"]),
+            nu=JumpDistribution(tuple((_json_float(x), _json_float(w)) for x, w in d["nu"])),
         )
         return validate_spec(spec)
 

@@ -9,9 +9,11 @@ uniform grid; within-step boundary crossings are recovered by one-sided
 Brownian-bridge corrections (right barrier first, then left), so exit
 statistics converge at O(dt) instead of O(sqrt(dt)).  Exits are attributed
 to the end of the step in which they are detected, and the restart position
-is the recorded state at that grid time.  The one law sampled without steps
-is the exit time of standard Brownian motion from a symmetric window
-(:func:`_window_exit_times`), drawn exactly by inverting its series.  Every
+is the recorded state at that grid time.  Two engines take no steps: both
+draw the exit time of standard Brownian motion from a symmetric window
+(:func:`_window_exit_times`) exactly, by inverting its series.  The
+convolution check uses one window per path; the mirror coupling chains
+windows into exits from an interval (:func:`_interval_exits`).  Every
 stepping engine sizes its run with :func:`_step_count`, which refuses paths
 times steps over the one budget ``PATH_STEP_BUDGET`` before allocating.
 
@@ -58,6 +60,7 @@ WINDOW_TERMS = 64                   # terms of the window survival series
 WINDOW_TERM_CUT = 40.0              # a Newton round drops terms below e^-40 of the first
 WINDOW_T_MIN = 0.005                # lowest standardised exit time the inversion searches
 WINDOW_NEWTON_BUDGET = 64           # safeguarded Newton steps per inversion
+WINDOW_ROUND_BUDGET = 64            # window rounds per interval exit
 
 
 def default_dt(spec: ProcessSpec) -> float:
@@ -128,9 +131,10 @@ class TVCurve:
 #     uniforms for all of them, lower-copy-at-b and gap-at-0 uniforms for the
 #     stage I-II pairs and gap-at-half uniforms for the stage II pairs that
 #     neither met nor exited;
-#   mirror coupling: normals for the paths with an open exit time, then meet,
-#     y-right, y-left, centre-right and centre-left uniforms, each only for the
-#     paths whose outcome it can still change;
+#   mirror coupling: no steps, two uniforms per window round of
+#     _interval_exits (window time, then side) for each path still inside, in
+#     path order, phase 1 (B until the copies meet or the copy from y exits)
+#     then phase 2 (the centre copy until it exits);
 #   conditioned paths (lemma): normals for the proposals still inside the
 #     window, window-right and window-left uniforms, then x-restart and
 #     y-restart uniforms for the proposals that stayed inside;
@@ -292,7 +296,8 @@ def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
     tau = h^2 T, where T has the survival function
         S(T) = (4 / pi) sum_k (-1)^k / (2k + 1) exp(-(2k + 1)^2 pi^2 T / 8),
     and each T solves S(T) = u for its uniform u in [0, 1) (inversion by the
-    series method; Devroye 1986).  u = 0 gives +inf.  S is at most its first
+    series method; Devroye 1986).  h is one halfwidth or an array of them,
+    shaped like u.  u = 0 gives +inf.  S is at most its first
     term, so T <= (8 / pi^2) log(4 / (pi u)).  And 1 - S(WINDOW_T_MIN) is
     about 4e-45, so every u up to 1 - 2^-53 has its T above WINDOW_T_MIN,
     where WINDOW_TERMS terms are exact to rounding (the last is e^-102).  On
@@ -332,6 +337,45 @@ def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
         idx, v, lo, hi, t = idx[keep], v[keep], lo[keep], hi[keep], t_new[keep]
     out[idx] = t        # roots still open when the budget is spent keep their last iterate
     return h * h * out
+
+
+def _interval_exits(d_lo, d_hi, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact exit times and sides of standard Brownian motion from an interval.
+
+    Path i starts d_lo[i] above the lower end and d_hi[i] below the upper
+    end.  Each round takes it to the exit point of the window (-h, h) around
+    it, h = min(d_lo, d_hi): one uniform gives the window time through
+    _window_exit_times, the next a fair side (walk on spheres; Muller 1956).
+    A move toward the nearer end sets that distance to exactly 0, so every
+    round ends a path with probability at least 1/2.  A path still inside
+    after WINDOW_ROUND_BUDGET rounds, an event of probability at most
+    2^-WINDOW_ROUND_BUDGET, raises StepBudgetExceeded.  Returns (times,
+    sides) with side LEFT at the lower end and RIGHT at the upper; a path
+    that starts on an end exits there at time 0.
+    """
+    lo = np.asarray(d_lo, dtype=float)
+    hi = np.asarray(d_hi, dtype=float)
+    times = np.zeros(lo.shape)
+    sides = np.full(lo.shape, RIGHT, dtype=np.int8)
+    idx = np.arange(lo.size)
+    for rounds in range(WINDOW_ROUND_BUDGET + 1):
+        at_lo = lo <= 0.0
+        inside = ~(at_lo | (hi <= 0.0))
+        sides[idx[at_lo]] = LEFT
+        if not inside.all():
+            idx, lo, hi = idx[inside], lo[inside], hi[inside]
+        if not idx.size:
+            return times, sides
+        if rounds == WINDOW_ROUND_BUDGET:
+            break
+        u = gen.random((idx.size, 2))
+        h = np.minimum(lo, hi)
+        times[idx] += _window_exit_times(u[:, 0], h)
+        h[u[:, 1] >= 0.5] *= -1.0       # the move down, or up
+        lo = lo - h
+        hi = hi + h
+    raise StepBudgetExceeded(f"{idx.size} paths still inside after "
+                             f"{WINDOW_ROUND_BUDGET} window rounds")
 
 
 # ---------------------------------------------------------------------------

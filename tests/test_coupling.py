@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jumpdiff import simulate
+from jumpdiff.analytic import killed_survival
 from jumpdiff.coupling import (
     CouplingRecord,
     TailTable,
@@ -15,6 +18,7 @@ from jumpdiff.coupling import (
     staged_coupling,
 )
 from jumpdiff.errors import (
+    JumpdiffError,
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
@@ -205,6 +209,57 @@ def test_mirror_dominance(rng):
 def test_mirror_near_boundary_start_exits_fast():
     rows = mirror_exit_dominance(Interval(0.0, 1.0), 0.999, [0.05], 5_000, 9)
     assert rows[0][1] < 0.1
+
+
+@pytest.mark.parametrize("y", [0.2, 0.9])
+def test_mirror_survivals_match_killed_survival(y):
+    # each copy on its own is a killed Brownian motion from its start
+    spec = unit_spec(0.0)
+    n = 50_000
+    rows = mirror_exit_dominance(Interval(0.0, 1.0), y, [0.02, 0.05, 0.1, 0.2], n, 17)
+    for t, p_y, p_c in rows:
+        for p, start in ((p_y, y), (p_c, 0.5)):
+            q = killed_survival(spec, start, t)
+            assert abs(p - q) <= 3.0 * math.sqrt(q * (1.0 - q) / n)
+
+
+def test_mirror_dominance_holds_on_every_path():
+    # the copy from y exits no later than the centre copy on every path, so
+    # the survivals are ordered exactly, with no error bar
+    grid = np.linspace(0.0, 0.5, 51)
+    for y, seed in ((0.6, 1), (0.95, 2), (0.05, 3), (0.999, 4)):
+        for _, p_y, p_c in mirror_exit_dominance(Interval(0.0, 1.0), y, grid, 2_000, seed):
+            assert p_y <= p_c
+
+
+def _mirror_fuzz_start(a, length, frac, edge):
+    if edge == "a":
+        return a + 1e-9
+    if edge == "b":
+        return a + length - 1e-9
+    return a + frac * length
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e3), frac=st.floats(0.0, 1.0),
+       edge=st.sampled_from([None, None, "a", "b"]), n=st.integers(1, 200),
+       seed=st.integers(0, 2**32), ts=st.lists(st.floats(0.0, 4.0), max_size=5))
+def test_mirror_rows_are_ordered_survivals(a, length, frac, edge, n, seed, ts):
+    # a random interval, a start anywhere in it (some within 1e-9 of an end)
+    # and a grid from 0 to inf, in units of the diffusive time length^2
+    y = _mirror_fuzz_start(a, length, frac, edge)
+    grid = [0.0, *(t * length**2 for t in ts), math.inf]
+    try:
+        rows = mirror_exit_dominance(Interval(a, a + length), y, grid, n, seed)
+    except JumpdiffError:
+        return
+    p_y = np.array([r[1] for r in rows])
+    p_c = np.array([r[2] for r in rows])
+    for p in (p_y, p_c):
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) <= 0.0)
+    assert np.all(p_y <= p_c)
+    assert rows[-1][1:] == (0.0, 0.0)
 
 
 # --- convolution comparison -------------------------------------------------------

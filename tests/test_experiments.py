@@ -83,6 +83,19 @@ def test_integer_key_takes_an_integral_float():
     assert all(type(v) is int for v in (cfg.n_paths, cfg.seed, *cfg.n_values))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dt", "0.001"), ("start_x", True),
+    ("spec", dict(BASE_SPEC, sigma="2", mu=True)),
+], ids=["dt-str", "start_x-true", "spec-sigma-str-mu-true"])
+def test_float_key_refuses_a_string_or_a_bool(tmp_path, key, value):
+    raw = {"spec": BASE_SPEC, "experiment": "tv-decay", key: value}
+    with pytest.raises(ConfigError, match=f"invalid {key}"):
+        validate_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["tv-decay", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
 def test_nonfinite_drift_rejected(mu):
     with pytest.raises(ConfigError, match="mu must be finite"):

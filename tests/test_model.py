@@ -119,6 +119,16 @@ def test_json_unknown_key_rejected():
                                     "nu": [[0.5, 1.0]], "extra": 1})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("a", "0"), ("b", True), ("sigma", "2"), ("mu", True), ("nu", [["0.5", 1.0]]),
+    ("nu", [[0.5, True]]),
+])
+def test_json_spec_number_must_be_a_json_number(key, value):
+    d = dict(unit_spec(0.0).to_json_dict(), **{key: value})
+    with pytest.raises(ConfigError, match="is not a number"):
+        ProcessSpec.from_json_dict(d)
+
+
 def test_spec_is_immutable():
     spec = unit_spec()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -65,8 +65,9 @@ ENTRIES = {
         SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time end"),
     "coupling_tail": (lambda dt, ts: coupling_tail(
         SPEC, 0.25, 0.75, 10_000, dt, ts, 1), "dt time end grid"),
+    # exact: no steps, so dt is ignored and t = inf is a valid grid time
     "mirror_exit_dominance": (lambda dt, ts: mirror_exit_dominance(
-        Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "dt time end grid"),
+        Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "time grid"),
     "convolution_bound_check": (lambda dt, ts: convolution_bound_check(
         SPEC, None, ts, 10, 1), "time grid"),
 }
@@ -93,6 +94,11 @@ def test_bad_step_or_times_raise_typed_errors(call, dt, ts, exc):
     with pytest.raises(exc):
         call(dt, ts)
     assert time.perf_counter() - start < 1.0
+
+
+def test_mirror_survival_at_infinity_is_zero():
+    rows = mirror_exit_dominance(Interval(0.0, 1.0), 0.7, [0.1, math.inf], 10, 1)
+    assert rows[-1] == (math.inf, 0.0, 0.0)
 
 
 # entry -> call with n paths or pairs; the other inputs are valid

@@ -176,7 +176,8 @@ def test_one_crossing_rule_and_no_dense_uniform_blocks():
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
     assert {owner for owner, callee in calls if callee == "_crosses"} == {"_hits"}
     assert {owner for owner, callee in calls if callee == ".random"} == {
-        "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check"}
+        "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check",
+        "_interval_exits"}
     # the staged coupling takes one step rule for every stage: five bridge
     # tests and no hard comparison of a position against a or b
     run = [callee for owner, callee in calls if owner == "_run_coupling"]
@@ -196,7 +197,7 @@ def test_one_step_count_for_every_sampler():
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
     assert {owner for owner, callee in calls if callee == "_step_count"} == {
         "exit_time_ensemble", "ensemble_snapshots", "verify_pathwise_lemma",
-        "_run_coupling", "mirror_exit_dominance"}
+        "_run_coupling"}
     assert {owner for owner, callee in calls if callee in ("round", ".round", ".rint")} == {
         "_step_count"}
     for module in (simulate, coupling):
@@ -315,6 +316,50 @@ def test_window_exit_survival_matches_series_and_euler():
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(p - killed_survival(window, 0.0, t)) <= 3.0 * se
         assert abs(p - p_euler) <= 3.0 * math.sqrt(2.0) * se
+
+
+# --- exact interval exits ----------------------------------------------------
+
+def test_interval_exit_side_and_mean_time():
+    # from 0.3 above the lower end of an interval of length 1: the lower end
+    # first with probability d_hi / (d_lo + d_hi), mean exit time d_lo d_hi
+    n = 100_000
+    taus, sides = simulate._interval_exits(np.full(n, 0.3), np.full(n, 0.7),
+                                           RngStream(21).generator())
+    p_lo = float((sides == LEFT).mean())
+    assert abs(p_lo - 0.7) <= 3.0 * math.sqrt(0.7 * 0.3 / n)
+    assert set(np.unique(sides)) == {LEFT, simulate.RIGHT}
+    assert abs(taus.mean() - 0.21) <= 3.0 * taus.std() / math.sqrt(n)
+
+
+@pytest.mark.parametrize("d_lo, d_hi", [(0.2, 0.8), (1e-3, 0.999)],
+                         ids=["off-centre", "next-to-an-end"])
+def test_interval_exit_survival_matches_killed_survival(d_lo, d_hi):
+    spec = ProcessSpec(Interval(0.0, d_lo + d_hi), 1.0, 0.0,
+                       JumpDistribution.delta(0.5 * (d_lo + d_hi)))
+    n = 100_000
+    taus, _ = simulate._interval_exits(np.full(n, d_lo), np.full(n, d_hi),
+                                       RngStream(22).generator())
+    for t in (1e-6, 0.01, 0.05, 0.1, 0.3):
+        p = killed_survival(spec, d_lo, t)
+        assert abs(float((taus > t).mean()) - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_interval_exit_round_budget(monkeypatch):
+    # each round ends a path with probability 1/2 from an off-centre start,
+    # so after one round some of 100 paths are still inside
+    monkeypatch.setattr(simulate, "WINDOW_ROUND_BUDGET", 1)
+    with pytest.raises(StepBudgetExceeded):
+        simulate._interval_exits(np.full(100, 0.3), np.full(100, 0.7),
+                                 RngStream(23).generator())
+
+
+def test_mirror_engine_takes_no_steps():
+    calls = _calls_by_function(simulate) + _calls_by_function(coupling)
+    for owner in ("mirror_exit_dominance", "_interval_exits"):
+        callees = {callee for o, callee in calls if o == owner}
+        assert callees, owner
+        assert not callees & {".standard_normal", "_hits", "_step_count"}, owner
 
 
 # --- ensembles and TV --------------------------------------------------------

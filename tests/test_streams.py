@@ -103,7 +103,7 @@ GOLDEN = {
     "ensemble_snapshots": (_ensemble_snapshots, "f186b6bf5a7b3613"),
     "coupling_records": (_coupling_records, "5d5d51854bf355fd"),
     "coupling_marginal": (_coupling_marginal, "4abcd730bf1436ea"),
-    "mirror_exit_dominance": (_mirror_exit_dominance, "a027160b19f51d0c"),
+    "mirror_exit_dominance": (_mirror_exit_dominance, "79589fcde77cae0b"),
     "verify_pathwise_lemma": (_verify_pathwise_lemma, "acd67ba499e7e21c"),
     "convolution_bound_check": (_convolution_bound_check, "8cbc455c8ef21604"),
 }
