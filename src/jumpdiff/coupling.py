@@ -308,24 +308,18 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
 
 def mirror_exit_dominance(interval: Interval, y: float, t_grid, n_paths: int,
                           seed: int, dt: float = 1e-4) -> list[tuple[float, float, float]]:
-    """Empirical exit-time survivals of the mirror-coupled pair, sampled exactly.
+    """Exit-time survivals of the mirror-coupled pair, sampled exactly.
 
     Standard Brownian motions from y (driven by -B) and from the centre x0
     (driven by +B) share one noise until they meet, then glue.  Returns rows
-    (t, survival from y, survival from centre).  Both copies are functionals
-    of B, so each path is at most two exits of B from an interval, drawn by
-    _interval_exits with no time step.  A y below x0 is reflected about x0,
-    which leaves the law of the pair unchanged; then the copies meet when B
-    reaches m = (y - x0) / 2, and until then the copy from y can leave only
-    at b, when B reaches y - b, while the centre copy stays inside.  Phase 1
-    is B's exit from (y - b, m); phase 2 is the centre copy's exit from
-    (a, b), from where phase 1 ended.  The copy from y exits at the end of
-    phase 1 if B left at y - b, and with the centre copy if they met, so its
-    exit time is at most the centre one on every path.  At m = 0 the copies
-    are glued from the start: phase 1 ends at once with no draw, and one
-    exit gives both times.  ``dt`` is
-    ignored; it stays in the signature because existing callers still pass
-    it.
+    (t, survival from y, survival from centre).  A y below x0 is reflected
+    about x0, which leaves the law of the pair unchanged.  Then each path is
+    two exits of B from an interval, drawn by _interval_exits with no time
+    step.  Phase 1 is B's exit from (y - b, m), m = (y - x0) / 2: at y - b
+    the copy from y leaves at b, at m the copies meet.  Phase 2 is the
+    centre copy's exit from (a, b).  So the copy from y exits no later than
+    the centre one on every path.  At m = 0 phase 1 ends at once, with no
+    draw.  ``dt`` is ignored; existing callers still pass it.
     """
     _check_counts(n_paths)
     if not interval.contains(y):

@@ -8,7 +8,6 @@ All types are immutable after validation and safe to share between workers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -26,9 +25,9 @@ WEIGHT_RENORM_TOL = 1e-9
 
 
 def _json_float(value) -> float:
-    """A JSON number as a float; a bool, a string or any other value is
-    refused with ConfigError rather than converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A JSON number (int or float) as a float; a bool, a string or any
+    other value is refused with ConfigError rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{value!r} is not a number")
     return float(value)
 

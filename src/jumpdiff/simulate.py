@@ -290,15 +290,15 @@ def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
     return taus, sides
 
 
-def _window_exit_times(u: np.ndarray, h: float) -> np.ndarray:
+def _window_exit_times(u: np.ndarray, h) -> np.ndarray:
     """Exact exit times from (-h, h) of standard Brownian motion started at 0.
 
     tau = h^2 T, where T has the survival function
         S(T) = (4 / pi) sum_k (-1)^k / (2k + 1) exp(-(2k + 1)^2 pi^2 T / 8),
     and each T solves S(T) = u for its uniform u in [0, 1) (inversion by the
-    series method; Devroye 1986).  h is one halfwidth or an array of them,
-    shaped like u.  u = 0 gives +inf.  S is at most its first
-    term, so T <= (8 / pi^2) log(4 / (pi u)).  And 1 - S(WINDOW_T_MIN) is
+    series method; Devroye 1986).  h is one halfwidth or an array shaped
+    like u.  u = 0 gives +inf.  S is at most its first term, so
+    T <= (8 / pi^2) log(4 / (pi u)).  And 1 - S(WINDOW_T_MIN) is
     about 4e-45, so every u up to 1 - 2^-53 has its T above WINDOW_T_MIN,
     where WINDOW_TERMS terms are exact to rounding (the last is e^-102).  On
     that bracket Newton's method falls back to bisection whenever a step
