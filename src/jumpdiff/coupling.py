@@ -18,7 +18,10 @@ Two constructions from the coupling analysis:
 The fitted tail rate of the coalescence time is the empirical lower-bound
 certificate for the spectral gap.  Between restarts the distance process is
 affine in the shared noise, so distance hits (0 and half-length) get the
-same one-sided bridge corrections as boundary exits.
+same one-sided bridge corrections as boundary exits.  Without drift every
+stage is one exit of one Brownian coordinate from a fixed interval, so at
+mu = 0 the stage times are drawn exactly, with no time step, and only
+traces and snapshots march.  The mirror coupling takes no steps either.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import (
 from .model import Interval, JumpDistribution, ProcessSpec, RateFit
 from .simulate import (
     LEFT,
+    RIGHT,
     RngStream,
     _check_counts,
     _check_dt,
@@ -91,7 +95,7 @@ class TailTable:
 
 
 # ---------------------------------------------------------------------------
-# Three-stage coupling engine (vectorized; one code path for all uses)
+# Three-stage coupling engine (vectorized: exact at mu = 0, one step rule otherwise)
 # ---------------------------------------------------------------------------
 
 class _CouplingResult:
@@ -102,10 +106,66 @@ class _CouplingResult:
         self.coalesced_stage = np.zeros(n, dtype=np.int8)
 
 
+def _driftfree_coupling(spec: ProcessSpec, x: float, y: float, n: int,
+                        gen: np.random.Generator, horizon: float) -> _CouplingResult:
+    """Stage times of n coupled pairs at mu = 0, sampled exactly with no time step.
+
+    Without drift the midpoint s = (x + y) / 2 stays put in stages I-II and
+    the gap g = y - x is a Brownian motion with volatility 2 sigma, so each
+    stage is one exit of one coordinate from a fixed interval, drawn by
+    _interval_exits:
+
+    * stage I: g leaves (0, 2 min(b - s, s - a)).  At 0 the copies meet.
+      Otherwise the copy on the nearer side exits, and restarts at x0; at
+      s = x0 both exit at once and restart at x0, so stage II starts with
+      the gap at 0 and the pair glues, labelled stage II.
+    * stage II: the other copy p is at 2s - b or 2s - a, and the gap
+      |p - x0| leaves (0, L/2).  An exit line lies L/2 + (b - p) or
+      L/2 + (p - a) away, beyond L/2, so no copy exits in stage II.
+    * stage III: the gap stays L/2 and the midpoint, with volatility sigma,
+      leaves (a + L/4, b - L/4).
+
+    All pairs draw stage I, then the stage II pairs, then the stage III
+    pairs, each in index order; a pair past the horizon draws no further.
+    Times past the horizon are censored to inf, with stage 0.  At x == y
+    the gap starts on its lower end, so the pair coalesces at t = 0 in
+    stage I with no draw.
+    """
+    res = _CouplingResult(n)
+    stage = res.coalesced_stage
+    a, b, x0 = spec.a, spec.b, spec.nu.locations[0]
+    quarter = 0.25 * spec.length
+    vol = 2.0 * spec.sigma              # the gap's volatility in stages I-II
+    s, g = 0.5 * (x + y), y - x
+    d_b, d_a = b - s, s - a
+    # the copy left when the nearer one exits; at s = x0 both restart at x0
+    p = x0 if d_b == d_a else 2.0 * s - (b if d_b < d_a else a)
+    g2, s3 = abs(p - x0), 0.5 * (p + x0)
+    exits = (                           # distances to the lower and upper exit, per unit noise
+        (g / vol, (2.0 * min(d_b, d_a) - g) / vol),
+        (g2 / vol, (2.0 * quarter - g2) / vol),
+        ((s3 - a - quarter) / spec.sigma, (b - quarter - s3) / spec.sigma),
+    )
+    tau = np.zeros(n)
+    on = np.arange(n)
+    for k, ((d_lo, d_hi), out) in enumerate(zip(exits, (res.tau_1, res.tau_2, res.tau_c)), 1):
+        t, side = _interval_exits(np.full(on.size, d_lo), np.full(on.size, d_hi), gen)
+        tau[on] += t
+        stage[on] = k
+        on = on[(side == RIGHT) & (tau[on] <= horizon)]
+        out[:] = tau
+        out[out > horizon] = np.inf
+    stage[np.isinf(res.tau_c)] = 0
+    return res
+
+
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
                   gen: np.random.Generator, horizon: float,
                   trace: list | None = None, snapshot: bool = False):
     """March n coupled pairs to the horizon, every stage by one step rule.
+
+    At mu = 0, unless a trace or a snapshot is asked for, the stage times
+    are exact draws by _driftfree_coupling instead, and dt is ignored.
 
     A pair is the upper copy's position ``hi``, the gap ``g >= 0`` and
     whether x is the upper copy.  x always moves with +dW.  y moves with -dW
@@ -128,6 +188,8 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     horizon have the process law.  Optionally records a per-step trace (n ==
     1 only).
     """
+    if spec.mu == 0.0 and trace is None and not snapshot:
+        return _driftfree_coupling(spec, x, y, n, gen, horizon), None
     n_steps = _step_count(n, horizon, dt)
     a, b, x0 = spec.a, spec.b, spec.nu.locations[0]
     half = 0.5 * spec.length
@@ -236,7 +298,8 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng: RngSt
     """One coupled pair from (x, y); returns its :class:`CouplingRecord`.
 
     With ``trace=True`` also returns the per-step rows
-    (t, x, y, stage, noise increment) for construction-level tests.
+    (t, x, y, stage, noise increment) for construction-level tests; without
+    a trace the times at mu = 0 are exact and dt is ignored.
     """
     _check_staged_inputs(spec, x, y, dt)
     gen = rng.generator()
@@ -256,7 +319,8 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng: RngSt
 
 def coupling_records(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: float,
                      seed: int, horizon: float):
-    """Vectorized stage times for n_pairs couples (inf where censored)."""
+    """Vectorized stage times for n_pairs couples (inf where censored);
+    exact at mu = 0, where dt is ignored."""
     _check_staged_inputs(spec, x, y, dt)
     _check_counts(n_pairs)
     _check_times([horizon])
@@ -284,7 +348,8 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
     gap.  The fit window is chosen automatically on the resolved tail:
     survival at most 0.4 (past the stage transient) with at least 25
     surviving pairs (above the binomial noise floor).  Fewer than 10^4 pairs
-    raise ConfigError.
+    raise ConfigError.  At mu = 0 the coalescence times are exact, with no
+    time step, and dt is ignored.
     """
     if n_paths < 10_000:
         raise ConfigError("tail estimation needs at least 10^4 pairs")

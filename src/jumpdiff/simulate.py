@@ -9,13 +9,14 @@ uniform grid; within-step boundary crossings are recovered by one-sided
 Brownian-bridge corrections (right barrier first, then left), so exit
 statistics converge at O(dt) instead of O(sqrt(dt)).  Exits are attributed
 to the end of the step in which they are detected, and the restart position
-is the recorded state at that grid time.  Two engines take no steps: both
+is the recorded state at that grid time.  Three engines take no steps: all
 draw the exit time of standard Brownian motion from a symmetric window
 (:func:`_window_exit_times`) exactly, by inverting its series.  The
-convolution check uses one window per path; the mirror coupling chains
-windows into exits from an interval (:func:`_interval_exits`).  Every
-stepping engine sizes its run with :func:`_step_count`, which refuses paths
-times steps over the one budget ``PATH_STEP_BUDGET`` before allocating.
+convolution check uses one window per path; the mirror coupling and the
+drift-free staged coupling chain windows into exits from an interval
+(:func:`_interval_exits`).  Every stepping engine sizes its run with
+:func:`_step_count`, which refuses paths times steps over the one budget
+``PATH_STEP_BUDGET`` before allocating.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -126,11 +127,14 @@ class TVCurve:
 # uniforms per step depends on the state.  Per step the engines draw:
 #   exit times, histograms: normals for the paths still marching, right-bridge
 #     then left-bridge uniforms, then restart uniforms for exited paths only;
-#   staged coupling: normals for the pairs still marching (in snapshot mode
-#     the coalesced pairs too), then upper-copy-at-b and lower-copy-at-a
-#     uniforms for all of them, lower-copy-at-b and gap-at-0 uniforms for the
-#     stage I-II pairs and gap-at-half uniforms for the stage II pairs that
-#     neither met nor exited;
+#   staged coupling, when it steps: normals for the pairs still marching
+#     (in snapshot mode the coalesced pairs too), then upper-copy-at-b and
+#     lower-copy-at-a uniforms for all of them, lower-copy-at-b and gap-at-0
+#     uniforms for the stage I-II pairs and gap-at-half uniforms for the
+#     stage II pairs that neither met nor exited;
+#   drift-free staged coupling: no steps, the window rounds of
+#     _interval_exits for stage I (every pair), then stage II, then stage
+#     III (the pairs that reached it within the horizon), in pair order;
 #   mirror coupling: no steps, two uniforms per window round of
 #     _interval_exits (window time, then side) for each path still inside, in
 #     path order, phase 1 (B until the copies meet or the copy from y exits)

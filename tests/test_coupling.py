@@ -19,6 +19,7 @@ from jumpdiff.coupling import (
 )
 from jumpdiff.errors import (
     JumpdiffError,
+    NonpositiveDt,
     OutOfDomain,
     RequiresCenteredDelta,
     RequiresPositiveDrift,
@@ -190,6 +191,97 @@ def test_coupling_inequality_quick(spec0):
         assert tv <= p + 3.0 * combined
 
 
+# --- exact drift-free coupling ---------------------------------------------------
+
+def _sine_series_survival(a, c, x, sigma, t, terms=400):
+    """P(sigma W from x stays in (a, c) up to time t), W standard Brownian motion:
+    sum_k 2 (1 - (-1)^k) / (k pi) sin(k pi (x - a) / l) exp(-k^2 pi^2 sigma^2 t / (2 l^2))
+    with l = c - a."""
+    ell = c - a
+    k = np.arange(1, terms + 1)
+    coef = 2.0 * (1.0 - (-1.0) ** k) / (k * math.pi) * np.sin(k * math.pi * (x - a) / ell)
+    return float(coef @ np.exp(-(k * math.pi / ell) ** 2 * sigma**2 * t / 2.0))
+
+
+@pytest.mark.parametrize("spec, x, times", [
+    (unit_spec(0.0), 0.25, (0.02, 0.05, 0.1, 0.2, 0.3)),
+    (make_spec(a=-1.0, b=2.0, sigma=0.7), 0.125, (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)),
+], ids=["unit", "wide-sigma0.7"])
+def test_driftfree_coalescence_matches_the_sine_series(spec, x, times):
+    # from starts symmetric about x0 both copies reach the boundary at one
+    # instant, so the pair coalesces when x, a sigma-Brownian motion, leaves
+    # (a, x0): the copies meet as x reaches x0, and x reaches a as y reaches b
+    x0 = spec.nu.locations[0]
+    n = 1_000_000
+    _, _, tau_c, stage = coupling_records(spec, x, 2.0 * x0 - x, n, 2e-4, 31, times[-1])
+    assert not (stage == 3).any()
+    for t in times:
+        p = _sine_series_survival(spec.a, x0, x, spec.sigma, t)
+        assert abs(float((tau_c > t).mean()) - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_driftfree_route_matches_the_stepping_engine():
+    # the exact route at mu = 0 against the stepping engine at mu = 1e-9, which
+    # takes dt steps: coalescence survival and the stage shares within 3 SE
+    n, dt, horizon = 20_000, 1e-4, 1.5
+    runs = [coupling_records(unit_spec(mu), 0.2, 0.7, n, dt, 41, horizon)
+            for mu in (0.0, 1e-9)]
+    (_, _, tc_exact, st_exact), (_, _, tc_step, st_step) = runs
+    assert np.isfinite(tc_exact).all() and np.isfinite(tc_step).all()
+
+    def agree(p, q):
+        return abs(p - q) <= 3.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / n)
+
+    for t in (0.02, 0.05, 0.1, 0.2):
+        assert agree(float((tc_exact > t).mean()), float((tc_step > t).mean())), t
+    for k in (1, 2, 3):
+        assert agree(float((st_exact == k).mean()), float((st_step == k).mean())), k
+
+
+def test_driftfree_route_checks_dt_but_takes_no_steps(spec0):
+    # dt must be positive, but it sets no step: a dt whose step count
+    # overflows, and an infinite horizon, still give every pair its times
+    with pytest.raises(NonpositiveDt):
+        coupling_records(spec0, 0.25, 0.75, 10, 0.0, 1, 1.0)
+    _, _, tau_c, stage = coupling_records(spec0, 0.25, 0.75, 10, 1e-320, 1, math.inf)
+    assert np.isfinite(tau_c).all() and set(np.unique(stage)) <= {1, 2}
+
+
+def _fuzz_start(a, length, frac, edge):
+    if edge == "a":
+        return a + 1e-9
+    if edge == "b":
+        return a + length - 1e-9
+    return a + frac * length
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e3), sigma=st.floats(1e-3, 1e3),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       edges=st.tuples(*[st.sampled_from([None, None, "a", "b"])] * 2),
+       same=st.sampled_from([False, False, False, True]), n=st.integers(1, 200),
+       seed=st.integers(0, 2**32), horizon=st.one_of(st.floats(0.0, 4.0), st.just(math.inf)))
+def test_driftfree_records_are_ordered_and_labelled(a, length, sigma, fx, fy, edges, same,
+                                                     n, seed, horizon):
+    # mu = 0 on a random interval and volatility, starts anywhere in it (some
+    # within 1e-9 of an end, some equal) and a horizon in units of the
+    # diffusive time
+    x, y = sorted(_fuzz_start(a, length, f, e) for f, e in zip((fx, fy), edges))
+    if same:
+        y = x
+    horizon *= length**2 / sigma**2
+    try:
+        spec = make_spec(a=a, b=a + length, sigma=sigma, atoms=((a + 0.5 * length, 1.0),))
+        t1, t2, tc, stage = coupling_records(spec, x, y, n, 1e-3, seed, horizon)
+    except JumpdiffError:
+        return
+    assert np.all(t1 <= t2) and np.all(t2 <= tc)
+    done = np.isfinite(tc)
+    assert np.all(tc[done] <= horizon)
+    assert set(np.unique(stage[done])) <= {1, 2, 3}
+    assert np.all(stage[~done] == 0)
+
+
 # --- mirror coupling -------------------------------------------------------------
 
 def test_mirror_same_start_identical(rng):
@@ -232,14 +324,6 @@ def test_mirror_dominance_holds_on_every_path():
             assert p_y <= p_c
 
 
-def _mirror_fuzz_start(a, length, frac, edge):
-    if edge == "a":
-        return a + 1e-9
-    if edge == "b":
-        return a + length - 1e-9
-    return a + frac * length
-
-
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e3), frac=st.floats(0.0, 1.0),
        edge=st.sampled_from([None, None, "a", "b"]), n=st.integers(1, 200),
@@ -247,7 +331,7 @@ def _mirror_fuzz_start(a, length, frac, edge):
 def test_mirror_rows_are_ordered_survivals(a, length, frac, edge, n, seed, ts):
     # a random interval, a start anywhere in it (some within 1e-9 of an end)
     # and a grid from 0 to inf, in units of the diffusive time length^2
-    y = _mirror_fuzz_start(a, length, frac, edge)
+    y = _fuzz_start(a, length, frac, edge)
     grid = [0.0, *(t * length**2 for t in ts), math.inf]
     try:
         rows = mirror_exit_dominance(Interval(a, a + length), y, grid, n, seed)

@@ -265,9 +265,10 @@ def test_cli_solver_error_exit_code(tmp_path):
 @pytest.mark.parametrize("experiment, n_paths", [("tv-decay", 1000), ("coupling-tail", 10_000)])
 def test_cli_step_budget_is_a_solver_error(tmp_path, experiment, n_paths, dt):
     # t / dt overflows to inf at 1e-320; at 1e-9 the first default grid time,
-    # 0.02, asks for 2e10 path-steps or more: one line on stdout, no traceback
+    # 0.02, asks for 2e10 path-steps or more: one line on stdout, no traceback.
+    # The drift is positive, since at mu = 0 the coupling takes no steps
     cfg = write_config(tmp_path, experiment=experiment, n_paths=n_paths, dt=dt,
-                       out=str(tmp_path / "out"))
+                       spec=dict(BASE_SPEC, mu=20.0), out=str(tmp_path / "out"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     proc = subprocess.run([sys.executable, "-m", "jumpdiff.cli", experiment, "--config", cfg],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,

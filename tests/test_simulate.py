@@ -356,7 +356,7 @@ def test_interval_exit_round_budget(monkeypatch):
 
 def test_mirror_engine_takes_no_steps():
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
-    for owner in ("mirror_exit_dominance", "_interval_exits"):
+    for owner in ("mirror_exit_dominance", "_interval_exits", "_driftfree_coupling"):
         callees = {callee for o, callee in calls if o == owner}
         assert callees, owner
         assert not callees & {".standard_normal", "_hits", "_step_count"}, owner

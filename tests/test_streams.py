@@ -101,7 +101,7 @@ def _convolution_bound_check():
 GOLDEN = {
     "exit_time_ensemble": (_exit_time_ensemble, "1719da62a0c32f3f"),
     "ensemble_snapshots": (_ensemble_snapshots, "f186b6bf5a7b3613"),
-    "coupling_records": (_coupling_records, "5d5d51854bf355fd"),
+    "coupling_records": (_coupling_records, "10347d0326ba9c47"),
     "coupling_marginal": (_coupling_marginal, "4abcd730bf1436ea"),
     "mirror_exit_dominance": (_mirror_exit_dominance, "79589fcde77cae0b"),
     "verify_pathwise_lemma": (_verify_pathwise_lemma, "acd67ba499e7e21c"),
