@@ -85,6 +85,12 @@ def _start_y(value) -> float | str:
     return value if value == "invariant" else _float(value)
 
 
+def _out_dir(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{value!r} is not a non-empty string")
+    return value
+
+
 def _n_values(value) -> tuple[int, ...]:
     vals = tuple(_integer(v) for v in value)
     if any(v < 1 for v in vals):
@@ -132,7 +138,7 @@ class ExperimentConfig:
     im_max: float | None = _key(_positive_float, default=None)
     grid_points: int = _key(_positive_int, default=256)
     fit_window: tuple[float, float] | None = _key(_fit_window, default=None)
-    out: str = _key(str, default="out")
+    out: str = _key(_out_dir, default="out")
 
     def resolved_dt(self) -> float:
         return self.dt if self.dt is not None else default_dt(self.spec)
@@ -420,9 +426,15 @@ def _default_t_grid(cfg: ExperimentConfig) -> tuple[float, ...]:
     return tuple(0.02 * k * scale for k in range(1, 16))
 
 
+def _starts(cfg: ExperimentConfig) -> tuple:
+    """start_x and start_y, by default the quarter points a + L/4 and a + 3L/4."""
+    a, length = cfg.spec.a, cfg.spec.length
+    return (cfg.start_x if cfg.start_x is not None else a + 0.25 * length,
+            cfg.start_y if cfg.start_y is not None else a + 0.75 * length)
+
+
 def _run_tv_decay(cfg: ExperimentConfig):
-    x = cfg.start_x if cfg.start_x is not None else cfg.spec.a + 0.25 * cfg.spec.length
-    y = cfg.start_y if cfg.start_y is not None else cfg.spec.a + 0.75 * cfg.spec.length
+    x, y = _starts(cfg)
     grid = _default_t_grid(cfg)
     curve = ensemble_tv(cfg.spec, x, y, grid, cfg.n_paths, cfg.bins,
                         cfg.resolved_dt(), cfg.seed)
@@ -453,8 +465,7 @@ def _fit_summary(times, values, window, hi_cut: float, floor: float) -> str:
 
 
 def _run_coupling_tail(cfg: ExperimentConfig):
-    x = cfg.start_x if cfg.start_x is not None else cfg.spec.a + 0.25 * cfg.spec.length
-    y = cfg.start_y if cfg.start_y is not None else cfg.spec.a + 0.75 * cfg.spec.length
+    x, y = _starts(cfg)
     if isinstance(y, str):
         raise ConfigError("coupling-tail needs a numeric start_y")
     grid = _default_t_grid(cfg)
@@ -516,8 +527,8 @@ EXPERIMENTS = tuple(_BODIES)
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Dispatch an experiment; write CSV (and SVG where meaningful).
 
-    Returns 0 on success, 2 on validation errors, 3 on solver errors; the
-    one-line summary goes to stdout.
+    Returns 0 on success, 2 on validation errors (an output directory that
+    cannot be made too), 3 on solver errors; the one-line summary goes to stdout.
     """
     try:
         header, table, summary, plot = _BODIES[cfg.experiment](cfg)
@@ -528,7 +539,11 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         print(f"solver error: {exc}")
         return 3
     directory = out_dir if out_dir is not None else cfg.out
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot make output directory {directory!r}: {exc.strerror}")
+        return 2
     base = os.path.join(directory, cfg.experiment)
     write_csv(base + ".csv", header, table, config_echo=cfg.to_json_dict())
     if plot is not None:

@@ -1,22 +1,22 @@
 """Ensemble Monte Carlo engines for the restarted diffusion.
 
-Every engine marches an array of paths at once: exit times
-(:func:`exit_time_ensemble`), restarted ensembles seen as histograms
-(:func:`ensemble_snapshots`, :func:`ensemble_tv`) and the conditioned-path
-check (:func:`verify_pathwise_lemma`); the couplings in :mod:`.coupling`
-share the same step kernel.  Paths follow exact Gaussian increments on a
-uniform grid; within-step boundary crossings are recovered by one-sided
-Brownian-bridge corrections (right barrier first, then left), so exit
-statistics converge at O(dt) instead of O(sqrt(dt)).  Exits are attributed
-to the end of the step in which they are detected, and the restart position
-is the recorded state at that grid time.  Three engines take no steps: all
-draw the exit time of standard Brownian motion from a symmetric window
-(:func:`_window_exit_times`) exactly, by inverting its series.  The
-convolution check uses one window per path; the mirror coupling and the
-drift-free staged coupling chain windows into exits from an interval
-(:func:`_interval_exits`).  Every stepping engine sizes its run with
-:func:`_step_count`, which refuses paths times steps over the one budget
-``PATH_STEP_BUDGET`` before allocating.
+Every engine works on an array of paths at once.  Exit times
+(:func:`exit_time_ensemble`) take no steps: each path chains exact exits
+from windows around it (:func:`_window_exit_times`, which inverts the
+window's survival series) into its exit from the interval
+(:func:`_interval_exits`), as do the mirror coupling and the drift-free
+staged coupling in :mod:`.coupling`; the convolution check draws one window
+per path.  The restarted ensembles (:func:`ensemble_snapshots`,
+:func:`ensemble_tv`), the conditioned-path check
+(:func:`verify_pathwise_lemma`) and the staged coupling with drift step on a
+uniform grid with exact Gaussian increments; within-step boundary crossings
+are recovered by one-sided Brownian-bridge corrections (right barrier
+first, then left), so exit statistics converge at O(dt) instead of
+O(sqrt(dt)).  Exits are attributed to the end of the step in which they are
+detected, and the restart position is the recorded state at that grid time.
+A stepping engine sizes its run with :func:`_step_count`, and the window
+chain its rounds; both refuse work over the one budget ``PATH_STEP_BUDGET``
+before allocating.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -125,8 +125,12 @@ class TVCurve:
 # crossing rule _crosses.  A test draws one uniform per entry within reach of
 # its barrier, in index order, and none for the others, so the number of
 # uniforms per step depends on the state.  Per step the engines draw:
-#   exit times, histograms: normals for the paths still marching, right-bridge
-#     then left-bridge uniforms, then restart uniforms for exited paths only;
+#   histograms: normals for every path, right-bridge then left-bridge
+#     uniforms, then restart uniforms for exited paths only;
+#   exit times, mirror coupling: no steps, two uniforms per window round of
+#     _interval_exits (window time, then side) for each path still inside, in
+#     path order; the mirror runs phase 1 (B until the copies meet or the copy
+#     from y exits), then phase 2 (the centre copy until it exits);
 #   staged coupling, when it steps: normals for the pairs still marching
 #     (in snapshot mode the coalesced pairs too), then upper-copy-at-b and
 #     lower-copy-at-a uniforms for all of them, lower-copy-at-b and gap-at-0
@@ -135,10 +139,6 @@ class TVCurve:
 #   drift-free staged coupling: no steps, the window rounds of
 #     _interval_exits for stage I (every pair), then stage II, then stage
 #     III (the pairs that reached it within the horizon), in pair order;
-#   mirror coupling: no steps, two uniforms per window round of
-#     _interval_exits (window time, then side) for each path still inside, in
-#     path order, phase 1 (B until the copies meet or the copy from y exits)
-#     then phase 2 (the centre copy until it exits);
 #   conditioned paths (lemma): normals for the proposals still inside the
 #     window, window-right and window-left uniforms, then x-restart and
 #     y-restart uniforms for the proposals that stayed inside;
@@ -252,64 +252,45 @@ def _check_times(times) -> list[float]:
 
 
 def exit_time_ensemble(spec: ProcessSpec, x0: float, n_paths: int, dt: float,
-                       rng: RngStream, horizon: float = np.inf,
-                       bridge: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exit sampling: (exit times, sides) over n_paths starts at x0.
+                       rng: RngStream, horizon: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Exact exit times and sides of n_paths diffusions started at x0.
 
-    Paths still alive at the horizon get tau = +inf and side = -1 (censored).
-    Without a horizon, a path inside after the budget raises StepBudgetExceeded.
-    ``bridge=False`` counts only steps that end outside, so exits are detected
-    late (test instrumentation for the size of the bridge correction).
+    (x - x0) / sigma is Brownian motion with drift mu / sigma, so each path
+    is one _interval_exits draw, with no time step: its budget, not dt,
+    bounds the work, and ``dt`` is only checked to be positive.  Times past
+    the horizon are censored: tau = +inf and side = -1.
     """
     _check_dt(dt)
     _check_counts(n_paths)
     _check_times([horizon])
     if not spec.interval.contains(x0):
         raise OutOfDomain(f"start {x0} outside open interval")
-    censoring = np.isfinite(horizon)
-    # without a horizon the run may spend the whole budget
-    max_steps = _step_count(n_paths, horizon if censoring else 0.0, dt)
-    if not censoring:
-        max_steps = PATH_STEP_BUDGET // n_paths
-    gen = rng.generator()
-    taus = np.full(n_paths, np.inf)
-    sides = np.full(n_paths, -1, dtype=np.int8)
-    idx = np.arange(n_paths)
-    x = np.full(n_paths, float(x0))
-    step = 0
-    while idx.size and step < max_steps:
-        x, code = _advance(x, spec, dt, gen.standard_normal(idx.size), gen)
-        if not bridge:      # instrumentation: only steps that end outside exit
-            code = np.select([x >= spec.b, x <= spec.a], [RIGHT, LEFT], -1)
-        step += 1
-        done = code >= 0
-        if done.any():
-            taus[idx[done]] = step * dt
-            sides[idx[done]] = code[done]
-            keep = ~done
-            idx = idx[keep]
-            x = x[keep]
-    if not censoring and (sides < 0).any():
-        raise StepBudgetExceeded(f"paths still inside after {max_steps} steps")
+    taus, sides = _interval_exits(np.full(n_paths, (x0 - spec.a) / spec.sigma),
+                                  np.full(n_paths, (spec.b - x0) / spec.sigma),
+                                  rng.generator(), spec.mu / spec.sigma)
+    late = taus > horizon
+    taus[late], sides[late] = np.inf, -1
     return taus, sides
 
 
-def _window_exit_times(u: np.ndarray, h) -> np.ndarray:
-    """Exact exit times from (-h, h) of standard Brownian motion started at 0.
+def _window_exit_times(u: np.ndarray, h, tilt=0.0) -> np.ndarray:
+    """Exact exit times from (-h, h) of Brownian motion with drift m, started at 0.
 
-    tau = h^2 T, where T has the survival function
-        S(T) = (4 / pi) sum_k (-1)^k / (2k + 1) exp(-(2k + 1)^2 pi^2 T / 8),
-    and each T solves S(T) = u for its uniform u in [0, 1) (inversion by the
-    series method; Devroye 1986).  h is one halfwidth or an array shaped
-    like u.  u = 0 gives +inf.  S is at most its first term, so
-    T <= (8 / pi^2) log(4 / (pi u)).  And 1 - S(WINDOW_T_MIN) is
-    about 4e-45, so every u up to 1 - 2^-53 has its T above WINDOW_T_MIN,
-    where WINDOW_TERMS terms are exact to rounding (the last is e^-102).  On
-    that bracket Newton's method falls back to bisection whenever a step
-    leaves the bracket.  A root is kept once its Newton step is below 1e-14 of
-    it, or its residual below 1e-15 u, the rounding of S.  Each round sums
-    only the terms above e^-WINDOW_TERM_CUT of the first at the smallest live
-    iterate: 5 terms from T = 0.3 on, 40 at WINDOW_T_MIN.
+    h and the tilt m h (|m h| <= 1) are one value or arrays shaped like u.
+    tau = h^2 T; by Girsanov T does not depend on the exit side, and with
+    nu = (m h)^2 / 2 it has the survival function
+        S(T) = cosh(m h) e^(-nu T) sum_k c_k r_k / (r_k + nu) e^(-r_k T),
+        c_k = (4 / pi) (-1)^k / (2k + 1),  r_k = (2k + 1)^2 pi^2 / 8.
+    Each T solves S(T) = u for its uniform u in [0, 1) (the series method;
+    Devroye 1986); u = 0 gives +inf.  The sum is formed as A - nu B with
+    A = sum_k c_k e^(-r_k T), so m = 0 gives the drift-free floats exactly.
+    The terms shrink as |m h| <= 1, so the first term's root bounds T above;
+    WINDOW_T_MIN bounds it below for every u up to 1 - 2^-53, and there
+    WINDOW_TERMS terms are exact to rounding.  Newton's method falls back to
+    bisection whenever a step leaves the bracket, and keeps a root once its
+    step is below 1e-14 of it, or its residual below 1e-15 u.  Each round
+    sums only the terms above e^-WINDOW_TERM_CUT of the first at the
+    smallest live iterate: 5 terms from T = 0.3 on, 40 at WINDOW_T_MIN.
     """
     k = np.arange(WINDOW_TERMS)
     rate = (2 * k + 1) ** 2 * math.pi**2 / 8.0
@@ -318,8 +299,12 @@ def _window_exit_times(u: np.ndarray, h) -> np.ndarray:
     out = np.full(np.shape(u), np.inf)
     idx = np.flatnonzero(u > 0.0)
     v = u[idx]
+    tilt = np.broadcast_to(tilt, np.shape(u))[idx]
+    nu, scale = 0.5 * tilt * tilt, np.cosh(tilt)
+    gain = 8.0 * nu / math.pi**2            # r_0 + nu = (1 + gain) r_0
     lo = np.full(v.shape, WINDOW_T_MIN)
-    hi = (8.0 / math.pi**2) * np.log(4.0 / (math.pi * v))
+    hi = ((8.0 / math.pi**2) * (np.log(4.0 / (math.pi * v)) + np.log(scale)
+                                - np.log1p(gain)) / (1.0 + gain))
     t = hi.copy()
     for _ in range(WINDOW_NEWTON_BUDGET):
         if not idx.size:
@@ -327,42 +312,56 @@ def _window_exit_times(u: np.ndarray, h) -> np.ndarray:
         kept = int(np.searchsorted(rate - rate[0], WINDOW_TERM_CUT / t.min()))
         e = np.outer(t, -rate[:kept])
         np.exp(e, out=e)
-        resid = e @ coef[:kept] - v
+        damp = scale * np.exp(-nu * t)
+        tail = (e / (rate[:kept] + nu[:, None])) @ coef[:kept] if nu.any() else 0.0
+        resid = damp * (e @ coef[:kept] - nu * tail) - v
         below_root = resid > 0.0            # S decreases in T
         lo = np.where(below_root, t, lo)
         hi = np.where(below_root, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / (e @ slope[:kept])
+            step = resid / (damp * (e @ slope[:kept]))
         t_new = t + step
         done = (np.abs(step) <= 1e-14 * t) | (np.abs(resid) <= 1e-15 * v)
         t_new = np.where(done | ((t_new > lo) & (t_new < hi)), t_new, 0.5 * (lo + hi))
         out[idx[done]] = t_new[done]
         keep = ~done
         idx, v, lo, hi, t = idx[keep], v[keep], lo[keep], hi[keep], t_new[keep]
+        nu, scale = nu[keep], scale[keep]
     out[idx] = t        # roots still open when the budget is spent keep their last iterate
     return h * h * out
 
 
-def _interval_exits(d_lo, d_hi, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact exit times and sides of standard Brownian motion from an interval.
+def _interval_exits(d_lo, d_hi, gen: np.random.Generator,
+                    drift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Exact exit times and sides of m t + W_t, m = drift, from an interval.
 
     Path i starts d_lo[i] above the lower end and d_hi[i] below the upper
     end.  Each round takes it to the exit point of the window (-h, h) around
-    it, h = min(d_lo, d_hi): one uniform gives the window time through
-    _window_exit_times, the next a fair side (walk on spheres; Muller 1956).
-    A move toward the nearer end sets that distance to exactly 0, so every
-    round ends a path with probability at least 1/2.  A path still inside
-    after WINDOW_ROUND_BUDGET rounds, an event of probability at most
-    2^-WINDOW_ROUND_BUDGET, raises StepBudgetExceeded.  Returns (times,
-    sides) with side LEFT at the lower end and RIGHT at the upper; a path
-    that starts on an end exits there at time 0.
+    it, h = min(d_lo, d_hi, 1 / |m|): one uniform gives the window time, the
+    next the side, up with probability 1 / (1 + e^(-2 m h)) (walk on spheres;
+    Muller 1956).  A path has N = WINDOW_ROUND_BUDGET + ceil(3 K) rounds, K =
+    |m| max(d_lo + d_hi); StepBudgetExceeded refuses a call whose paths times
+    N exceed PATH_STEP_BUDGET, and ends one with a path inside after N
+    rounds.  At m = 0 a round ends a path with probability 1/2, so that has
+    probability 2^-N.  With drift, g = e^(-|m| x), x the distance to the end
+    the drift points away from, is >= e^-K inside and shrinks in mean by
+    sech(1) (h = 1 / |m|) or 1/2 (the window reaches an end) per round: the
+    bound is e^K sech(1)^N < e^(-27.7 - 0.3 K).  Returns (times, sides),
+    LEFT at the lower end and RIGHT at the upper; a path on an end exits
+    there at time 0.
     """
     lo = np.asarray(d_lo, dtype=float)
     hi = np.asarray(d_hi, dtype=float)
+    span = abs(drift) * float(np.max(lo + hi, initial=0.0))
+    if not lo.size * (WINDOW_ROUND_BUDGET + 3.0 * span) <= PATH_STEP_BUDGET:
+        raise StepBudgetExceeded(f"{lo.size} paths at |drift| x length {span:.6g} "
+                                 f"exceed {PATH_STEP_BUDGET} window rounds")
+    budget = WINDOW_ROUND_BUDGET + math.ceil(3.0 * span)
+    cap = 1.0 / abs(drift) if drift else np.inf
     times = np.zeros(lo.shape)
     sides = np.full(lo.shape, RIGHT, dtype=np.int8)
     idx = np.arange(lo.size)
-    for rounds in range(WINDOW_ROUND_BUDGET + 1):
+    for rounds in range(budget + 1):
         at_lo = lo <= 0.0
         inside = ~(at_lo | (hi <= 0.0))
         sides[idx[at_lo]] = LEFT
@@ -370,16 +369,15 @@ def _interval_exits(d_lo, d_hi, gen: np.random.Generator) -> tuple[np.ndarray, n
             idx, lo, hi = idx[inside], lo[inside], hi[inside]
         if not idx.size:
             return times, sides
-        if rounds == WINDOW_ROUND_BUDGET:
+        if rounds == budget:
             break
         u = gen.random((idx.size, 2))
-        h = np.minimum(lo, hi)
-        times[idx] += _window_exit_times(u[:, 0], h)
-        h[u[:, 1] >= 0.5] *= -1.0       # the move down, or up
+        h = np.minimum(np.minimum(lo, hi), cap)
+        times[idx] += _window_exit_times(u[:, 0], h, drift * h)
+        h[u[:, 1] >= 1.0 / (1.0 + np.exp(2.0 * drift * h))] *= -1.0    # the move down, or up
         lo = lo - h
         hi = hi + h
-    raise StepBudgetExceeded(f"{idx.size} paths still inside after "
-                             f"{WINDOW_ROUND_BUDGET} window rounds")
+    raise StepBudgetExceeded(f"{idx.size} paths still inside after {budget} window rounds")
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,42 @@ def test_cli_unreadable_config_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("value", [None, "", 5, ["out"]],
+                         ids=["null", "empty", "number", "list"])
+def test_out_key_takes_only_a_nonempty_string(tmp_path, capsys, value):
+    with pytest.raises(ConfigError, match="invalid out"):
+        validate_config({"spec": BASE_SPEC, "experiment": "gap-sweep", "out": value})
+    cfg = write_config(tmp_path, mu_grid=[0.0, 4.0], out=value)
+    assert main(["gap-sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "None").exists()
+
+
+def test_cli_empty_out_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, mu_grid=[0.0, 4.0], out=str(tmp_path / "o"))
+    assert main(["gap-sweep", "--config", cfg, "--out", ""]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("config error: cannot make output directory ''")
+    assert out.count("\n") == 1
+
+
+def test_cli_out_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, mu_grid=[0.0, 4.0], out=str(blocker / "sub"))
+    assert main(["gap-sweep", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("config error: cannot make output directory")
+    assert out.count("\n") == 1
+
+
+def test_tv_and_coupling_share_the_default_starts():
+    base = {"spec": dict(BASE_SPEC, a=-1.0, b=2.0), "experiment": "tv-decay"}
+    assert experiments._starts(validate_config(base)) == (-0.25, 1.25)
+    cfg = validate_config(dict(base, start_x=0.1, start_y="invariant"))
+    assert experiments._starts(cfg) == (0.1, "invariant")
+
+
 def test_cli_seed_override_matches_config_seed(tmp_path):
     small = dict(experiment="tv-decay", t_grid=[0.02, 0.04], n_paths=2000, dt=1e-3)
     in_config = write_config(tmp_path, "c7.json", seed=7, **small)

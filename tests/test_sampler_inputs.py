@@ -6,7 +6,8 @@ OutOfDomain, and an empty time grid, an empty ensemble (fewer than one path
 or pair) or fewer than 32 bins raise ConfigError, before any path is drawn.
 A step so small, or an end time so large, that the paths times the steps
 exceed the path-step budget (t / dt overflowing to inf included) raises
-StepBudgetExceeded, also before any path is drawn, so within a second.
+StepBudgetExceeded, also before any path is drawn, so within a second.  The
+exact samplers take no steps: they check dt's sign and otherwise ignore it.
 A start outside the open interval (or an unknown start name) raises
 OutOfDomain, and the conditioned-path check refuses any spec but a centred
 atom with positive drift.
@@ -49,22 +50,23 @@ SPEC = unit_spec(20.0)
 # single-time entries read ts[0]; "end" marks a time that must be finite
 # (an exit search without a horizon is uncensored, not refused)
 ENTRIES = {
+    # exact: no steps, so dt is only checked to be positive
     "exit_time_ensemble": (lambda dt, ts: exit_time_ensemble(
-        SPEC, 0.5, 10, dt, RngStream(1), horizon=ts[0]), "dt time"),
+        SPEC, 0.5, 10, dt, RngStream(1), horizon=ts[0]), "sign time"),
     "ensemble_snapshots": (lambda dt, ts: ensemble_snapshots(
-        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "dt time end grid"),
+        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "sign dt time end grid"),
     "ensemble_tv": (lambda dt, ts: ensemble_tv(
-        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "dt time end grid"),
+        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "sign dt time end grid"),
     "verify_pathwise_lemma": (lambda dt, ts: verify_pathwise_lemma(
-        SPEC, 1, 10, dt, 1), "dt"),
+        SPEC, 1, 10, dt, 1), "sign dt"),
     "staged_coupling": (lambda dt, ts: staged_coupling(
-        SPEC, 0.25, 0.75, dt, RngStream(1)), "dt"),
+        SPEC, 0.25, 0.75, dt, RngStream(1)), "sign dt"),
     "coupling_records": (lambda dt, ts: coupling_records(
-        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time end"),
+        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "sign dt time end"),
     "coupling_marginal": (lambda dt, ts: coupling_marginal(
-        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "dt time end"),
+        SPEC, 0.25, 0.75, 10, dt, 1, ts[0]), "sign dt time end"),
     "coupling_tail": (lambda dt, ts: coupling_tail(
-        SPEC, 0.25, 0.75, 10_000, dt, ts, 1), "dt time end grid"),
+        SPEC, 0.25, 0.75, 10_000, dt, ts, 1), "sign dt time end grid"),
     # exact: no steps, so dt is ignored and t = inf is a valid grid time
     "mirror_exit_dominance": (lambda dt, ts: mirror_exit_dominance(
         Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "time grid"),
@@ -73,9 +75,9 @@ ENTRIES = {
 }
 
 BAD_INPUTS = {
-    "dt": [("dt=0", 0.0, [0.1], NonpositiveDt), ("dt<0", -1e-3, [0.1], NonpositiveDt),
-           # t / dt overflows to inf; and 10 paths of 1e11 steps or more
-           ("dt=1e-320", 1e-320, [0.1], StepBudgetExceeded),
+    "sign": [("dt=0", 0.0, [0.1], NonpositiveDt), ("dt<0", -1e-3, [0.1], NonpositiveDt)],
+    # t / dt overflows to inf; and 10 paths of 1e11 steps or more
+    "dt": [("dt=1e-320", 1e-320, [0.1], StepBudgetExceeded),
            ("dt=1e-12", 1e-12, [0.1], StepBudgetExceeded)],
     "time": [("t<0", 1e-3, [-0.1, 0.1], OutOfDomain)],
     "end": [("t=inf", 1e-3, [math.inf], StepBudgetExceeded)],

@@ -1,17 +1,19 @@
 import ast
 import math
+import time
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jumpdiff import coupling, simulate
 from jumpdiff.analytic import invariant_density_grid, killed_survival, mean_exit_time
 from jumpdiff.errors import (
     BelowNoiseFloor,
+    JumpdiffError,
     NonpositiveDt,
     OutOfDomain,
     RejectionBudgetExceeded,
@@ -52,9 +54,17 @@ def test_step_rejects_bad_inputs(spec0):
         ensemble_snapshots(spec0, 1.5, [0.1], 10, 64, 1e-4, RngStream(1))
 
 
+def test_exit_times_ignore_dt(spec0):
+    # no steps: a dt of 1e-320 draws the same exits as one of 0.1
+    tiny = exit_time_ensemble(spec0, 0.3, 100, 1e-320, RngStream(6))
+    coarse = exit_time_ensemble(spec0, 0.3, 100, 0.1, RngStream(6))
+    for got, want in zip(tiny, coarse):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_step_exit_vanishes_for_small_dt(spec0):
-    # from the middle, both bridge exponents blow down as dt -> 0: none of
-    # 200 paths leaves in one step of 1e-6
+    # from the middle, a path leaves by t = 1e-6 with probability about
+    # 4 Phi(-500): all 200 paths are censored
     taus, sides = exit_time_ensemble(spec0, 0.5, 200, 1e-6, RngStream(5), horizon=1e-6)
     assert np.all(np.isinf(taus)) and np.all(sides == -1)
 
@@ -196,8 +206,7 @@ def test_one_step_count_for_every_sampler():
     # time is divided by dt or rounded to a step anywhere else
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
     assert {owner for owner, callee in calls if callee == "_step_count"} == {
-        "exit_time_ensemble", "ensemble_snapshots", "verify_pathwise_lemma",
-        "_run_coupling"}
+        "ensemble_snapshots", "verify_pathwise_lemma", "_run_coupling"}
     assert {owner for owner, callee in calls if callee in ("round", ".round", ".rint")} == {
         "_step_count"}
     for module in (simulate, coupling):
@@ -233,11 +242,24 @@ def test_bridge_factor_matches_fine_grid_bridge_oracle(rng):
 
 # --- exit times --------------------------------------------------------------
 
-# from the midpoint, no path can leave (0, 1) within 3 steps of 1e-6
 def test_uncensored_ensemble_step_budget(spec0, monkeypatch):
+    # 10 paths of 64 window rounds exceed a budget of 30: refused up front
     monkeypatch.setattr(simulate, "PATH_STEP_BUDGET", 30)
     with pytest.raises(StepBudgetExceeded):
         exit_time_ensemble(spec0, 0.5, 10, 1e-6, RngStream(1))
+    # with no base rounds, mu = 1 on (0, 1) leaves 3 rounds per path, and
+    # some of 100 paths from 0.3 are still inside after them
+    monkeypatch.setattr(simulate, "PATH_STEP_BUDGET", 2**32)
+    monkeypatch.setattr(simulate, "WINDOW_ROUND_BUDGET", 0)
+    with pytest.raises(StepBudgetExceeded, match="after 3 window rounds"):
+        exit_time_ensemble(unit_spec(1.0), 0.3, 100, 1e-6, RngStream(2))
+
+
+def test_extreme_drift_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(StepBudgetExceeded):
+        exit_time_ensemble(unit_spec(1e12), 0.5, 10, 1e-3, RngStream(3))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exit_time_mean_matches_green(spec0):
@@ -268,12 +290,31 @@ def test_exit_tail_rate_matches_killed_bottom():
     assert fit.rate == pytest.approx(PI2 / 2 + 0.5, rel=0.1)
 
 
+def _march_exits(spec, x0, n, dt, seed, n_steps, bridge=True):
+    """Exit times of n paths marched by the step kernel _advance, inf for a
+    path still inside after n_steps; bridge=False counts only steps that end
+    outside, so exits are detected late."""
+    gen = RngStream(seed).generator()
+    taus = np.full(n, np.inf)
+    idx = np.arange(n)
+    x = np.full(n, float(x0))
+    for step in range(1, n_steps + 1):
+        if not idx.size:
+            break
+        x, code = _advance(x, spec, dt, gen.standard_normal(idx.size), gen)
+        if not bridge:
+            code = np.select([x >= spec.b, x <= spec.a], [simulate.RIGHT, LEFT], -1)
+        done = code >= 0
+        taus[idx[done]] = step * dt
+        idx, x = idx[~done], x[~done]
+    return taus
+
+
 def test_bridge_correction_necessity(spec0):
     # with the correction disabled, exits are detected late and the mean
     # exit time is biased high by at least 5 percent at dt = 1e-3
-    taus_on, _ = exit_time_ensemble(spec0, 0.5, 40_000, 1e-3, RngStream(19))
-    taus_off, _ = exit_time_ensemble(spec0, 0.5, 40_000, 1e-3, RngStream(19),
-                                     bridge=False)
+    taus_on = _march_exits(spec0, 0.5, 40_000, 1e-3, 19, 100_000)
+    taus_off = _march_exits(spec0, 0.5, 40_000, 1e-3, 19, 100_000, bridge=False)
     assert float(taus_off.mean()) > 1.05 * float(taus_on.mean())
     assert float(taus_on.mean()) == pytest.approx(0.25, rel=0.02)
 
@@ -309,13 +350,28 @@ def test_window_exit_survival_matches_series_and_euler():
     n = 100_000
     exact = _window_exit_times(RngStream(17).generator().random(n), h)
     dt = 2.5e-5
-    euler, _ = exit_time_ensemble(window, 0.0, n, dt, RngStream(18), horizon=ts[-1])
+    euler = _march_exits(window, 0.0, n, dt, 18, round(ts[-1] / dt))
     for t in ts:
         p = float((exact > t).mean())
         p_euler = float((euler > t + 0.5 * dt).mean())
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(p - killed_survival(window, 0.0, t)) <= 3.0 * se
         assert abs(p - p_euler) <= 3.0 * math.sqrt(2.0) * se
+
+
+@pytest.mark.parametrize("tilt", [0.25, 0.5, 1.0, -1.0])
+def test_drifted_window_inversion_matches_killed_survival(tilt):
+    # drift m = tilt on (-1, 1): the inverted T has killed survival u, and a
+    # window of halfwidth 0.3 at the same tilt scales it by 0.09
+    u = np.concatenate([RngStream(4).generator().random(40),
+                        [2.0**-53, 1e-10, 1e-3, 0.5, 0.999, 1.0 - 2.0**-53]])
+    T = _window_exit_times(u, 1.0, tilt)
+    window = ProcessSpec(Interval(-1.0, 1.0), 1.0, tilt, JumpDistribution.delta(0.0))
+    worst = max(abs(killed_survival(window, 0.0, t) - v) for t, v in zip(T, u))
+    assert worst <= 1e-12
+    assert np.all(T >= simulate.WINDOW_T_MIN)
+    np.testing.assert_allclose(_window_exit_times(u, 0.3, np.full(u.size, tilt)), 0.09 * T,
+                               rtol=1e-15)
 
 
 # --- exact interval exits ----------------------------------------------------
@@ -354,12 +410,85 @@ def test_interval_exit_round_budget(monkeypatch):
                                  RngStream(23).generator())
 
 
+def _exit_side_b(spec, x):
+    """P_x(the diffusion leaves (a, b) at b), by its scale function."""
+    k = 2.0 * spec.mu / spec.sigma**2
+    if k == 0.0:
+        return (x - spec.a) / spec.length
+    return math.expm1(-k * (x - spec.a)) / math.expm1(-k * spec.length)
+
+
+# (spec, start, paths), named by K = |mu| L / sigma^2; 10^6 paths at K = 60
+# take about 40 s, so the larger drifts run fewer
+LAW_CASES = [
+    pytest.param(make_spec(mu=0.0), 0.5, 1_000_000, id="K=0"),
+    pytest.param(make_spec(mu=1.0), 0.3, 1_000_000, id="K=1"),
+    pytest.param(make_spec(a=-1.0, b=2.0, sigma=0.7, mu=5.0 * 0.49 / 3.0,
+                           atoms=((0.5, 1.0),)), 0.2, 400_000, id="K=5-wide"),
+    pytest.param(make_spec(mu=-20.0), 0.6, 100_000, id="K=20-down"),
+    pytest.param(make_spec(mu=60.0), 0.5, 50_000, id="K=60"),
+]
+
+
+@pytest.mark.parametrize("spec, x0, n", LAW_CASES)
+def test_exit_law_matches_killed_survival_and_scale_function(spec, x0, n):
+    taus, sides = exit_time_ensemble(spec, x0, n, 1e-3, RngStream(31))
+    assert np.all(np.isfinite(taus)) and set(np.unique(sides)) <= {LEFT, simulate.RIGHT}
+    mean = mean_exit_time(spec, x0)
+    for t in (0.25 * mean, 0.5 * mean, mean, 2.0 * mean):
+        p = killed_survival(spec, x0, t)
+        assert abs(float((taus > t).mean()) - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+    p = _exit_side_b(spec, x0)
+    assert abs(float((sides == simulate.RIGHT).mean()) - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("mu, x0", [(20.0, 1e-9), (-60.0, 1.0 - 1e-9), (20.0, 1.0 - 1e-9)],
+                         ids=["K=20-near-a", "K=60-near-b", "K=20-near-drift-end"])
+def test_exit_law_from_next_to_an_end(mu, x0):
+    # within t ~ eps^2 of a start eps from an end, the drift and the far end
+    # move the law by about mu t / eps ~ 1e-8: the survival is that of
+    # Brownian motion on a half-line, erf(eps / sqrt(2 t)); the side is the
+    # near end except with probability ~2 |mu| eps, up to 1.2e-7 here
+    spec, n = unit_spec(mu), 200_000
+    taus, sides = exit_time_ensemble(spec, x0, n, 1e-3, RngStream(32))
+    eps = min(x0 - spec.a, spec.b - x0)
+    for t in (0.25 * eps**2, eps**2, 4.0 * eps**2):
+        p = math.erf(eps / math.sqrt(2.0 * t))
+        assert abs(float((taus > t).mean()) - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+    near = LEFT if x0 - spec.a < spec.b - x0 else simulate.RIGHT
+    assert np.all(sides == near)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e3), sigma=st.floats(1e-3, 1e3),
+       drift=st.floats(-1e3, 1e3), frac=st.floats(0.0, 1.0),
+       edge=st.sampled_from([None, None, "a", "b"]),
+       horizon=st.one_of(st.floats(0.0, 4.0), st.just(math.inf)),
+       n=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_exit_times_within_horizon_or_censored(a, length, sigma, drift, frac, edge,
+                                               horizon, n, seed):
+    # drift is mu L / sigma^2 and the horizon is in units of L^2 / sigma^2
+    x0 = {"a": a + 1e-9, "b": a + length - 1e-9}.get(edge, a + frac * length)
+    horizon *= length**2 / sigma**2
+    try:
+        spec = make_spec(a=a, b=a + length, sigma=sigma, mu=drift * sigma**2 / length,
+                         atoms=((a + 0.5 * length, 1.0),))
+        taus, sides = exit_time_ensemble(spec, x0, n, 1e-3, RngStream(seed), horizon)
+    except JumpdiffError:
+        return
+    done = np.isfinite(taus)
+    assert np.all((taus[done] >= 0.0) & (taus[done] <= horizon))
+    assert set(np.unique(sides[done])) <= {LEFT, simulate.RIGHT}
+    assert np.all(np.isposinf(taus[~done])) and np.all(sides[~done] == -1)
+
+
 def test_mirror_engine_takes_no_steps():
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
-    for owner in ("mirror_exit_dominance", "_interval_exits", "_driftfree_coupling"):
+    for owner in ("mirror_exit_dominance", "_interval_exits", "_driftfree_coupling",
+                  "exit_time_ensemble"):
         callees = {callee for o, callee in calls if o == owner}
         assert callees, owner
-        assert not callees & {".standard_normal", "_hits", "_step_count"}, owner
+        assert not callees & {".standard_normal", "_hits", "_advance", "_step_count"}, owner
 
 
 # --- ensembles and TV --------------------------------------------------------
