@@ -524,26 +524,48 @@ _BODIES = {
 EXPERIMENTS = tuple(_BODIES)
 
 
+def _make_dir(directory: str) -> list[str]:
+    """Make the directory and its missing parents; return those made, deepest first."""
+    made, path = [], os.path.abspath(directory)
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    return made
+
+
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Dispatch an experiment; write CSV (and SVG where meaningful).
 
-    Returns 0 on success, 2 on validation errors (an output directory that
-    cannot be made too), 3 on solver errors; the one-line summary goes to stdout.
+    The output directory is made first, so one that cannot be made is
+    reported before any work; if the experiment then fails, the directories
+    this call made are removed while they are empty.  Returns 0 on success,
+    2 on validation errors (an output directory that cannot be made too), 3
+    on solver errors; the one-line summary goes to stdout.
     """
+    directory = out_dir if out_dir is not None else cfg.out
+    try:
+        made = _make_dir(directory)
+    except OSError as exc:
+        print(f"config error: cannot make output directory {directory!r}: {exc.strerror}")
+        return 2
+    done = False
     try:
         header, table, summary, plot = _BODIES[cfg.experiment](cfg)
+        done = True
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
     except JumpdiffError as exc:
         print(f"solver error: {exc}")
         return 3
-    directory = out_dir if out_dir is not None else cfg.out
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot make output directory {directory!r}: {exc.strerror}")
-        return 2
+    finally:
+        if not done:
+            for path in made:               # rmdir refuses a directory that is not empty
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
     base = os.path.join(directory, cfg.experiment)
     write_csv(base + ".csv", header, table, config_echo=cfg.to_json_dict())
     if plot is not None:

@@ -7,16 +7,19 @@ window's survival series) into its exit from the interval
 (:func:`_interval_exits`), as do the mirror coupling and the drift-free
 staged coupling in :mod:`.coupling`; the convolution check draws one window
 per path.  The restarted ensembles (:func:`ensemble_snapshots`,
-:func:`ensemble_tv`), the conditioned-path check
+:func:`ensemble_tv`) are exact in time too (:func:`_ensemble_positions`):
+steps sized by the far barrier, not by ``dt``, each bridge-tested at both
+barriers, with an exact crossing time (:func:`_crossing_times`) from which
+the restarted path runs the rest of its step.  The conditioned-path check
 (:func:`verify_pathwise_lemma`) and the staged coupling with drift step on a
 uniform grid with exact Gaussian increments; within-step boundary crossings
 are recovered by one-sided Brownian-bridge corrections (right barrier
 first, then left), so exit statistics converge at O(dt) instead of
-O(sqrt(dt)).  Exits are attributed to the end of the step in which they are
-detected, and the restart position is the recorded state at that grid time.
-A stepping engine sizes its run with :func:`_step_count`, and the window
-chain its rounds; both refuse work over the one budget ``PATH_STEP_BUDGET``
-before allocating.
+O(sqrt(dt)).  There exits are attributed to the end of the step in which
+they are detected, and the restart position is the recorded state at that
+grid time.  A stepping engine sizes its run with :func:`_step_count`, and
+the window chain its rounds; both refuse work over the one budget
+``PATH_STEP_BUDGET`` before allocating.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import invariant_density_grid, killed_survival
+from .analytic import invariant_density_grid, killed_survival, mean_exit_time
 from .errors import (
     BelowNoiseFloor,
     ConfigError,
@@ -125,8 +128,10 @@ class TVCurve:
 # crossing rule _crosses.  A test draws one uniform per entry within reach of
 # its barrier, in index order, and none for the others, so the number of
 # uniforms per step depends on the state.  Per step the engines draw:
-#   histograms: normals for every path, right-bridge then left-bridge
-#     uniforms, then restart uniforms for exited paths only;
+#   ensembles (histograms): per round of _ensemble_positions, normals for
+#     the paths with time left in the step, right-bridge then left-bridge
+#     uniforms, then for the paths that crossed one normal each and one
+#     uniform each (_crossing_times), then their restart uniforms;
 #   exit times, mirror coupling: no steps, two uniforms per window round of
 #     _interval_exits (window time, then side) for each path still inside, in
 #     path order; the mirror runs phase 1 (B until the copies meet or the copy
@@ -174,9 +179,10 @@ def _crosses(d0, d1, var_dt, u):
 def _hits(d0, d1, var_dt, gen: np.random.Generator) -> np.ndarray:
     """_crosses for arrays of distances, drawing uniforms only where they can matter.
 
-    With p = max(d0, 0) max(d1, 0): p <= 0 is a sure hit and p >= REACH *
-    var_dt a sure miss, and neither draws.  The entries in between draw one
-    ``gen.random`` each, in index order, and get _crosses of it.
+    var_dt is one step variance, or one per entry.  With p = max(d0, 0)
+    max(d1, 0): p <= 0 is a sure hit and p >= REACH * var_dt a sure miss,
+    and neither draws.  The entries in between draw one ``gen.random`` each,
+    in index order, and get _crosses of it.
     """
     p = np.maximum(d0, 0.0)
     p *= np.maximum(d1, 0.0)
@@ -185,19 +191,21 @@ def _hits(d0, d1, var_dt, gen: np.random.Generator) -> np.ndarray:
     near = np.flatnonzero((p < REACH * var_dt) ^ hit)
     if near.size:
         # p is the product already, so the rule sees the distances (p, 1)
-        hit[near] = _crosses(p[near], 1.0, var_dt, gen.random(near.size))
+        var_near = var_dt[near] if np.ndim(var_dt) else var_dt
+        hit[near] = _crosses(p[near], 1.0, var_near, gen.random(near.size))
     return hit
 
 
-def _advance(x, spec: ProcessSpec, dt: float, z, gen: np.random.Generator):
+def _advance(x, spec: ProcessSpec, dt, z, gen: np.random.Generator):
     """One step for an array of positions, bridge-tested at b and then at a.
 
-    Returns (x_new, exit_code) with exit_code -1 for interior, 0 for a left
-    exit, 1 for a right exit; a step ending at or below a is a left exit even
-    if the right bridge fires.  x_new for exited entries is the pre-restart
-    proposal (callers overwrite it with the restart draw).
+    dt is one step length, or one per entry.  Returns (x_new, exit_code)
+    with exit_code -1 for interior, 0 for a left exit, 1 for a right exit; a
+    step ending at or below a is a left exit even if the right bridge fires.
+    x_new for exited entries is the pre-restart proposal (callers overwrite
+    it with the restart draw).
     """
-    x1 = x + spec.mu * dt + spec.sigma * math.sqrt(dt) * z
+    x1 = x + spec.mu * dt + spec.sigma * np.sqrt(dt) * z
     var_dt = spec.sigma**2 * dt
     right = _hits(spec.b - x, spec.b - x1, var_dt, gen)
     left = _hits(x - spec.a, x1 - spec.a, var_dt, gen)
@@ -205,6 +213,29 @@ def _advance(x, spec: ProcessSpec, dt: float, z, gen: np.random.Generator):
     code[left] = LEFT
     code[right & (x1 > spec.a)] = RIGHT
     return x1, code
+
+
+def _crossing_times(d0, d1, dt, var_dt, gen: np.random.Generator) -> np.ndarray:
+    """When the bridges that crossed a barrier first reached it, within their step.
+
+    A crossing step of length dt and variance var_dt took the distance to
+    the barrier from d0 > 0 to d1 (of either sign).  Given the crossing,
+    R = tau / (dt - tau) is inverse Gaussian with mean d0 / |d1| and shape
+    lam = d0^2 / var_dt (Gobet & Menozzi 2010), drawn from one normal Z and
+    then one uniform per entry (Michael, Schucany & Haas 1976).  The smaller
+    root is formed as 4 lam / (|Z| + sqrt(Z^2 + 4 phi))^2, phi = d0 |d1| /
+    var_dt, so d1 = 0 gives the Levy draw lam / Z^2, not inf * 0; the times
+    dt / (1 + 1 / R) lie in [0, dt].
+    """
+    z = gen.standard_normal(np.shape(d0))
+    u = gen.random(np.shape(d0))
+    e = np.abs(d1)
+    # inv = 1 / R for the smaller root, kept with probability d0 inv / (d0 inv + e)
+    inv = np.abs(z) + np.sqrt(z * z + 4.0 * d0 * e / var_dt)
+    inv *= inv * var_dt / (4.0 * d0 * d0)
+    big = u * (d0 * inv + e) > d0 * inv
+    inv[big] = e[big] ** 2 / (d0[big] ** 2 * inv[big])
+    return dt / (1.0 + inv)
 
 
 def _restart_positions(spec: ProcessSpec, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -221,16 +252,17 @@ def _check_dt(dt: float) -> None:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
 
 
-def _step_count(paths: int, t: float, dt: float) -> int:
-    """Steps of dt to time t; StepBudgetExceeded if paths * max(1, t / dt),
-    the worst case with every path held at least one step, exceeds
+def _step_count(paths: int, t: float, dt: float, up: bool = False) -> int:
+    """Steps of dt to time t, to the nearest or, with ``up``, the fewest
+    steps of at most dt; StepBudgetExceeded if paths * max(1, t / dt), the
+    worst case with every path held at least one step, exceeds
     PATH_STEP_BUDGET.  The comparison is in floating point, so a t / dt that
     overflows to inf, or an infinite t, is refused rather than converted."""
     steps = t / dt
     if not paths * max(steps, 1.0) <= PATH_STEP_BUDGET:
         raise StepBudgetExceeded(f"{paths} paths to t={t:.6g} at dt={dt:.6g} "
                                  f"exceed {PATH_STEP_BUDGET} path-steps")
-    return int(round(steps))
+    return math.ceil(steps) if up else int(round(steps))
 
 
 def _check_counts(n: int, bins: int | None = None) -> None:
@@ -394,47 +426,96 @@ def sample_invariant(spec: ProcessSpec, n: int, gen: np.random.Generator) -> np.
     return np.interp(gen.random(n), cdf, ys)
 
 
-def _evolve_histograms(spec: ProcessSpec, x: np.ndarray, snap_steps: list[int],
-                       bins: int, dt: float, gen: np.random.Generator) -> list[np.ndarray]:
-    """March an ensemble, collecting bin-mass histograms at the given ascending steps."""
-    n = x.size
-    wanted = set(snap_steps)
-    out = []
-    for step in range(snap_steps[-1] + 1):
-        if step:
-            x, code = _advance(x, spec, dt, gen.standard_normal(n), gen)
-            exited = code >= 0
-            n_exit = int(exited.sum())
-            if n_exit:
-                x[exited] = _restart_positions(spec, n_exit, gen)
-        if step in wanted:
-            out.append(np.histogram(x, bins=bins, range=(spec.a, spec.b))[0] / n)
-    return out
+def _max_step(spec: ProcessSpec) -> float:
+    """Longest ensemble step: the smaller root of (L/2 - |mu| s)^2 = 4 REACH sigma^2 s.
+
+    Every point lies at least L/2 from its far barrier, which a step of s
+    then reaches with probability at most exp(-(L/2 - |mu| s)^2 / (2
+    sigma^2 s)) = 2^-53, the standard REACH sets for a bridge test.
+    """
+    c, m, v = 0.5 * spec.length, abs(spec.mu), 4.0 * REACH * spec.sigma**2
+    return 2.0 * c * c / (2.0 * c * m + v + math.sqrt(v * (v + 4.0 * c * m)))
+
+
+def _ensemble_positions(spec: ProcessSpec, x: np.ndarray, gaps, steps,
+                        gen: np.random.Generator):
+    """Yield the positions of restarted paths from x at the end of each gap.
+
+    Gap j is steps[j] equal steps of at most _max_step, so only the near
+    barrier is in reach of a step.  Each round moves the paths with time left
+    in the step to its end (_advance, one step length per path); a path that
+    crossed a barrier restarts from nu at its crossing time
+    (_crossing_times) and runs the rest of its step in the next round.  So
+    the law is exact in time, up to the 2^-53 per test that REACH and
+    _max_step leave.  Path-rounds are counted against PATH_STEP_BUDGET as
+    they run.  A yielded array is not written to again.
+    """
+    used = 0
+    for gap, k in zip(gaps, steps):
+        for _ in range(k):
+            # the first round moves every path, the later ones those that restarted
+            idx, x0, left = None, x, gap / k
+            while x0.size:
+                used += x0.size
+                if used > PATH_STEP_BUDGET:
+                    raise StepBudgetExceeded(f"{x.size} paths took over "
+                                             f"{PATH_STEP_BUDGET} path-rounds")
+                x1, code = _advance(x0, spec, left, gen.standard_normal(x0.size), gen)
+                out = np.flatnonzero(code >= 0)
+                if idx is None:
+                    x, idx = x1, out
+                else:
+                    x[idx] = x1
+                    idx = idx[out]
+                right = code[out] == RIGHT
+                x0, x1 = x0[out], x1[out]
+                d0 = np.where(right, spec.b - x0, x0 - spec.a)
+                d1 = np.where(right, spec.b - x1, x1 - spec.a)
+                if np.ndim(left):
+                    left = left[out]
+                left = left - _crossing_times(d0, d1, left, spec.sigma**2 * left, gen)
+                x[idx] = _restart_positions(spec, idx.size, gen)
+                idx, left = idx[left > 0.0], left[left > 0.0]
+                x0 = x[idx]
+        yield x
 
 
 def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
                        dt: float, stream: RngStream) -> list[EnsembleSnapshot]:
-    """Ensemble histograms at the requested times (snapped to the step grid).
+    """Ensemble histograms at exactly the requested times.
 
     ``x0`` is a point start or "invariant" for i.i.d. draws from the analytic
-    stationary density.
+    stationary density.  The paths are exact in time (_ensemble_positions):
+    each gap between times is ceil(gap / _max_step) equal steps, and ``dt``
+    is checked to be positive and otherwise ignored.  A path restarts about
+    t / E_nu[tau] times by time t, E_nu[tau] the nu-mean of
+    ``mean_exit_time``, and each restart costs a sub-step: an atom eps from
+    an edge restarts about t sigma^2 / (eps L) times, so 6,000 paths to t =
+    0.15 at mu = 0 on the unit interval took 0.03 s at eps = 1/4, 0.06 s at
+    eps = 0.01 and 4 s at eps = 1e-4 (2-vCPU VM).
 
     Raises:
         NonpositiveDt: dt is not positive.
         OutOfDomain: a time is negative, or the start lies outside (a, b).
-        ConfigError: the time grid is empty, two times snap to the same step,
-            there are no paths or fewer than 32 bins.
-        StepBudgetExceeded: paths times steps exceed ``PATH_STEP_BUDGET``.
+        ConfigError: the time grid is empty or repeats a time, there are no
+            paths or fewer than 32 bins.
+        StepBudgetExceeded: n_paths * (steps + t_max / E_nu[tau] + 1)
+            exceeds ``PATH_STEP_BUDGET``, checked before any draw, or the
+            path-rounds run exceed it.
     """
     _check_dt(dt)
     _check_counts(n_paths, bins)
     times = _check_times(times)
-    steps = [_step_count(n_paths, t, dt) for t in times]
-    snapped = list(zip(steps, times))
-    for (k0, t0), (k1, t1) in zip(snapped, snapped[1:]):
-        if k0 == k1:
-            raise ConfigError(f"times {t0:.12g} and {t1:.12g} snap to the same step "
-                              f"of dt={dt:.12g}")
+    for t0, t1 in zip(times, times[1:]):
+        if t0 == t1:
+            raise ConfigError(f"time {t0:.12g} is requested twice")
+    gaps = [t1 - t0 for t0, t1 in zip([0.0, *times], times)]
+    steps = [_step_count(n_paths, gap, _max_step(spec), up=True) for gap in gaps]
+    mean_exit = math.fsum(w * mean_exit_time(spec, loc) for loc, w in spec.nu.atoms)
+    if not n_paths * (sum(steps) + times[-1] / mean_exit + 1.0) <= PATH_STEP_BUDGET:
+        raise StepBudgetExceeded(f"{n_paths} paths to t={times[-1]:.6g}, at a mean "
+                                 f"restart time of {mean_exit:.6g}, exceed "
+                                 f"{PATH_STEP_BUDGET} path-steps")
     gen = stream.generator()
     if isinstance(x0, str):
         if x0 != "invariant":
@@ -444,21 +525,24 @@ def ensemble_snapshots(spec: ProcessSpec, x0, times, n_paths: int, bins: int,
         if not spec.interval.contains(float(x0)):
             raise OutOfDomain(f"start {x0} outside open interval")
         init = np.full(n_paths, float(x0))
-    hists = _evolve_histograms(spec, init, steps, bins, dt, gen)
+    positions = _ensemble_positions(spec, init, gaps, steps, gen)
     return [
-        EnsembleSnapshot(t=k * dt, histogram=tuple(h.tolist()), n_paths=n_paths)
-        for k, h in zip(steps, hists)
+        EnsembleSnapshot(t=t, n_paths=n_paths, histogram=tuple(
+            (np.histogram(x, bins=bins, range=(spec.a, spec.b))[0] / n_paths).tolist()))
+        for t, x in zip(times, positions)
     ]
 
 
 def ensemble_tv(spec: ProcessSpec, x: float, y_or_invariant, times, n_paths: int,
                 bins: int, dt: float, seed: int) -> TVCurve:
-    """Empirical TV distance between two simulated ensembles on a shared grid.
+    """Empirical TV distance between two simulated ensembles at the given times.
 
     The first ensemble starts at x (stream 0), the second at y or from
-    invariant-density draws (stream 1); TV at each time is half the L1
-    distance between the bin-mass histograms.  Error bars scale like
-    sqrt(bins / n_paths).  Fewer than 1000 paths or 32 bins raise ConfigError.
+    invariant-density draws (stream 1); both are exact in time, and ``dt``
+    is only checked to be positive (see :func:`ensemble_snapshots`).  TV at
+    each time is half the L1 distance between the bin-mass histograms.
+    Error bars scale like sqrt(bins / n_paths).  Fewer than 1000 paths or 32
+    bins raise ConfigError.
     """
     times = _check_times(times)
     if n_paths < 1000:

@@ -156,8 +156,9 @@ def test_coupling_survival_starts_at_one(spec20):
 
 def test_coupled_marginal_has_process_law():
     # the first coordinate of the coupled pair, on its own, is the restarted
-    # diffusion: compare against a plain ensemble at t = 1 (same step size,
-    # so the discretization bias cancels and the budget is Monte Carlo noise)
+    # diffusion: compare against a plain ensemble at t = 1, which is exact in
+    # time, so the budget covers Monte Carlo noise and the coupling's O(dt)
+    # step bias at dt = 5e-4
     spec = unit_spec(5.0)
     xs = coupling_marginal(spec, 0.25, 0.75, 100_000, 5e-4, 21, 1.0)
     hist = np.histogram(xs, bins=32, range=(0.0, 1.0))[0] / xs.size

@@ -255,6 +255,33 @@ def test_cli_out_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert out.count("\n") == 1
 
 
+def test_cli_body_not_run_when_out_directory_cannot_be_made(tmp_path, capsys, monkeypatch):
+    # the directory is made before the experiment, so a bad one costs nothing
+    ran = []
+    monkeypatch.setitem(experiments._BODIES, "gap-sweep", lambda cfg: ran.append(cfg))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, mu_grid=[0.0, 4.0], out=str(blocker / "sub"))
+    assert main(["gap-sweep", "--config", cfg]) == 2
+    assert ran == []
+    assert capsys.readouterr().out.startswith("config error: cannot make output directory")
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (NoPlateauFound, 3)])
+def test_cli_failed_run_leaves_no_new_empty_directory(tmp_path, monkeypatch, error, code):
+    def fail(cfg):
+        raise error("no result")
+    monkeypatch.setitem(experiments._BODIES, "gap-sweep", fail)
+    cfg = write_config(tmp_path, mu_grid=[0.0, 4.0])
+    # both levels made by the call go; a directory that was there stays
+    assert main(["gap-sweep", "--config", cfg, "--out", str(tmp_path / "new" / "sub")]) == code
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "old").mkdir()
+    assert main(["gap-sweep", "--config", cfg, "--out", str(tmp_path / "old" / "sub")]) == code
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["old"]
+    assert not any((tmp_path / "old").iterdir())
+
+
 def test_tv_and_coupling_share_the_default_starts():
     base = {"spec": dict(BASE_SPEC, a=-1.0, b=2.0), "experiment": "tv-decay"}
     assert experiments._starts(validate_config(base)) == (-0.25, 1.25)
@@ -297,14 +324,10 @@ def test_cli_solver_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
-@pytest.mark.parametrize("dt", [1e-320, 1e-9])
-@pytest.mark.parametrize("experiment, n_paths", [("tv-decay", 1000), ("coupling-tail", 10_000)])
-def test_cli_step_budget_is_a_solver_error(tmp_path, experiment, n_paths, dt):
-    # t / dt overflows to inf at 1e-320; at 1e-9 the first default grid time,
-    # 0.02, asks for 2e10 path-steps or more: one line on stdout, no traceback.
-    # The drift is positive, since at mu = 0 the coupling takes no steps
-    cfg = write_config(tmp_path, experiment=experiment, n_paths=n_paths, dt=dt,
-                       spec=dict(BASE_SPEC, mu=20.0), out=str(tmp_path / "out"))
+def _solver_error_line(tmp_path, experiment, **overrides) -> str:
+    """The one stdout line of a CLI run that must end as a solver error."""
+    cfg = write_config(tmp_path, experiment=experiment, out=str(tmp_path / "out"),
+                       **overrides)
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     proc = subprocess.run([sys.executable, "-m", "jumpdiff.cli", experiment, "--config", cfg],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
@@ -312,9 +335,28 @@ def test_cli_step_budget_is_a_solver_error(tmp_path, experiment, n_paths, dt):
     assert proc.returncode == 3
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and lines[0].startswith("solver error:")
-    assert "path-steps" in lines[0]
     assert proc.stderr == ""
     assert not (tmp_path / "out").exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("dt", [1e-320, 1e-9])
+@pytest.mark.parametrize("experiment, n_paths", [("coupling-tail", 10_000)])
+def test_cli_step_budget_is_a_solver_error(tmp_path, experiment, n_paths, dt):
+    # t / dt overflows to inf at 1e-320; at 1e-9 the first default grid time,
+    # 0.02, asks for 2e10 path-steps or more: one line on stdout, no traceback.
+    # The drift is positive, since at mu = 0 the coupling takes no steps
+    line = _solver_error_line(tmp_path, experiment, n_paths=n_paths, dt=dt,
+                              spec=dict(BASE_SPEC, mu=20.0))
+    assert "path-steps" in line
+
+
+def test_cli_tv_decay_budget_is_a_solver_error(tmp_path):
+    # tv-decay ignores dt; an atom 1e-9 from an edge restarts about 3e8 times
+    # per path by t = 0.3, so 1000 paths are refused before any draw
+    line = _solver_error_line(tmp_path, "tv-decay", n_paths=1000, dt=1e-320,
+                              spec=dict(BASE_SPEC, mu=20.0, nu=[[1e-9, 1.0]]))
+    assert "path-steps" in line
 
 
 def test_cli_spectrum_driftfree_wide_box(tmp_path):
@@ -335,12 +377,14 @@ def test_cli_underflowing_determinant_exit_code(tmp_path, capsys):
 
 
 def test_cli_rejects_times_snapping_to_one_step(tmp_path, capsys):
-    # 0.01 and 0.0101 both round to step 50 of dt = 2e-4
-    cfg = write_config(tmp_path, experiment="tv-decay", t_grid=[0.01, 0.0101, 0.02, 0.03],
+    # snapshots are taken at the requested times themselves, so only a
+    # repeated time names one snapshot twice
+    cfg = write_config(tmp_path, experiment="tv-decay", t_grid=[0.01, 0.01, 0.02, 0.03],
                        n_paths=1000, dt=2e-4, out=str(tmp_path / "out"))
     assert main(["tv-decay", "--config", cfg]) == 2
-    assert "times 0.01 and 0.0101 snap to the same step of dt=0.0002" in capsys.readouterr().out
-    assert not (tmp_path / "out" / "tv-decay.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "strictly increasing" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_spectrum_leading_pair_complex(tmp_path):

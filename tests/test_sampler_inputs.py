@@ -7,7 +7,8 @@ or pair) or fewer than 32 bins raise ConfigError, before any path is drawn.
 A step so small, or an end time so large, that the paths times the steps
 exceed the path-step budget (t / dt overflowing to inf included) raises
 StepBudgetExceeded, also before any path is drawn, so within a second.  The
-exact samplers take no steps: they check dt's sign and otherwise ignore it.
+exact samplers take no steps of dt: they check dt's sign and otherwise ignore
+it.
 A start outside the open interval (or an unknown start name) raises
 OutOfDomain, and the conditioned-path check refuses any spec but a centred
 atom with positive drift.
@@ -53,10 +54,11 @@ ENTRIES = {
     # exact: no steps, so dt is only checked to be positive
     "exit_time_ensemble": (lambda dt, ts: exit_time_ensemble(
         SPEC, 0.5, 10, dt, RngStream(1), horizon=ts[0]), "sign time"),
+    # exact in time: steps sized by the far barrier, so dt is only checked
     "ensemble_snapshots": (lambda dt, ts: ensemble_snapshots(
-        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "sign dt time end grid"),
+        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "sign time end grid"),
     "ensemble_tv": (lambda dt, ts: ensemble_tv(
-        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "sign dt time end grid"),
+        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "sign time end grid"),
     "verify_pathwise_lemma": (lambda dt, ts: verify_pathwise_lemma(
         SPEC, 1, 10, dt, 1), "sign dt"),
     "staged_coupling": (lambda dt, ts: staged_coupling(

@@ -13,6 +13,7 @@ from jumpdiff import coupling, simulate
 from jumpdiff.analytic import invariant_density_grid, killed_survival, mean_exit_time
 from jumpdiff.errors import (
     BelowNoiseFloor,
+    ConfigError,
     JumpdiffError,
     NonpositiveDt,
     OutOfDomain,
@@ -182,12 +183,13 @@ def _calls_by_function(module):
 def test_one_crossing_rule_and_no_dense_uniform_blocks():
     # every engine reaches _crosses through _hits, and no engine draws bridge
     # uniforms for the whole ensemble: gen.random is left to the sparse test,
-    # restart atoms, invariant draws and the window exit times
+    # restart atoms, invariant draws, the window exit times and the crossing
+    # times of the paths that crossed
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
     assert {owner for owner, callee in calls if callee == "_crosses"} == {"_hits"}
     assert {owner for owner, callee in calls if callee == ".random"} == {
         "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check",
-        "_interval_exits"}
+        "_interval_exits", "_crossing_times"}
     # the staged coupling takes one step rule for every stage: five bridge
     # tests and no hard comparison of a position against a or b
     run = [callee for owner, callee in calls if owner == "_run_coupling"]
@@ -552,6 +554,135 @@ def test_tv_rate_stable_under_refinement(spec0):
     r1 = fit_rate(coarse, (0.04, 0.16), noise_floor=3 * coarse.se_scale()).rate
     r2 = fit_rate(fine, (0.04, 0.16), noise_floor=3 * fine.se_scale()).rate
     assert abs(r1 - r2) / max(r1, r2) < 0.10
+
+
+# --- exact-in-time ensembles --------------------------------------------------
+
+def _ensemble_positions(spec, x0, times, n, seed):
+    """Positions of n restarted paths from x0 at the ascending times, as the
+    ensemble engine draws them."""
+    gaps = [t1 - t0 for t0, t1 in zip([0.0, *times], times)]
+    steps = [simulate._step_count(n, gap, simulate._max_step(spec), up=True) for gap in gaps]
+    return simulate._ensemble_positions(spec, np.full(n, float(x0)), gaps, steps,
+                                        RngStream(seed).generator())
+
+
+MODE_CASES = [pytest.param(unit_spec(mu), (2, 4), id=f"unit-mu={mu:g}")
+              for mu in (0.0, 20.0, -7.0)] + [
+    pytest.param(make_spec(a=-1.0, b=2.0, sigma=0.7, mu=3.0,
+                           atoms=((0.0, 0.6), (1.0, 0.4))), (3,), id="two-atoms")]
+
+
+@pytest.mark.parametrize("spec, modes", MODE_CASES)
+def test_ensemble_matches_periodic_modes(spec, modes):
+    # with every atom on the grid a + jL/m, f(x) = exp(i k (x - a)), k = 2 pi m
+    # / L, takes one value at a, b and the atoms, and the generator maps it to
+    # -lam f with lam = sigma^2 k^2 / 2 - i k mu: so E_x f(X_t) = e^(-lam t)
+    # f(x) exactly, a law that shares no code with the engine
+    n, x0 = 1_000_000, spec.a + 0.25 * spec.length
+    times = [c * spec.length**2 / spec.sigma**2 for c in (0.01, 0.02, 0.05, 0.1)]
+    for t, x in zip(times, _ensemble_positions(spec, x0, times, n, 41)):
+        for m in modes:
+            k = 2.0 * math.pi * m / spec.length
+            f = np.exp(1j * k * (x - spec.a))
+            want = np.exp(-(0.5 * spec.sigma**2 * k * k - 1j * k * spec.mu) * t
+                          + 1j * k * (x0 - spec.a))
+            for got, exact in ((f.real, want.real), (f.imag, want.imag)):
+                assert abs(got.mean() - exact) <= 3.0 * got.std() / math.sqrt(n), (t, m)
+
+
+@pytest.mark.parametrize("d1", [0.3, -0.4, 0.0], ids=["d1>0", "d1<0", "d1=0"])
+def test_crossing_time_matches_fine_grid_bridge_oracle(rng, d1):
+    # Brownian bridges over a unit step from distance 0.5 to d1 on a fine
+    # grid: the first grid time within the continuity correction of the
+    # barrier, among the bridges that reach it, against _crossing_times
+    d0, m, n, batch = 0.5, 2048, 10_000, 1_000
+    k = np.arange(1, m + 1) / m
+    shift = 0.5826 * math.sqrt(1.0 / m)
+    first = []
+    for _ in range(n // batch):
+        w = np.cumsum(rng.standard_normal((batch, m)) * math.sqrt(1.0 / m), axis=1)
+        hit = d0 + (d1 - d0) * k + (w - w[:, -1:] * k) <= shift
+        first.append((hit[hit.any(axis=1)].argmax(axis=1) + 1) / m)
+    grid = np.concatenate(first)
+    taus = simulate._crossing_times(np.full(n * 100, d0), np.full(n * 100, d1), 1.0, 1.0,
+                                    RngStream(13).generator())
+    assert np.all((taus >= 0.0) & (taus <= 1.0))
+    for t in (0.05, 0.1, 0.2, 0.4, 0.7):
+        p = float((taus <= t).mean())
+        se = math.sqrt(p * (1.0 - p) / grid.size)
+        assert abs(float((grid <= t).mean()) - p) <= 3.0 * se + 0.005, t
+
+
+def test_step_kernel_takes_a_step_length_per_entry(spec20):
+    # one length per entry gives the floats and draws of the scalar step
+    x = np.linspace(0.001, 0.999, 500)
+    z = RngStream(5).generator().standard_normal(500)
+    one, each = RngStream(6).generator(), RngStream(6).generator()
+    for got, want in zip(_advance(x, spec20, np.full(500, 2e-3), z, each),
+                         _advance(x, spec20, 2e-3, z, one)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(each.bit_generator.state, one.bit_generator.state)
+
+
+def test_ensemble_extreme_drift_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(StepBudgetExceeded):
+        ensemble_snapshots(unit_spec(1e12), 0.5, [0.1], 10, 64, 1e-3, RngStream(3))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_near_edge_atom_is_refused_up_front(monkeypatch):
+    # an atom 1e-9 L from an edge restarts about 1e9 times per path by t = L^2
+    # / sigma^2: 1000 paths are refused before any path moves
+    spec = make_spec(a=-1.0, b=2.0, sigma=0.7, atoms=((-1.0 + 3e-9, 1.0),))
+
+    def moved(*args):
+        raise AssertionError("the paths moved")
+    monkeypatch.setattr(simulate, "_ensemble_positions", moved)
+    with pytest.raises(StepBudgetExceeded, match="mean restart time"):
+        ensemble_snapshots(spec, 0.5, [spec.length**2 / spec.sigma**2], 1000, 64, 1e-3,
+                           RngStream(1))
+
+
+def test_ensemble_ignores_dt(spec20):
+    # steps are sized by the far barrier: a dt of 1e-320 gives the snapshots of 0.1
+    tiny = ensemble_snapshots(spec20, 0.25, [0.01, 0.05], 500, 64, 1e-320, RngStream(6))
+    coarse = ensemble_snapshots(spec20, 0.25, [0.01, 0.05], 500, 64, 0.1, RngStream(6))
+    assert tiny == coarse
+
+
+def test_repeated_time_is_a_config_error(spec0):
+    with pytest.raises(ConfigError, match="requested twice"):
+        ensemble_snapshots(spec0, 0.5, [0.02, 0.01, 0.02], 10, 64, 1e-3, RngStream(1))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e3), sigma=st.floats(1e-3, 1e3),
+       drift=st.floats(-60.0, 60.0),
+       atoms=st.lists(st.tuples(st.floats(0.02, 0.98), st.floats(0.1, 1.0)),
+                      min_size=1, max_size=4),
+       start=st.one_of(st.floats(0.0, 1.0), st.just("invariant")),
+       times=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=5, unique=True),
+       n=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_ensemble_histograms_at_the_requested_times(a, length, sigma, drift, atoms, start,
+                                                    times, n, seed):
+    # drift is mu L / sigma^2 and times are in units of L^2 / sigma^2; atoms
+    # keep 2% of L from the edges, where restarts, and so sub-steps, stay few
+    scale = length**2 / sigma**2
+    times = [t * scale for t in times]
+    total = math.fsum(w for _, w in atoms)
+    try:
+        spec = make_spec(a=a, b=a + length, sigma=sigma, mu=drift * sigma**2 / length,
+                         atoms=tuple((a + f * length, w / total) for f, w in atoms))
+        x0 = start if isinstance(start, str) else a + start * length
+        snaps = ensemble_snapshots(spec, x0, times, n, 32, 1e-3, RngStream(seed))
+    except JumpdiffError:
+        return
+    assert [s.t for s in snaps] == sorted(times)
+    for s in snaps:
+        assert s.n_paths == n and len(s.histogram) == 32
+        assert abs(math.fsum(s.histogram) - 1.0) <= 1e-12
 
 
 # --- rate fitting ------------------------------------------------------------

@@ -97,7 +97,7 @@ def _convolution_bound_check():
 
 GOLDEN = {
     "exit_time_ensemble": (_exit_time_ensemble, "c5fa25e016b490d3"),
-    "ensemble_snapshots": (_ensemble_snapshots, "f186b6bf5a7b3613"),
+    "ensemble_snapshots": (_ensemble_snapshots, "c6c89b7d56a9024c"),
     "coupling_records": (_coupling_records, "10347d0326ba9c47"),
     "coupling_marginal": (_coupling_marginal, "4abcd730bf1436ea"),
     "mirror_exit_dominance": (_mirror_exit_dominance, "79589fcde77cae0b"),
