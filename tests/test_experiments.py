@@ -341,21 +341,17 @@ def _solver_error_line(tmp_path, experiment, **overrides) -> str:
 
 
 @pytest.mark.parametrize("dt", [1e-320, 1e-9])
-@pytest.mark.parametrize("experiment, n_paths", [("coupling-tail", 10_000)])
+@pytest.mark.parametrize("experiment, n_paths", [("tv-decay", 1000), ("coupling-tail", 10_000)])
 def test_cli_step_budget_is_a_solver_error(tmp_path, experiment, n_paths, dt):
-    # t / dt overflows to inf at 1e-320; at 1e-9 the first default grid time,
-    # 0.02, asks for 2e10 path-steps or more: one line on stdout, no traceback.
-    # The drift is positive, since at mu = 0 the coupling takes no steps
+    # coupling-tail: t / dt overflows to inf at 1e-320; at 1e-9 the first
+    # default grid time, 0.02, asks for 2e10 path-steps or more.  The drift is
+    # positive, since at mu = 0 the coupling takes no steps.  tv-decay ignores
+    # dt; its atom 1e-9 from an edge restarts about 3e8 times per path by
+    # t = 0.3, so 1000 paths are refused before any draw.  Either way: one
+    # line on stdout, no traceback
+    nu = [[1e-9, 1.0]] if experiment == "tv-decay" else BASE_SPEC["nu"]
     line = _solver_error_line(tmp_path, experiment, n_paths=n_paths, dt=dt,
-                              spec=dict(BASE_SPEC, mu=20.0))
-    assert "path-steps" in line
-
-
-def test_cli_tv_decay_budget_is_a_solver_error(tmp_path):
-    # tv-decay ignores dt; an atom 1e-9 from an edge restarts about 3e8 times
-    # per path by t = 0.3, so 1000 paths are refused before any draw
-    line = _solver_error_line(tmp_path, "tv-decay", n_paths=1000, dt=1e-320,
-                              spec=dict(BASE_SPEC, mu=20.0, nu=[[1e-9, 1.0]]))
+                              spec=dict(BASE_SPEC, mu=20.0, nu=nu))
     assert "path-steps" in line
 
 

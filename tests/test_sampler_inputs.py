@@ -8,7 +8,7 @@ A step so small, or an end time so large, that the paths times the steps
 exceed the path-step budget (t / dt overflowing to inf included) raises
 StepBudgetExceeded, also before any path is drawn, so within a second.  The
 exact samplers take no steps of dt: they check dt's sign and otherwise ignore
-it.
+it, so the same tiny steps give the result of dt = 1e-3 there.
 A start outside the open interval (or an unknown start name) raises
 OutOfDomain, and the conditioned-path check refuses any spec but a centred
 atom with positive drift.
@@ -17,6 +17,7 @@ atom with positive drift.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from jumpdiff.coupling import (
@@ -53,12 +54,12 @@ SPEC = unit_spec(20.0)
 ENTRIES = {
     # exact: no steps, so dt is only checked to be positive
     "exit_time_ensemble": (lambda dt, ts: exit_time_ensemble(
-        SPEC, 0.5, 10, dt, RngStream(1), horizon=ts[0]), "sign time"),
+        SPEC, 0.5, 10, dt, RngStream(1), horizon=ts[0]), "sign ignored time"),
     # exact in time: steps sized by the far barrier, so dt is only checked
     "ensemble_snapshots": (lambda dt, ts: ensemble_snapshots(
-        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "sign time end grid"),
+        SPEC, 0.5, ts, 10, 64, dt, RngStream(1)), "sign ignored time end grid"),
     "ensemble_tv": (lambda dt, ts: ensemble_tv(
-        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "sign time end grid"),
+        SPEC, 0.25, 0.75, ts, 1000, 64, dt, 1), "sign ignored time end grid"),
     "verify_pathwise_lemma": (lambda dt, ts: verify_pathwise_lemma(
         SPEC, 1, 10, dt, 1), "sign dt"),
     "staged_coupling": (lambda dt, ts: staged_coupling(
@@ -71,7 +72,7 @@ ENTRIES = {
         SPEC, 0.25, 0.75, 10_000, dt, ts, 1), "sign dt time end grid"),
     # exact: no steps, so dt is ignored and t = inf is a valid grid time
     "mirror_exit_dominance": (lambda dt, ts: mirror_exit_dominance(
-        Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "time grid"),
+        Interval(0.0, 1.0), 0.7, ts, 10, 1, dt=dt), "ignored time grid"),
     "convolution_bound_check": (lambda dt, ts: convolution_bound_check(
         SPEC, None, ts, 10, 1), "time grid"),
 }
@@ -81,6 +82,8 @@ BAD_INPUTS = {
     # t / dt overflows to inf; and 10 paths of 1e11 steps or more
     "dt": [("dt=1e-320", 1e-320, [0.1], StepBudgetExceeded),
            ("dt=1e-12", 1e-12, [0.1], StepBudgetExceeded)],
+    # the same steps where dt is ignored: no error, and the result of dt = 1e-3
+    "ignored": [("dt=1e-320", 1e-320, [0.1], None), ("dt=1e-12", 1e-12, [0.1], None)],
     "time": [("t<0", 1e-3, [-0.1, 0.1], OutOfDomain)],
     "end": [("t=inf", 1e-3, [math.inf], StepBudgetExceeded)],
     "grid": [("empty", 1e-3, [], ConfigError)],
@@ -95,8 +98,11 @@ CASES = [pytest.param(call, dt, ts, exc, id=f"{name}-{label}")
 @pytest.mark.parametrize("call, dt, ts, exc", CASES)
 def test_bad_step_or_times_raise_typed_errors(call, dt, ts, exc):
     start = time.perf_counter()
-    with pytest.raises(exc):
-        call(dt, ts)
+    if exc is None:
+        np.testing.assert_equal(call(dt, ts), call(1e-3, ts))
+    else:
+        with pytest.raises(exc):
+            call(dt, ts)
     assert time.perf_counter() - start < 1.0
 
 
