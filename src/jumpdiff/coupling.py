@@ -16,12 +16,13 @@ Two constructions from the coupling analysis:
   and the other one arrives there, gluing the pair.
 
 The fitted tail rate of the coalescence time is the empirical lower-bound
-certificate for the spectral gap.  Between restarts the distance process is
-affine in the shared noise, so distance hits (0 and half-length) get the
-same one-sided bridge corrections as boundary exits.  Without drift every
-stage is one exit of one Brownian coordinate from a fixed interval, so at
-mu = 0 the stage times are drawn exactly, with no time step, and only
-traces and snapshots march.  The mirror coupling takes no steps either.
+certificate for the spectral gap.  Each stage moves one Brownian coordinate
+between two lines in time: in stages I-II the midpoint moves by the drift
+alone and the gap is a driftless Brownian motion, and in stage III the gap
+is fixed and the midpoint moves.  So with drift a step is one two-barrier
+bridge test, and at mu = 0, where every line is constant, the stage times
+are drawn exactly, with no time step, and only traces and snapshots march.
+The mirror coupling takes no steps either.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ from .simulate import (
     _check_counts,
     _check_dt,
     _check_times,
-    _hits,
     _interval_exits,
     _step_count,
+    _step_exits,
     _window_exit_times,
     fit_rate,
 )
 
 STAGE_LABELS = {1: "I", 2: "II", 3: "III"}
-COALESCE_TOL_STEPS = 0.5            # meet tolerance = COALESCE_TOL_STEPS * sigma * sqrt(dt)
 
 
 @dataclass(frozen=True)
@@ -162,125 +162,123 @@ def _driftfree_coupling(spec: ProcessSpec, x: float, y: float, n: int,
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
                   gen: np.random.Generator, horizon: float,
                   trace: list | None = None, snapshot: bool = False):
-    """March n coupled pairs to the horizon, every stage by one step rule.
+    """March n coupled pairs to the horizon, one coordinate and one bridge test per step.
 
     At mu = 0, unless a trace or a snapshot is asked for, the stage times
     are exact draws by _driftfree_coupling instead, and dt is ignored.
 
-    A pair is the upper copy's position ``hi``, the gap ``g >= 0`` and
-    whether x is the upper copy.  x always moves with +dW.  y moves with -dW
-    in stages I-II, so the gap moves by twice the upper copy's noise, and with
-    +dW in stage III and after coalescence (stage 4), so the gap stays exactly
-    half the length, or 0.  Each step bridge-tests the upper copy at b and the
-    lower copy at a for every pair, the lower copy at b and the gap at 0 for
-    stage I-II pairs and the gap at half for the stage II pairs that neither
-    met nor exited.  The transitions then run on the event indices, a meet
-    before an exit before reaching half: a meet glues the pair at its
-    midpoint; in stages I-II each exiting copy restarts at x0 and stage I
-    becomes II, and the pair glues if both copies restarted or a stage II
-    restart leaves the gap within the meet tolerance; from stage III on an
-    exit puts both copies at x0; reaching half sets the gap to half.
+    A pair is its midpoint s, the copies' positions ``hi >= lo`` and whether
+    x is the upper copy; g = hi - lo.  x moves with +dW.  In stages I-II y
+    moves with -dW, so s moves by mu dt alone and g / 2 is the coordinate,
+    between 0 (the meet) and the lowest of the lines b - s (the upper copy
+    at b), s - a (the lower copy at a) and, in stage II, L/4 (the gap at
+    half).  In stage III and after coalescence (stage 4) y moves with +dW,
+    g is fixed and s is the coordinate, between a + g/2 and b - g/2.  One
+    _step_exits call per step tests every pair.  Between restarts s moves
+    one way, so at most one step per stage has s crossing the midpoint,
+    where the exit lines cross (or a quarter point, where one crosses L/4);
+    that step is tested against the lowest line at each end.
 
-    Pairs that start within the meet tolerance coalesce at t = 0.  Coalesced
-    pairs are dropped from the working set (the aggregation is a commutative
-    merge keyed by original index), except in snapshot mode, where they keep
-    evolving as single restarted paths so the x-positions returned at the
-    horizon have the process law.  Optionally records a per-step trace (n ==
-    1 only).
+    Events are booked at the end of their step (the last one clamped to the
+    horizon), where the lowest line decides: a lower hit glues the pair at
+    s (unless a coarse drift step carried s past b); an upper hit whose
+    lowest line is L/4 enters stage III at gap half; any other stage I-II
+    hit restarts at x0 the copy with the lowest line, both at a tie, and
+    any copy that ended past an end.  A pair with both copies restarted
+    glues at x0 in stage II.  From stage III on an exit puts both copies at
+    x0.  The positions are stored, not formed from s, so starts and
+    restarts stay exact, and lo = hi - L/2 keeps the traced stage III gap
+    exact.
+
+    Pairs with x == y coalesce at t = 0.  Coalesced pairs are dropped from
+    the working set (a merge keyed by original index), except in snapshot
+    mode, where they keep evolving as single restarted paths so the
+    x-positions returned at the horizon have the process law.  Optionally
+    records a per-step trace (n == 1 only).
     """
     if spec.mu == 0.0 and trace is None and not snapshot:
         return _driftfree_coupling(spec, x, y, n, gen, horizon), None
     n_steps = _step_count(n, horizon, dt)
     a, b, x0 = spec.a, spec.b, spec.nu.locations[0]
-    half = 0.5 * spec.length
+    half, quarter = 0.5 * spec.length, 0.25 * spec.length
     sig_sqrt_dt = spec.sigma * math.sqrt(dt)
     sig2dt = spec.sigma**2 * dt
-    gap2dt = 4.0 * sig2dt               # the gap has volatility 2 sigma in stages I-II
-    tol0 = COALESCE_TOL_STEPS * sig_sqrt_dt
     drift = spec.mu * dt
 
     res = _CouplingResult(n)
+    s = np.full(n, 0.5 * (x + y))
     hi = np.full(n, float(y))           # x <= y: y starts as the upper copy
-    g = np.full(n, float(y - x))
+    lo = np.full(n, float(x))
     x_up = np.zeros(n, dtype=bool)
     stage = np.ones(n, dtype=np.int8)
     orig = np.arange(n)
-    if y - x <= tol0:
-        for tau in (res.tau_1, res.tau_2, res.tau_c):
-            tau[:] = 0.0
+    if x == y:
+        res.tau_1[:] = res.tau_2[:] = res.tau_c[:] = 0.0
         res.coalesced_stage[:] = 1
         if not snapshot:
             return res, None
-        hi[:], g[:], stage[:] = x, 0.0, 4
+        stage[:] = 4
+
+    def barriers(hi, lo, opp, cap):
+        # the coordinate's distances to its barriers; in stages I-II it is g / 2
+        d_hi, d_lo, h = b - hi, lo - a, 0.5 * (hi - lo)
+        return (np.where(opp, h, d_lo),
+                np.minimum(d_hi, np.where(opp, np.minimum(d_lo, cap - h), np.inf)))
 
     for step in range(n_steps):
-        if not hi.size:
+        if not s.size:
             break
-        t = (step + 1) * dt
-        z = gen.standard_normal(hi.size)
+        t = min((step + 1) * dt, horizon)
+        z = gen.standard_normal(s.size)
         opp = stage <= 2                # the copies take opposite noise signs
         dw = sig_sqrt_dt * z            # the upper copy's noise
         np.negative(dw, out=dw, where=opp & ~x_up)
+        s1 = s + drift + dw * ~opp
         hi1 = hi + drift + dw
-        g1 = g + 2.0 * dw * opp
-        up_b = _hits(b - hi, b - hi1, sig2dt, gen)
-        lo_out = _hits(hi - g - a, hi1 - g1 - a, sig2dt, gen)
-        o = np.flatnonzero(opp)
-        # in stages I-II a drift step can carry both copies past b
-        lo_out[o[_hits(b - hi[o] + g[o], b - hi1[o] + g1[o], sig2dt, gen)]] = True
-        # g1 <= tol0 is a sure meet, a sign change of the gap included
-        meet = o[(g1[o] <= tol0) | _hits(g[o], g1[o], gap2dt, gen)]
-        up_b[meet] = lo_out[meet] = False
-        out = up_b | lo_out
-        calm = ~out
-        calm[meet] = False
-        h = np.flatnonzero(calm & (stage == 2))
-        to3 = h[_hits(half - g[h], half - g1[h], gap2dt, gen)]
-        hi, g = hi1, g1
+        lo1 = np.where(opp, lo + drift - dw, hi1 - (hi - lo))
+        cap = np.where(stage == 2, quarter, np.inf)
+        (dn0, up0), (dn1, up1) = barriers(hi, lo, opp, cap), barriers(hi1, lo1, opp, cap)
+        code = _step_exits(dn0, dn1, up0, up1, sig2dt, gen)
+        s, hi, lo = s1, hi1, lo1
 
-        e = np.flatnonzero(out)
-        st = stage[e]
-        r = e[st <= 2]
-        if r.size:
-            both = up_b[r] & lo_out[r]
-            p_up = np.where(up_b[r], x0, hi[r])
-            p_lo = np.where(lo_out[r], x0, hi[r] - g[r])
-            hi[r] = np.maximum(p_up, p_lo)
-            g[r] = np.abs(p_up - p_lo)
-            x_up[r] ^= p_lo > p_up
-            in2 = stage[r] == 2
-            first = r[~in2]
-            res.tau_1[orig[first]] = t
-            stage[first] = 2
-            # both copies restarted, or a stage II restart within the meet
-            # tolerance of the other copy: the pair glues in stage II
-            meet = np.concatenate((meet, r[both | (in2 & (g[r] <= tol0))]))
-        q = e[st >= 3]
-        hi[q] = x0
-        g[q] = 0.0
-        hi[meet] = np.clip(hi[meet] - 0.5 * g[meet], a + 1e-12, b - 1e-12)
-        g[meet] = 0.0
-        done = np.concatenate((meet, e[st == 3]))
+        e = np.flatnonzero(code >= 0)
+        st, left, s_e, h = stage[e], code[e] == LEFT, s[e], 0.5 * (hi[e] - lo[e])
+        d_b, d_a = b - s_e, s_e - a
+        met = (st <= 2) & left & (d_b > 0.0)
+        to3 = (st == 2) & ~left & (quarter < np.minimum(d_b, d_a))
+        # the copy whose line is lowest restarts, and so does a copy that
+        # ended past an end; from stage III on an exit puts both at x0
+        up_out = (st >= 3) | (d_b <= np.maximum(d_a, h))
+        lo_out = (st >= 3) | (d_a <= np.maximum(d_b, h)) | (d_b <= -h)
+        p_up = np.where(met, s_e, np.where(up_out, x0, hi[e]))[~to3]
+        p_lo = np.where(met, s_e, np.where(lo_out, x0, lo[e]))[~to3]
+        r = e[~to3]
+        s[r], hi[r], lo[r] = 0.5 * (p_up + p_lo), np.maximum(p_up, p_lo), np.minimum(p_up, p_lo)
+        x_up[r] ^= p_lo > p_up
+        res.tau_1[orig[e[st == 1]]] = t
+        stage[e[(st == 1) & ~met]] = 2
+        done = e[met | (up_out & lo_out & ~to3 & (st <= 3))]
         if done.size:
             k = orig[done]
-            res.tau_1[k] = np.minimum(res.tau_1[k], t)
             res.tau_2[k] = np.minimum(res.tau_2[k], t)
             res.tau_c[k] = t
             res.coalesced_stage[k] = stage[done]
             stage[done] = 4
-        g[to3] = half
-        stage[to3] = 3
+        to3 = e[to3]
+        hi[to3] = s[to3] + quarter
+        lo[to3], stage[to3] = hi[to3] - half, 3
         res.tau_2[orig[to3]] = t
 
         if done.size and not snapshot:
             keep = stage < 4
-            hi, g, x_up, stage, orig = hi[keep], g[keep], x_up[keep], stage[keep], orig[keep]
+            s, hi, lo, x_up, stage, orig = (s[keep], hi[keep], lo[keep], x_up[keep],
+                                            stage[keep], orig[keep])
 
-        if trace is not None and hi.size:
-            pair = (float(hi[0]), float(hi[0] - g[0]))
+        if trace is not None and s.size:
+            pair = (float(hi[0]), float(lo[0]))
             trace.append((t, *(pair if x_up[0] else pair[::-1]), int(stage[0]), float(z[0])))
 
-    return res, (np.where(x_up, hi, hi - g) if snapshot else None)
+    return res, (np.where(x_up, hi, lo) if snapshot else None)
 
 
 def _check_staged_inputs(spec: ProcessSpec, x: float, y: float, dt: float) -> None:

@@ -8,18 +8,16 @@ window's survival series) into its exit from the interval
 staged coupling in :mod:`.coupling`; the convolution check draws one window
 per path.  The restarted ensembles (:func:`ensemble_snapshots`,
 :func:`ensemble_tv`) are exact in time too (:func:`_ensemble_positions`):
-steps sized by the far barrier, not by ``dt``, each bridge-tested at both
-barriers, with an exact crossing time (:func:`_crossing_times`) from which
-the restarted path runs the rest of its step.  The conditioned-path check
-(:func:`verify_pathwise_lemma`) and the staged coupling with drift step on a
-uniform grid with exact Gaussian increments; within-step boundary crossings
-are recovered by one-sided Brownian-bridge corrections (right barrier
-first, then left), so exit statistics converge at O(dt) instead of
-O(sqrt(dt)).  There exits are attributed to the end of the step in which
-they are detected, and the restart position is the recorded state at that
-grid time.  A stepping engine sizes its run with :func:`_step_count`, and
-the window chain its rounds; both refuse work over the one budget
-``PATH_STEP_BUDGET`` before allocating.
+steps sized by the far barrier, not by ``dt``, with an exact crossing time
+(:func:`_crossing_times`) from which the restarted path runs the rest of its
+step.  The conditioned-path check (:func:`verify_pathwise_lemma`) and the
+staged coupling with drift step on a uniform grid, booking an exit at the
+end of its step.  Each step moves one coordinate between two barriers and
+one kernel, :func:`_step_exits`, tests it by one-sided Brownian-bridge
+corrections (upper barrier first), so exit statistics converge at O(dt)
+instead of O(sqrt(dt)).  A stepping engine sizes its run with
+:func:`_step_count`, and the window chain its rounds; both refuse work over
+the one budget ``PATH_STEP_BUDGET`` before allocating.
 
 Randomness is counter-based (Philox) addressed by (seed, stream_id), so
 every operation is a deterministic function of its inputs and stream layout,
@@ -137,10 +135,9 @@ class TVCurve:
 #     path order; the mirror runs phase 1 (B until the copies meet or the copy
 #     from y exits), then phase 2 (the centre copy until it exits);
 #   staged coupling, when it steps: normals for the pairs still marching
-#     (in snapshot mode the coalesced pairs too), then upper-copy-at-b and
-#     lower-copy-at-a uniforms for all of them, lower-copy-at-b and gap-at-0
-#     uniforms for the stage I-II pairs and gap-at-half uniforms for the
-#     stage II pairs that neither met nor exited;
+#     (in snapshot mode the coalesced pairs too), then one _step_exits call
+#     for all of them: upper-barrier uniforms (the lowest line of the gap in
+#     stages I-II), then lower-barrier uniforms;
 #   drift-free staged coupling: no steps, the window rounds of
 #     _interval_exits for stage I (every pair), then stage II, then stage
 #     III (the pairs that reached it within the horizon), in pair order;
@@ -196,23 +193,26 @@ def _hits(d0, d1, var_dt, gen: np.random.Generator) -> np.ndarray:
     return hit
 
 
-def _advance(x, spec: ProcessSpec, dt, z, gen: np.random.Generator):
-    """One step for an array of positions, bridge-tested at b and then at a.
+def _step_exits(lo0, lo1, hi0, hi1, var, gen: np.random.Generator) -> np.ndarray:
+    """Exit code of a coordinate's step from lo0 / hi0 above / below its two
+    barriers (lines in time) to lo1 / hi1, at one step variance var or one
+    per entry.  _hits tests the upper barrier, then the lower one; the code
+    is LEFT where the lower test fires (surely if the step ends at or below
+    it), else RIGHT where the upper one fires, else -1.
+    """
+    code = np.where(_hits(hi0, hi1, var, gen), np.int8(RIGHT), np.int8(-1))
+    code[_hits(lo0, lo1, var, gen)] = LEFT
+    return code
 
-    dt is one step length, or one per entry.  Returns (x_new, exit_code)
-    with exit_code -1 for interior, 0 for a left exit, 1 for a right exit; a
-    step ending at or below a is a left exit even if the right bridge fires.
-    x_new for exited entries is the pre-restart proposal (callers overwrite
-    it with the restart draw).
+
+def _advance(x, spec: ProcessSpec, dt, z, gen: np.random.Generator):
+    """One step of positions between a and b, dt one step length or one per
+    entry; returns (x_new, the _step_exits code).  x_new of an exited entry
+    is the pre-restart proposal (callers overwrite it with the restart draw).
     """
     x1 = x + spec.mu * dt + spec.sigma * np.sqrt(dt) * z
-    var_dt = spec.sigma**2 * dt
-    right = _hits(spec.b - x, spec.b - x1, var_dt, gen)
-    left = _hits(x - spec.a, x1 - spec.a, var_dt, gen)
-    code = np.full(np.shape(x1), -1, dtype=np.int8)
-    code[left] = LEFT
-    code[right & (x1 > spec.a)] = RIGHT
-    return x1, code
+    return x1, _step_exits(x - spec.a, x1 - spec.a, spec.b - x, spec.b - x1,
+                           spec.sigma**2 * dt, gen)
 
 
 def _crossing_times(d0, d1, dt, var_dt, gen: np.random.Generator) -> np.ndarray:
@@ -664,8 +664,8 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
         for _ in range(n_steps):
             z = gen.standard_normal(bm.size)
             bm1 = bm + sqrt_dt * z
-            inside = ~(_hits(half_j - bm, half_j - bm1, dt, gen)
-                       | _hits(bm + half_j, bm1 + half_j, dt, gen))
+            inside = _step_exits(bm + half_j, bm1 + half_j, half_j - bm, half_j - bm1,
+                                 dt, gen) < 0
             if not inside.all():
                 bm1, xs, ys, z = bm1[inside], xs[inside], ys[inside], z[inside]
             incr = spec.mu * dt + spec.sigma * sqrt_dt * z

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jumpdiff import simulate
+from jumpdiff import coupling, simulate
 from jumpdiff.analytic import killed_survival
 from jumpdiff.coupling import (
     CouplingRecord,
@@ -221,6 +221,23 @@ def test_driftfree_coalescence_matches_the_sine_series(spec, x, times):
         assert abs(float((tau_c > t).mean()) - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def test_stepping_route_glues_symmetric_pairs_in_stage_two():
+    # the stepping route (taken at mu = 0 for snapshots) sees the tie of the
+    # drift-free route: from starts symmetric about x0 both copies reach the
+    # boundary at one instant and glue, so no pair reaches stage III, and the
+    # pair coalesces as the sine series says; a coalescence is booked at the
+    # end of its step, so the survival to grid time t counts the times past t + dt/2
+    n, dt, horizon = 100_000, 5e-5, 0.025
+    res, _ = coupling._run_coupling(unit_spec(0.0), 0.25, 0.75, n, dt,
+                                    RngStream(23).generator(), horizon, snapshot=True)
+    assert not (res.coalesced_stage == 3).any()
+    assert (res.coalesced_stage == 2).any()
+    for t in (0.01, 0.015, 0.02):
+        p = _sine_series_survival(0.0, 0.5, 0.25, 1.0, t)
+        surv = float((res.tau_c > t + 0.5 * dt).mean())
+        assert abs(surv - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
 def test_driftfree_route_matches_the_stepping_engine():
     # the exact route at mu = 0 against the stepping engine at mu = 1e-9, which
     # takes dt steps: coalescence survival and the stage shares within 3 SE
@@ -261,19 +278,23 @@ def _fuzz_start(a, length, frac, edge):
        fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
        edges=st.tuples(*[st.sampled_from([None, None, "a", "b"])] * 2),
        same=st.sampled_from([False, False, False, True]), n=st.integers(1, 200),
-       seed=st.integers(0, 2**32), horizon=st.one_of(st.floats(0.0, 4.0), st.just(math.inf)))
+       seed=st.integers(0, 2**32), horizon=st.one_of(st.floats(0.0, 4.0), st.just(math.inf)),
+       mu=st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
 def test_driftfree_records_are_ordered_and_labelled(a, length, sigma, fx, fy, edges, same,
-                                                     n, seed, horizon):
-    # mu = 0 on a random interval and volatility, starts anywhere in it (some
-    # within 1e-9 of an end, some equal) and a horizon in units of the
-    # diffusive time
+                                                     n, seed, horizon, mu):
+    # a random interval and volatility, starts anywhere in it (some within
+    # 1e-9 of an end, some equal), a horizon in units of the diffusive time
+    # and a drift in units of sigma^2 / length: mu = 0 takes the exact route
+    # and mu > 0 the stepping one, at dt a thousandth of the diffusive time
     x, y = sorted(_fuzz_start(a, length, f, e) for f, e in zip((fx, fy), edges))
     if same:
         y = x
     horizon *= length**2 / sigma**2
+    dt = 1e-3 * length**2 / sigma**2
     try:
-        spec = make_spec(a=a, b=a + length, sigma=sigma, atoms=((a + 0.5 * length, 1.0),))
-        t1, t2, tc, stage = coupling_records(spec, x, y, n, 1e-3, seed, horizon)
+        spec = make_spec(a=a, b=a + length, sigma=sigma, mu=mu * sigma**2 / length,
+                         atoms=((a + 0.5 * length, 1.0),))
+        t1, t2, tc, stage = coupling_records(spec, x, y, n, dt, seed, horizon)
     except JumpdiffError:
         return
     assert np.all(t1 <= t2) and np.all(t2 <= tc)
@@ -281,6 +302,11 @@ def test_driftfree_records_are_ordered_and_labelled(a, length, sigma, fx, fy, ed
     assert np.all(tc[done] <= horizon)
     assert set(np.unique(stage[done])) <= {1, 2, 3}
     assert np.all(stage[~done] == 0)
+    try:
+        xs = coupling_marginal(spec, x, y, n, dt, seed, horizon)
+    except JumpdiffError:
+        return
+    assert np.all((xs > spec.a) & (xs < spec.b))
 
 
 # --- mirror coupling -------------------------------------------------------------

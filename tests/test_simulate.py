@@ -190,10 +190,16 @@ def test_one_crossing_rule_and_no_dense_uniform_blocks():
     assert {owner for owner, callee in calls if callee == ".random"} == {
         "_hits", "_restart_positions", "sample_invariant", "convolution_bound_check",
         "_interval_exits", "_crossing_times"}
-    # the staged coupling takes one step rule for every stage: five bridge
-    # tests and no hard comparison of a position against a or b
+    # the stepping engines test their barriers through the one two-barrier
+    # kernel; only the upper-exit-only drive of the lemma check tests one
+    assert {owner for owner, callee in calls if callee == "_hits"} == {
+        "_step_exits", "_drive_restarted"}
+    # the staged coupling steps one coordinate per stage: one kernel call,
+    # no bridge test of its own and no hard comparison of a position against
+    # a or b
     run = [callee for owner, callee in calls if owner == "_run_coupling"]
-    assert run.count("_hits") == 5 and "_advance" not in run
+    assert run.count("_step_exits") == 1 and run.count("_hits") == 0
+    assert "_advance" not in run
     tree = ast.parse(Path(coupling.__file__).read_text(encoding="utf-8"))
     body = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "_run_coupling")

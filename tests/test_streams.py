@@ -98,8 +98,8 @@ def _convolution_bound_check():
 GOLDEN = {
     "exit_time_ensemble": (_exit_time_ensemble, "c5fa25e016b490d3"),
     "ensemble_snapshots": (_ensemble_snapshots, "c6c89b7d56a9024c"),
-    "coupling_records": (_coupling_records, "10347d0326ba9c47"),
-    "coupling_marginal": (_coupling_marginal, "4abcd730bf1436ea"),
+    "coupling_records": (_coupling_records, "3bdd0b1404ab4061"),
+    "coupling_marginal": (_coupling_marginal, "f6c333c6525ae9c2"),
     "mirror_exit_dominance": (_mirror_exit_dominance, "79589fcde77cae0b"),
     "verify_pathwise_lemma": (_verify_pathwise_lemma, "acd67ba499e7e21c"),
     "convolution_bound_check": (_convolution_bound_check, "8cbc455c8ef21604"),
