@@ -57,6 +57,7 @@ Equations, 1963, ch. 12), which bounds |Im lambda| for each Re lambda.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -84,6 +85,7 @@ CONTOUR_DILATION_STEP = 0.00125
 CLUSTER_BOX_DIAG = 1e-4          # stop bisecting; treat content as one multiple zero
 CLUSTER_REL_DIAG = 1e-5          # scale-relative part of the same cutoff
 MOMENT_MAX_ZEROS = 4             # boxes with up to this many zeros polish from moments
+GAP_CACHE_SIZE = 1024            # specs whose gap one process remembers
 
 
 class Box(NamedTuple):
@@ -320,11 +322,15 @@ class CharDeterminant:
         L = self.spec.length
         gamma = abs(self.spec.mu) / self.spec.sigma**2
         # every term but the leading e^{qL}: log-modulus offset and slope in x
-        offset = (np.log(2.0 * t.mag_row) + t.shift2[:, 0] + gamma * L)[1:]
-        slope = (t.dist2[:, 0] - L)[1:]
+        offset = (np.log(2.0 * t.mag_row) + t.shift2[:, 0] + gamma * L)[1:].tolist()
+        slope = (t.dist2[:, 0] - L)[1:].tolist()
+        terms = list(zip(offset, slope))
 
         def dominated(x: float) -> bool:
-            return float(np.exp(offset + slope * x).sum()) < 1.0
+            # a few terms: plain floats beat NumPy's per-call cost; a term of
+            # modulus >= 1 settles the test and keeps math.exp from overflowing
+            powers = [o + s * x for o, s in terms]
+            return max(powers) < 0.0 and math.fsum(map(math.exp, powers)) < 1.0
 
         lo, hi = 0.0, gamma + 1.0 / L
         for _ in range(64):
@@ -790,9 +796,20 @@ def _gap_window(f: CharDeterminant) -> tuple[_Winding, Box, float]:
         re_max *= 2.0
 
 
+@functools.lru_cache(maxsize=GAP_CACHE_SIZE)
+def _gap(spec: ProcessSpec) -> tuple[float, bool]:
+    """(gap, gap_is_real) of one solve on the certified gap-only box of
+    :func:`_gap_window`, which reuses that box's zero count.  Remembered per
+    spec, since a threshold search and a corollary table revisit the drifts
+    of a sweep; a solve that raises is not remembered."""
+    f = CharDeterminant(spec)
+    rep = _solve_counted(f, *_gap_window(f))
+    return rep.gap, rep.gap_is_real
+
+
 def gap_curve(spec_base: ProcessSpec, mu_grid) -> list[tuple[float, float, bool]]:
-    """Spectral gap along a drift grid, each from one solve on the certified
-    gap-only box of :func:`_gap_window`, which reuses that box's zero count.
+    """Spectral gap along a drift grid, each drift solved once per process
+    (:func:`_gap`).
 
     Solver errors are re-raised tagged with the offending drift value; an
     empty grid raises :class:`ConfigError`.
@@ -804,9 +821,8 @@ def gap_curve(spec_base: ProcessSpec, mu_grid) -> list[tuple[float, float, bool]
     for mu in mu_grid:
         spec = spec_base.with_mu(mu)
         try:
-            f = CharDeterminant(spec)
-            rep = _solve_counted(f, *_gap_window(f))
+            gap, gap_is_real = _gap(spec)
         except JumpdiffError as exc:
             raise type(exc)(f"mu={mu}: {exc}") from exc
-        out.append((float(mu), rep.gap, rep.gap_is_real))
+        out.append((float(mu), gap, gap_is_real))
     return out

@@ -8,6 +8,13 @@ from jumpdiff.eigensolver import CharDeterminant
 from jumpdiff.model import Interval, JumpDistribution, ProcessSpec, unit_spec
 
 
+@pytest.fixture(autouse=True)
+def fresh_gap_cache():
+    """Each test starts with no remembered gap, so solve counts and patched
+    solvers see every drift it asks for."""
+    eigensolver._gap.cache_clear()
+
+
 @pytest.fixture
 def spec0():
     return unit_spec(0.0)

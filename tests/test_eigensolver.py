@@ -494,6 +494,49 @@ def test_gap_curve_winds_each_box_once(monkeypatch):
     assert len(set(wound)) == len(wound), per_drift
 
 
+def test_gap_curve_solves_each_drift_once_per_process(monkeypatch):
+    solved = []
+    solve = eigensolver._solve_counted
+
+    def counted_solve(f, *args):
+        solved.append(f.spec.mu)
+        return solve(f, *args)
+
+    monkeypatch.setattr(eigensolver, "_solve_counted", counted_solve)
+    first = gap_curve(unit_spec(), [0.0, 12.0, 0.0])
+    second = gap_curve(unit_spec(), [12.0, 30.0, 0.0])
+    assert solved == [0.0, 12.0, 30.0]
+    assert first[0] == first[2] == second[2]
+    assert first[1] == second[0]
+
+
+def test_gap_curve_does_not_remember_a_failed_solve(monkeypatch):
+    attempts = []
+    solve = eigensolver._solve_counted
+
+    def failing_solve(f, *args):
+        attempts.append(f.spec.mu)
+        raise ContourThroughZero("no usable split line")
+
+    monkeypatch.setattr(eigensolver, "_solve_counted", failing_solve)
+    for _ in range(2):
+        with pytest.raises(ContourThroughZero, match="mu=12.0: no usable split line"):
+            gap_curve(unit_spec(), [12.0])
+    assert attempts == [12.0, 12.0]
+    monkeypatch.setattr(eigensolver, "_solve_counted", solve)
+    assert gap_curve(unit_spec(), [12.0])[0][1] == pytest.approx(8 * PI2, rel=1e-9)
+
+
+def test_remembered_gap_is_the_solved_gap_bit_for_bit():
+    grid = [0.0, 4.0, 25.0]
+    solved = gap_curve(unit_spec(), grid)
+    remembered = gap_curve(unit_spec(), grid)
+    eigensolver._gap.cache_clear()
+    fresh = gap_curve(unit_spec(), grid)
+    assert [g.hex() for _, g, _ in remembered] == [g.hex() for _, g, _ in solved]
+    assert remembered == solved == fresh
+
+
 def test_gap_curve_anchors():
     curve = gap_curve(unit_spec(), [0.0])
     assert curve[0][1] == pytest.approx(2 * PI2, abs=1e-6)
