@@ -353,7 +353,12 @@ def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float
         raise ConfigError("tail estimation needs at least 10^4 pairs")
     t_grid = _check_times(t_grid)
     _, _, tau_c, _ = coupling_records(spec, x, y, n_paths, dt, seed, horizon=t_grid[-1])
-    surv = np.array([(tau_c > t).mean() for t in t_grid])
+    # the stepping route books a coalescence at the end of its step, (step +
+    # 1) dt, which can round above a grid point t = k dt; a pair coalesced
+    # in step k has not survived t, so booked times within 1e-9 dt of t are
+    # not past it
+    slack = 0.0 if spec.mu == 0.0 else 1e-9 * dt
+    surv = np.array([(tau_c > t + slack).mean() for t in t_grid])
     table = TailTable(thresholds=tuple(t_grid), survival=tuple(surv.tolist()), n=n_paths)
     usable = (surv <= 0.4) & (surv * n_paths >= 25.0)
     ts = np.array(t_grid)[usable]

@@ -33,7 +33,8 @@ centre.  In a box with m <= MOMENT_MAX_ZEROS zeros, Newton's identities turn
 s_1..s_m into the coefficients of the monic polynomial whose roots are the
 zeros, and a plain-Python Durand-Kerner iteration gives its m roots as the
 starts; an unresolved m-fold cluster starts from s_1 / m.  A box whose
-starts, polishes or root iteration fail is split.
+starts, polishes or root iteration fail is split.  Every start of a solve
+is polished together, one kernel call per Newton round.
 
 The determinant is real on the real axis, so its zeros below the axis are
 the conjugates of those above it.  The search box is symmetric about the
@@ -476,56 +477,59 @@ def count_zeros(spec: ProcessSpec, box: Box | tuple) -> int:
 # Root polishing
 # ---------------------------------------------------------------------------
 
-def _value(f: CharDeterminant, z: complex) -> tuple[complex, float]:
-    """Determinant at one point and its residual |det| / mag."""
-    det, mag = f.with_scale(np.asarray([z], dtype=complex))
-    return complex(det[0]), float(abs(det[0]) / mag[0])
+def _polish(f: CharDeterminant, jobs: list) -> list[tuple[complex, float, float]]:
+    """Order-aware Newton iteration from each start of ``jobs``, a list of
+    (box, multiplicity, start), all iterates together.
 
-
-def _polish(f: CharDeterminant, box: Box, multiplicity: int,
-            start: complex) -> tuple[complex, float, float]:
-    """Order-aware Newton iteration from ``start`` inside the box.
-
-    The start comes from the box's power sums (``_winding_count``), which
-    place it within a small fraction of the box diagonal of the zero.  Each
-    step is one kernel call, which returns the determinant, its
-    magnitude and its exact derivative at the same scale, so D / D' is the
-    true Newton step; for an m-fold zero the step is multiplied by m,
-    restoring quadratic convergence.  It stops when the iterate leaves the
-    box, when the step is at floating-point resolution, after four steps
-    without improvement, after NEWTON_MAX_ITER steps, or once the residual
-    |det| / mag is below ``f.config.newton_residual`` and no longer
-    improving.  Returns the best iterate, its residual, and the length of
-    the Newton step there: a point of small residual that is not a zero
-    (near a cluster, with the next step leaving the box) still has a long
-    step.
+    The starts come from the boxes' power sums (``_winding_count``), which
+    place each within a small fraction of its box diagonal of the zero.
+    Each round is one kernel call over every iterate still running, which
+    returns the determinant, its magnitude and its exact derivative at the
+    same scale, so D / D' is the true Newton step; for an m-fold zero the
+    step is multiplied by m, restoring quadratic convergence.  An iterate
+    stops when it leaves its box, when its step is at floating-point
+    resolution, after four steps without improvement, after NEWTON_MAX_ITER
+    steps, or once its residual |det| / mag is below
+    ``f.config.newton_residual`` and no longer improving.  Returns, job by
+    job, the best iterate, its residual, and the length of the Newton step
+    there: a point of small residual that is not a zero (near a cluster,
+    with the next step leaving the box) still has a long step.
     """
-    def newton_data(z: complex) -> tuple[complex, float, complex]:
-        det, mag, ddet = f.with_derivative(np.asarray([z], dtype=complex))
-        return complex(det[0]), float(abs(det[0]) / mag[0]), complex(ddet[0])
+    if not jobs:
+        return []
+    re_min, re_max, im_min, im_max = np.array([box for box, _, _ in jobs]).T
+    mult = np.array([m for _, m, _ in jobs], dtype=float)
+    z = np.array([start for _, _, start in jobs], dtype=complex)
 
-    def step_at(value: complex, deriv: complex) -> complex:
+    def newton_data(run: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        det, mag, ddet = f.with_derivative(points)
         # infinite where D' vanishes, which ends the iteration at the box edge
-        return multiplicity * value / deriv if deriv != 0 else complex(math.inf)
+        step = np.full(points.size, complex(math.inf))
+        np.divide(mult[run] * det, ddet, out=step, where=ddet != 0)
+        return np.abs(det) / mag, step
 
-    z = start
-    value, best_r, deriv = newton_data(z)
-    best_z, best_step = z, abs(step_at(value, deriv))
-    stall = 0
+    run = np.arange(z.size)             # the iterates still running
+    best_r, step = newton_data(run, z)
+    best_z, best_step = z.copy(), np.abs(step)
+    stall = np.zeros(z.size, dtype=int)
     for _ in range(NEWTON_MAX_ITER):
-        step = step_at(value, deriv)
-        z = z - step
-        if not box.contains(z) or abs(step) <= 2.0 * np.finfo(float).eps * (1.0 + abs(z)):
+        moved = z[run] - step[run]
+        keep = ((re_min[run] <= moved.real) & (moved.real <= re_max[run])
+                & (im_min[run] <= moved.imag) & (moved.imag <= im_max[run])
+                & (np.abs(step[run]) > 2.0 * np.finfo(float).eps * (1.0 + np.abs(moved))))
+        run, moved = run[keep], moved[keep]
+        if not run.size:
             break
-        value, r, deriv = newton_data(z)
-        if r < best_r:
-            best_z, best_r, best_step = z, r, abs(step_at(value, deriv))
-            stall = 0
-        else:
-            stall += 1
-        if stall >= 4 or (best_r < f.config.newton_residual and stall >= 1):
-            break
-    return best_z, best_r, best_step
+        z[run] = moved
+        r, step[run] = newton_data(run, moved)
+        better = r < best_r[run]
+        up = run[better]
+        best_z[up], best_r[up], best_step[up] = moved[better], r[better], np.abs(step[up])
+        stall[run] = np.where(better, 0, stall[run] + 1)
+        done = (stall[run] >= 4) | ((best_r[run] < f.config.newton_residual)
+                                    & (stall[run] >= 1))
+        run = run[~done]
+    return list(zip(best_z.tolist(), best_r.tolist(), best_step.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -571,32 +575,24 @@ def _moment_starts(box: Box, w: _Winding) -> list[complex] | None:
     return None
 
 
-def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
+def _moment_roots(f: CharDeterminant, box: Box, polished: list,
                   min_sep: float) -> list | None:
-    """Each zero of a box with up to MOMENT_MAX_ZEROS zeros, polished from
-    its moment start (``_moment_starts``).
+    """The zeros of a box with up to MOMENT_MAX_ZEROS zeros from the polishes
+    of its moment starts (``_moment_starts``), or None to split the box.
 
-    None unless the root iteration settles, every start lies in the box,
-    every polish converges there, and every two roots are more than
-    ``min_sep`` apart; the box is then split instead.  A polish has
-    converged when its residual is within ``newton_residual`` and its last
-    Newton step is below 1e-3 ``min_sep``: next to a cluster the residual
-    alone can pass a point a few thousandths away from any zero.  The
-    iterate never leaves the box, so converged polishes are the counted
-    zeros and not neighbours.  Hence a root whose conjugate lies in the box
-    within ``min_sep`` of it is real, since that conjugate would be one
-    more zero; it is reported on the axis, because next to another zero its
-    polish can end further off the axis than ``_assemble_eigenvalues``
-    allows.
+    None unless every polish converged in the box and every two roots are
+    more than ``min_sep`` apart.  A polish has converged when its residual
+    is within ``newton_residual`` and its last Newton step is below 1e-3
+    ``min_sep``: next to a cluster the residual alone can pass a point a few
+    thousandths away from any zero.  The iterate never leaves the box, so
+    converged polishes are the counted zeros and not neighbours.  Hence a
+    root whose conjugate lies in the box within ``min_sep`` of it is real,
+    since that conjugate would be one more zero; it is reported on the
+    axis, because next to another zero its polish can end further off the
+    axis than ``_assemble_eigenvalues`` allows.
     """
-    starts = _moment_starts(box, w)
-    if starts is None:
-        return None
     roots = []
-    for start in starts:
-        if not box.contains(start):
-            return None
-        z, r, step = _polish(f, box, 1, start)
+    for z, r, step in polished:
         if r > f.config.newton_residual or step > 1e-3 * min_sep:
             return None
         if any(abs(z - other) <= min_sep for other, _, _ in roots):
@@ -606,21 +602,87 @@ def _moment_roots(f: CharDeterminant, box: Box, w: _Winding,
              and box.contains(z.conjugate()) else z, 1, r) for z, _, r in roots]
 
 
-def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
-    count = w.count
-    if count == 0 or box.im_max < 0.0:
-        # a box below the real axis holds the conjugates of zeros above it
-        return
-    # below this size an m-fold zero's contour values sink into FP noise
-    cluster_diag = max(CLUSTER_BOX_DIAG, CLUSTER_REL_DIAG * (1.0 + abs(box.center)))
-    if box.diag <= cluster_diag:
-        _append_cluster(f, box, w, out)
-        return
-    if count <= MOMENT_MAX_ZEROS:
-        roots = _moment_roots(f, box, w, cluster_diag)
-        if roots is not None:
-            out.extend(roots)
-            return
+class _Leaf(NamedTuple):
+    """A box whose zeros are polished, not split: one cluster of ``count``
+    zeros from their centroid, or up to MOMENT_MAX_ZEROS simple zeros from
+    their moment starts."""
+
+    box: Box
+    winding: _Winding
+    min_sep: float
+    cluster: bool
+    starts: list
+
+
+def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding) -> list:
+    """Zeros (z, multiplicity, residual) of the box on and above the real axis.
+
+    Boxes are wound and split down to leaves: a box below the cluster size,
+    or one of up to MOMENT_MAX_ZEROS zeros whose moment starts settle inside
+    it.  Every start of every leaf is then polished in one Newton pass
+    (``_polish``), and a moment leaf that fails ``_moment_roots`` goes back
+    to splitting, until no box is left.
+    """
+    out, snap = [], []
+    pending = [(box, w, True)]
+    while pending:
+        leaves = []
+        while pending:
+            box, w, try_moments = pending.pop()
+            if w.count == 0 or box.im_max < 0.0:
+                # a box below the real axis holds the conjugates of zeros above it
+                continue
+            # below this size an m-fold zero's contour values sink into FP noise
+            cluster_diag = max(CLUSTER_BOX_DIAG, CLUSTER_REL_DIAG * (1.0 + abs(box.center)))
+            centroid = [box.center + 0.5 * box.diag * w.sums[0] / w.count]
+            if box.diag <= cluster_diag:
+                leaves.append(_Leaf(box, w, cluster_diag, True, centroid))
+                continue
+            if try_moments and w.count <= MOMENT_MAX_ZEROS:
+                starts = _moment_starts(box, w)
+                if starts is not None and all(box.contains(z) for z in starts):
+                    leaves.append(_Leaf(box, w, cluster_diag, False, starts))
+                    continue
+            halves = _split(f, box, w)
+            if halves is None:
+                leaves.append(_Leaf(box, w, cluster_diag, True, centroid))
+            else:
+                pending += [(b, wb, True) for b, wb in halves]
+        polished = iter(_polish(f, [(leaf.box, leaf.winding.count if leaf.cluster else 1, z)
+                                    for leaf in leaves for z in leaf.starts]))
+        for leaf in leaves:
+            box, count = leaf.box, leaf.winding.count
+            if not leaf.cluster:
+                roots = _moment_roots(f, box, [next(polished) for _ in leaf.starts],
+                                      leaf.min_sep)
+                if roots is None:
+                    pending.append((box, leaf.winding, False))
+                else:
+                    out += roots
+                continue
+            # an unresolvable box is one zero of multiplicity count
+            z, r, _ = next(polished)
+            if count > 1 and box.im_min <= 0.0 <= box.im_max:
+                # conjugate symmetry: an unresolved cluster straddling the real
+                # axis is indistinguishable from a real m-fold zero
+                z = complex(z.real, 0.0)
+                snap.append(len(out))
+            out.append((z, count, r))
+    if snap:
+        det, mag = f.with_scale(np.array([out[k][0] for k in snap]))
+        for k, r in zip(snap, (np.abs(det) / mag).tolist()):
+            out[k] = (out[k][0], out[k][1], r)
+    return out
+
+
+def _split(f: CharDeterminant, box: Box, w: _Winding) -> list | None:
+    """The two halves of the box and their windings, at the first split line
+    whose windings add up to the box's; None when every line fails on a box
+    so small that its contents are one cluster.
+
+    Raises:
+        ContourThroughZero: every split line failed on a larger box.
+    """
     last = None
     for frac in _SPLIT_FRACTIONS:
         if box.height > box.width and box.im_min < 0.0 < box.im_max:
@@ -636,32 +698,16 @@ def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
         except _BadContour as exc:
             last = exc
             continue
-        if w1.count + w2.count != count:
-            last = _BadContour(f"split miscount {w1.count}+{w2.count} != {count}")
+        if w1.count + w2.count != w.count:
+            last = _BadContour(f"split miscount {w1.count}+{w2.count} != {w.count}")
             continue
-        _locate_zeros(f, b1, w1, out)
-        _locate_zeros(f, b2, w2, out)
-        return
+        return [(b1, w1), (b2, w2)]
     if box.diag <= 0.01 * (1.0 + abs(box.center)):
         # every split line failed on a small box: the contents are one
         # cluster below floating-point resolution (an m-fold zero whose
         # determinant values are noise at this scale)
-        _append_cluster(f, box, w, out)
-        return
+        return None
     raise ContourThroughZero(f"no usable split line for box {box}: {last}")
-
-
-def _append_cluster(f: CharDeterminant, box: Box, w: _Winding, out: list) -> None:
-    """Report an unresolvable box as one zero of multiplicity ``count``,
-    polished from the centroid s_1 / count of its zeros."""
-    count = w.count
-    z, r, _ = _polish(f, box, count, box.center + 0.5 * box.diag * w.sums[0] / count)
-    if count > 1 and box.im_min <= 0.0 <= box.im_max:
-        # conjugate symmetry: an unresolved cluster straddling the real
-        # axis is indistinguishable from a real m-fold zero
-        z = complex(z.real, 0.0)
-        r = _value(f, z)[1]
-    out.append((z, count, r))
 
 
 def _assemble_eigenvalues(raw: list, count: int, re_max: float,
@@ -737,8 +783,7 @@ def find_spectrum(spec: ProcessSpec, re_max: float, im_max: float | None = None,
 def _solve_counted(f: CharDeterminant, w: _Winding, box: Box, re_max: float) -> SpectrumReport:
     """The report of :func:`find_spectrum` for a box whose winding count and
     power sums are known."""
-    raw: list = []
-    _locate_zeros(f, box, w, raw)
+    raw = _locate_zeros(f, box, w)
     eigs = _assemble_eigenvalues(raw, w.count, re_max, f.config.newton_residual)
 
     zero_tol = _zero_tol(re_max)

@@ -652,8 +652,10 @@ def verify_pathwise_lemma(spec: ProcessSpec, n: int, n_paths: int, dt: float,
     in_a_y = 0
     proposals = 0
     sqrt_dt = math.sqrt(dt)
-    batch = max(4096, min(200_000, 8 * n_paths))
     while accepted < n_paths:
+        # proposals for the paths still needed, 4 binomial SD to spare
+        need = n_paths - accepted
+        batch = min(200_000, math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / est_accept))
         proposals += batch
         n_steps = max(1, _step_count(proposals, t_n, dt))
         # bm, xs and ys hold the proposals whose window motion is still

@@ -154,6 +154,18 @@ def test_coupling_survival_starts_at_one(spec20):
     assert table.survival[0] > 0.999
 
 
+def test_coupling_survival_counts_booked_steps_past_the_grid_point(spec20):
+    # on the stepping route a pair coalesced in step k is booked at k dt in
+    # floating point, which lies above the grid point t = 0.01 m = k dt for
+    # some m; it has still not survived t
+    grid, dt = [0.01 * m for m in range(1, 16)], 2e-4
+    assert any(round(t / dt) * dt > t for t in grid)
+    table, _ = coupling_tail(spec20, 0.25, 0.75, 10_000, dt, grid, 5)
+    _, _, tau_c, _ = coupling_records(spec20, 0.25, 0.75, 10_000, dt, 5, grid[-1])
+    step = np.rint(tau_c / dt)
+    assert table.survival == tuple(float((step > round(t / dt)).mean()) for t in grid)
+
+
 def test_coupled_marginal_has_process_law():
     # the first coordinate of the coupled pair, on its own, is the restarted
     # diffusion: compare against a plain ensemble at t = 1, which is exact in

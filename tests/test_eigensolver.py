@@ -160,10 +160,41 @@ def test_polish_evaluates_each_point_once(spec20):
     det = CountingDet(spec20)
     start = complex(8 * PI2 + 0.5, 4 * math.pi * 20.0 + 0.5)
     box = Box(start.real - 1.0, start.real + 1.0, start.imag - 1.0, start.imag + 1.0)
-    z, r, _ = _polish(det, box, 1, box.center)
+    (z, r, _), = _polish(det, [(box, 1, box.center)])
     assert r < DEFAULT_CONFIG.newton_residual
     assert abs(z - complex(8 * PI2, 4 * math.pi * 20.0)) < 1e-3
     assert len(det.points) == len(set(det.points))
+
+
+@pytest.mark.parametrize("mu,jobs", [
+    (20.0, [(Box(-1.5, 8.5, -4.0, 8.0), 1, complex(3.5, 2.0)),
+            (Box(77.0, 81.0, 249.0, 253.0), 1, complex(79.5, 251.0)),
+            (Box(215.0, 225.0, -1.0, 1.0), 1, complex(221.0, 0.3)),
+            (Box(100.0, 101.0, 10.0, 11.0), 1, complex(100.5, 10.5))]),
+    (0.0, [(Box(-1.5, 8.5, -4.0, 8.0), 1, complex(3.5, 2.0)),
+           (Box(8 * PI2 - 1.0, 8 * PI2 + 1.0, -1.0, 1.0), 3, complex(8 * PI2 + 0.3, 0.2))]),
+], ids=["mu=20", "threefold-mu=0"])
+def test_polish_runs_each_iterate_by_its_own_stop_rules(mu, jobs):
+    # iterates polished together end where each ends polished alone, in as
+    # many kernel calls as the longest of them: the zero eigenvalue (stops at
+    # resolution), a complex and a real zero, an iterate that leaves its box
+    # with a large residual, and a threefold zero at mu = 0
+    together = CountingDet(unit_spec(mu))
+    polished = _polish(together, jobs)
+    calls = []
+    for job, (z, r, step) in zip(jobs, polished):
+        alone = CountingDet(unit_spec(mu))
+        (z1, r1, step1), = _polish(alone, [job])
+        calls.append(alone.calls)
+        assert z == pytest.approx(z1, rel=1e-12, abs=1e-12)
+        assert r == pytest.approx(r1, rel=1e-3, abs=1e-16)
+        assert step == pytest.approx(step1, rel=1e-3, abs=1e-16)
+        assert job[0].contains(z)
+        if r < DEFAULT_CONFIG.newton_residual:
+            assert min(abs(z - zero) for zero in (0.0, 8 * PI2, complex(8 * PI2, 80 * math.pi),
+                                                  200 + 2 * PI2)) < 1e-3
+    assert together.calls == max(calls)
+    assert polished[0][1] < DEFAULT_CONFIG.newton_residual
 
 
 @pytest.mark.parametrize("mu", [0.0, 4.0, 20.0])
@@ -174,7 +205,7 @@ def test_zero_eigenvalue_polish_stops_at_resolution(mu):
     # from the centre reaches Im z = -3.56, so the box reaches below that
     det = CountingDet(unit_spec(mu))
     box = Box(-1.5, 8.5, -4.0, 8.0)
-    z, r, _ = _polish(det, box, 1, box.center)
+    (z, r, _), = _polish(det, [(box, 1, box.center)])
     assert abs(z) < 1e-12
     assert r < DEFAULT_CONFIG.newton_residual
     assert det.calls <= 40
@@ -237,6 +268,20 @@ def test_full_box_kernel_call_budget(kernel_calls):
     spec = unit_spec(120.0)
     find_spectrum(spec, auto_re_max(spec))
     assert kernel_calls.total() <= 541, kernel_calls
+
+
+def test_gap_curve_newton_budget(kernel_calls):
+    # one-point Newton steps took 124 kernel calls; polishing every start
+    # of a solve together takes 41
+    gap_curve(unit_spec(), [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 25.0, 30.0])
+    assert kernel_calls["newton"] <= 51, kernel_calls
+
+
+def test_full_box_newton_budget(kernel_calls):
+    # 178 one-point Newton calls on the mu = 120 full box, 14 batched ones
+    spec = unit_spec(120.0)
+    find_spectrum(spec, auto_re_max(spec))
+    assert kernel_calls["newton"] <= 18, kernel_calls
 
 
 def test_gap_curve_winding_budget(wound_boxes):

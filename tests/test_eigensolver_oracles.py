@@ -240,14 +240,16 @@ def test_count_zeros_matches_the_centred_closed_form(length, sigma, mu, re_min, 
 # ---------------------------------------------------------------------------
 
 @st.composite
-def fuzz_specs(draw):
-    """1-4 atoms, some within 1e-3 of an edge, and a drift with |mu| L /
-    sigma^2 <= 200."""
+def fuzz_specs(draw, edges=True):
+    """1-4 atoms, some within 1e-3 of an edge unless ``edges`` is false, and
+    a drift with |mu| L / sigma^2 <= 200."""
     length = draw(st.floats(0.5, 3.0))
     sigma = draw(st.floats(0.5, 2.0))
     peclet = draw(st.floats(-200.0, 200.0))
     n = draw(st.integers(1, 4))
-    place = st.one_of(st.floats(0.01, 0.99), st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6))
+    place = st.floats(0.01, 0.99)
+    if edges:
+        place = st.one_of(place, st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6))
     locs = draw(st.lists(place, min_size=n, max_size=n, unique=True))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     total = sum(weights)
@@ -277,3 +279,36 @@ def test_fuzzed_specs_solve_completely_or_raise_typed_errors(spec):
     _assert_complete(lambda: _solve_counted(f, *_gap_window(f)), spec)
     if abs(spec.mu) * spec.length / spec.sigma**2 <= 60.0:
         _assert_complete(lambda: find_spectrum(spec, auto_re_max(spec)), spec)
+
+
+def _mp_strip_sum(spec, x):
+    """Sum of the moduli of the terms besides 1 in e^{-qL} 2 q e^{gL} D at
+    Re q = x, for the drift made positive by reflecting the atoms, in mpmath."""
+    L, g = mp.mpf(spec.length), abs(mp.mpf(spec.mu)) / mp.mpf(spec.sigma) ** 2
+    total = mp.exp(-2 * x * L)
+    for loc, w in spec.nu.atoms:
+        d = mp.mpf(loc) - spec.a if spec.mu >= 0.0 else spec.b - mp.mpf(loc)
+        total += w * (mp.exp((g - x) * (L - d)) + mp.exp(g * (L - d) - x * (L + d))
+                      + mp.exp(-(g + x) * d) + mp.exp(-g * d - x * (2 * L - d)))
+    return total
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_specs(edges=False))
+def test_re_q_bound_matches_an_mpmath_bisection(spec):
+    # X bounds the strip: the terms sum below 1 there, up to the rounding of
+    # the floating-point sum that was tested (each exponent, of size up to
+    # (g + 2 X) L, is rounded relative to its size), and X is where they
+    # cross 1.  An atom within 1e-6 L of an edge makes terms of slope
+    # -1e-6 L in x, which leave the crossing uncertain by 1e-10 and are left out
+    x = CharDeterminant(spec).re_q_bound()
+    size = (abs(spec.mu) / spec.sigma**2 + 2.0 * x) * spec.length
+    with mp.workdps(40):
+        assert _mp_strip_sum(spec, mp.mpf(x)) < 1 + 1e-15 * (1.0 + size)
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        while _mp_strip_sum(spec, hi) >= 1:
+            lo, hi = hi, 2 * hi
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if _mp_strip_sum(spec, mid) < 1 else (mid, hi)
+        assert x == pytest.approx(float(hi), rel=1e-12)

@@ -101,7 +101,7 @@ GOLDEN = {
     "coupling_records": (_coupling_records, "3bdd0b1404ab4061"),
     "coupling_marginal": (_coupling_marginal, "f6c333c6525ae9c2"),
     "mirror_exit_dominance": (_mirror_exit_dominance, "79589fcde77cae0b"),
-    "verify_pathwise_lemma": (_verify_pathwise_lemma, "acd67ba499e7e21c"),
+    "verify_pathwise_lemma": (_verify_pathwise_lemma, "9279ed2f92d46c90"),
     "convolution_bound_check": (_convolution_bound_check, "8cbc455c8ef21604"),
 }
 
