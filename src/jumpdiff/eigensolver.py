@@ -21,7 +21,10 @@ multiplicity), followed by order-aware Newton polishing.  A winding count
 tracks the phase on one sample array around the closed contour and halves
 every interval whose phase step, or whose length times the exact |D'/D| at
 its ends, exceeds a fixed step (Kravanja & Van Barel, Computing the Zeros of
-Analytic Functions, 2000).  One kernel evaluates the determinant, its
+Analytic Functions, 2000).  The array is kept with the count: a split
+samples only its new line, and each half winds around the parent's refined
+samples on its other three sides, so only the line and the intervals next
+to its ends cost kernel calls.  One kernel evaluates the determinant, its
 generic magnitude ``mag`` and its exact lambda-derivative; there is no
 finite difference.  Residuals are |det| relative to ``mag``.
 
@@ -329,9 +332,12 @@ class CharDeterminant:
 
         def dominated(x: float) -> bool:
             # a few terms: plain floats beat NumPy's per-call cost; a term of
-            # modulus >= 1 settles the test and keeps math.exp from overflowing
+            # modulus >= 1 settles the test and keeps math.exp from overflowing.
+            # Each exponent, of size up to (g + 2 x) L, is rounded relative to
+            # that size, so the sum must stay below 1 by that much to spare
             powers = [o + s * x for o, s in terms]
-            return max(powers) < 0.0 and math.fsum(map(math.exp, powers)) < 1.0
+            return max(powers) < 0.0 and (math.fsum(map(math.exp, powers))
+                                          < 1.0 - 1e-15 * (1.0 + (gamma + 2.0 * x) * L))
 
         lo, hi = 0.0, gamma + 1.0 / L
         for _ in range(64):
@@ -358,29 +364,48 @@ class _BadContour(Exception):
 
 
 class _Winding(NamedTuple):
-    """Zero count of a box and the power sums s_1..s_MOMENT_MAX_ZEROS of its
-    zeros in the box coordinate zeta = (z - centre) / half-diagonal."""
+    """Zero count of a box, the power sums s_1..s_MOMENT_MAX_ZEROS of its
+    zeros in the box coordinate zeta = (z - centre) / half-diagonal, and the
+    refined samples that gave them: rows z, D and D'/D once around the
+    closed contour from the corner (re_min, im_min)."""
 
     count: int
     sums: tuple[complex, ...]
+    samples: np.ndarray | None
 
 
-def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
+def _halved(samples: np.ndarray, cut: np.ndarray, sample=None) -> np.ndarray:
+    """The samples with the midpoint of each interval in ``cut`` inserted,
+    with its D and D'/D from ``sample``, or NaN until evaluated."""
+    mid = np.full((3, cut.size), complex(math.nan))
+    mid[0] = 0.5 * (samples[0, cut] + samples[0, cut + 1])
+    if sample is not None:
+        mid[1:] = sample(mid[0])
+    return np.insert(samples, cut + 1, mid, axis=1)
+
+
+def _winding_count(f: CharDeterminant, box: Box, samples: np.ndarray | None = None
+                   ) -> _Winding:
     """Number of determinant zeros inside the box by adaptive phase tracking,
     with the first MOMENT_MAX_ZEROS power sums of those zeros.
 
-    One array of samples runs once around the closed contour, starting from
-    CONTOUR_INITIAL_SAMPLES points per edge.  Each refinement round
-    inserts a midpoint into every interval whose phase step |delta arg D|
-    exceeds CONTOUR_PHASE_STEP radians, or whose length times the larger
-    |D'/D| at its ends does.  D'/D comes exact from the same kernel call as
-    D, and it bounds the phase a step can hide: passing near an m-fold zero
-    at distance r, |D'/D| is about m / r, so a full turn cannot alias to a
-    small step.  The summed phase steps are then within WINDING_INT_TOL
-    of the true integer.  Every round is one kernel call.  The contour is
-    unusable (``_BadContour``) where |det| falls below CONTOUR_MIN_MODULUS_REL
-    times ``mag``, or where refinement needs more than CONTOUR_MAX_SAMPLES
-    points.
+    One array of samples runs once around the closed contour.  A fresh one
+    has CONTOUR_INITIAL_SAMPLES intervals per edge.  ``samples`` from
+    ``_split`` hold a parent's refined samples on three sides and a new
+    split line; every edge of fewer than CONTOUR_INITIAL_SAMPLES // 2
+    intervals first has them halved until it has that many, so the power
+    sums stay as good as a fresh contour's.  The samples whose D is NaN are
+    evaluated in one kernel call.  Each refinement round then inserts a
+    midpoint into every interval whose phase step |delta arg D| exceeds
+    CONTOUR_PHASE_STEP radians, or whose length times the larger |D'/D| at
+    its ends does, in one more call.  An interval of a refined parent passes
+    again, so only new ones cost points.  D'/D comes exact from the same
+    call as D, and it bounds the phase a step can hide: passing near an
+    m-fold zero at distance r, |D'/D| is about m / r, so a full turn cannot
+    alias to a small step.  The summed phase steps are then within
+    WINDING_INT_TOL of the true integer.  The contour is unusable
+    (``_BadContour``) where |det| falls below CONTOUR_MIN_MODULUS_REL times
+    ``mag``, or where refinement needs more than CONTOUR_MAX_SAMPLES points.
 
     The power sums s_k = (1/2 pi i) oint zeta^k D'/D dz, k = 1..
     MOMENT_MAX_ZEROS, with zeta = (z - centre) / half-diagonal, are the
@@ -398,27 +423,35 @@ def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
             raise _BadContour("contour passes too close to a zero")
         return det, ddet / det
 
-    corners = np.array(box.corners())
-    t = np.arange(CONTOUR_INITIAL_SAMPLES) / CONTOUR_INITIAL_SAMPLES
-    edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
-    z = np.append(edges.ravel(), corners[0])
-    fs, logd = sample(z)
+    n = CONTOUR_INITIAL_SAMPLES
+    c = np.array(box.corners())
+    if samples is None:
+        samples = np.full((3, 4 * n + 1), complex(math.nan))
+        samples[0, :-1] = (c[:, None] + (np.roll(c, -1) - c)[:, None] * (np.arange(n) / n)).ravel()
+        samples[0, -1] = c[0]
+    else:
+        while True:
+            ends = (samples[0, :, None] == c).argmax(axis=0).tolist()
+            edges = np.diff(ends + [samples.shape[1] - 1])
+            if edges.min() >= n // 2:
+                break
+            samples = _halved(samples, np.repeat(edges < n // 2, edges).nonzero()[0])
+    new = np.isnan(samples[1]).nonzero()[0]
+    if new.size:
+        samples[1:, new] = sample(samples[0, new])
     # each round halves the offending intervals; a feature that survives 64
     # halvings is noise, not geometry
     for _ in range(64):
+        z, fs, logd = samples
         dphi = np.angle(fs[1:] / fs[:-1])
         rate = np.abs(logd)
-        reach = np.maximum(rate[:-1], rate[1:]) * np.abs(np.diff(z))
-        bad = np.flatnonzero((np.abs(dphi) > CONTOUR_PHASE_STEP) | (reach > CONTOUR_PHASE_STEP))
+        reach = np.maximum(rate[:-1], rate[1:]) * np.abs(z[1:] - z[:-1])
+        bad = ((np.abs(dphi) > CONTOUR_PHASE_STEP) | (reach > CONTOUR_PHASE_STEP)).nonzero()[0]
         if bad.size == 0:
             break
         if z.size + bad.size > CONTOUR_MAX_SAMPLES:
             raise _BadContour("contour refinement budget exhausted")
-        mid = 0.5 * (z[bad] + z[bad + 1])
-        mid_fs, mid_logd = sample(mid)
-        z = np.insert(z, bad + 1, mid)
-        fs = np.insert(fs, bad + 1, mid_fs)
-        logd = np.insert(logd, bad + 1, mid_logd)
+        samples = _halved(samples, bad, sample)
     else:
         raise _BadContour("contour refinement stalled")
 
@@ -430,12 +463,12 @@ def _winding_count(f: CharDeterminant, box: Box) -> _Winding:
         raise _BadContour(f"negative winding {nearest}")
     zeta = (z - box.center) / (0.5 * box.diag)
     g = zeta * logd
-    dz = np.diff(z) / (4j * math.pi)   # trapezoid weight over 2 pi i
+    dz = (z[1:] - z[:-1]) / (4j * math.pi)   # trapezoid weight over 2 pi i
     sums = []
     for _ in range(MOMENT_MAX_ZEROS):
         sums.append(complex(dz @ (g[:-1] + g[1:])))
         g *= zeta
-    return _Winding(int(nearest), tuple(sums))
+    return _Winding(int(nearest), tuple(sums), samples)
 
 
 def _count_with_dilation(f: CharDeterminant, box: Box) -> tuple[_Winding, Box]:
@@ -605,7 +638,8 @@ def _moment_roots(f: CharDeterminant, box: Box, polished: list,
 class _Leaf(NamedTuple):
     """A box whose zeros are polished, not split: one cluster of ``count``
     zeros from their centroid, or up to MOMENT_MAX_ZEROS simple zeros from
-    their moment starts."""
+    their moment starts.  Only a moment leaf, which goes back to splitting
+    if its polish fails, keeps its contour samples."""
 
     box: Box
     winding: _Winding
@@ -636,7 +670,7 @@ def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding) -> list:
             cluster_diag = max(CLUSTER_BOX_DIAG, CLUSTER_REL_DIAG * (1.0 + abs(box.center)))
             centroid = [box.center + 0.5 * box.diag * w.sums[0] / w.count]
             if box.diag <= cluster_diag:
-                leaves.append(_Leaf(box, w, cluster_diag, True, centroid))
+                leaves.append(_Leaf(box, w._replace(samples=None), cluster_diag, True, centroid))
                 continue
             if try_moments and w.count <= MOMENT_MAX_ZEROS:
                 starts = _moment_starts(box, w)
@@ -645,7 +679,7 @@ def _locate_zeros(f: CharDeterminant, box: Box, w: _Winding) -> list:
                     continue
             halves = _split(f, box, w)
             if halves is None:
-                leaves.append(_Leaf(box, w, cluster_diag, True, centroid))
+                leaves.append(_Leaf(box, w._replace(samples=None), cluster_diag, True, centroid))
             else:
                 pending += [(b, wb, True) for b, wb in halves]
         polished = iter(_polish(f, [(leaf.box, leaf.winding.count if leaf.cluster else 1, z)
@@ -680,21 +714,49 @@ def _split(f: CharDeterminant, box: Box, w: _Winding) -> list | None:
     whose windings add up to the box's; None when every line fails on a box
     so small that its contents are one cluster.
 
+    Only the split line is sampled afresh.  The first half, which holds the
+    box's corner (re_min, im_min), winds around the box's refined samples
+    short of the line and the line itself; the second around the samples
+    past the line and the line as refined for the first half, read
+    backwards.
+
     Raises:
         ContourThroughZero: every split line failed on a larger box.
     """
-    last = None
+    last, n = None, CONTOUR_INITIAL_SAMPLES
+    vertical = box.width >= box.height
+    along = w.samples[0].real if vertical else w.samples[0].imag
     for frac in _SPLIT_FRACTIONS:
-        if box.height > box.width and box.im_min < 0.0 < box.im_max:
+        if not vertical and box.im_min < 0.0 < box.im_max:
             # real-coefficient determinant: real-axis zeros sit exactly on
             # an im = 0 split line, so keep the line clear of the axis
             line = box.im_min + frac * box.height
             if abs(line) < 0.02 * box.height:
                 continue
         b1, b2 = box.split(frac)
+        cut = b1.re_max if vertical else b1.im_max
+        # the samples at or past the line run from a to e - 1; one that lies
+        # on it is an end of the line, and is not evaluated again
+        a = int(np.argmax(along >= cut))
+        e = along.size - int(np.argmax(along[::-1] > cut))
+        on_a, on_e = int(along[a] == cut), int(along[e] == cut)
+        start, end = b1.corners()[1:3] if vertical else b1.corners()[2:]
+        line = np.full((3, n + 1), complex(math.nan))
+        line[0] = start + (end - start) * (np.arange(n + 1) / n)
+        line[0, -1] = end
+        if on_a:
+            line[1:, 0] = w.samples[1:, a]
+        if on_e:
+            line[1:, -1] = w.samples[1:, e]
         try:
-            w1 = _winding_count(f, b1)
-            w2 = _winding_count(f, b2)
+            w1 = _winding_count(f, b1, np.concatenate(
+                (w.samples[:, :a], line, w.samples[:, e + on_e:]), axis=1))
+            z = w1.samples[0]
+            line = w1.samples[:, int(np.argmax(z == start)):int(np.argmax(z == end)) + 1]
+            inner = w.samples[:, a + on_a:e]
+            w2 = _winding_count(f, b2, np.concatenate(
+                (line[:, :1], inner, line[:, ::-1]) if vertical
+                else (line[:, ::-1], inner, line[:, -1:]), axis=1))
         except _BadContour as exc:
             last = exc
             continue

@@ -65,23 +65,34 @@ class CountingDet:
         return self.det.with_derivative(lam_arr)
 
 
+class KernelCalls(Counter):
+    """Kernel calls by kind, with the points they evaluate in ``points``
+    under the same keys."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = Counter()
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts every ``CharDeterminant._kernel`` call: those made inside a
-    winding count under "contour", all others (Newton steps and single
-    residuals) under "newton"."""
-    calls = Counter()
+    """Counts every ``CharDeterminant._kernel`` call and its points: those
+    made inside a winding count under "contour", all others (Newton steps
+    and single residuals) under "newton"."""
+    calls = KernelCalls()
     in_contour = [False]
     kernel, winding_count = CharDeterminant._kernel, eigensolver._winding_count
 
     def counted_kernel(self, lam_arr, deriv):
-        calls["contour" if in_contour[0] else "newton"] += 1
+        kind = "contour" if in_contour[0] else "newton"
+        calls[kind] += 1
+        calls.points[kind] += lam_arr.size
         return kernel(self, lam_arr, deriv)
 
-    def counted_winding_count(f, box):
+    def counted_winding_count(f, box, *samples):
         in_contour[0] = True
         try:
-            return winding_count(f, box)
+            return winding_count(f, box, *samples)
         finally:
             in_contour[0] = False
 
@@ -92,13 +103,14 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def wound_boxes(monkeypatch):
-    """Records every box ``_winding_count`` winds around, in order."""
+    """Records every box ``_winding_count`` winds around, in order, fresh or
+    from its parent's samples."""
     boxes = []
     winding_count = eigensolver._winding_count
 
-    def recorded_winding_count(f, box):
+    def recorded_winding_count(f, box, *samples):
         boxes.append(box)
-        return winding_count(f, box)
+        return winding_count(f, box, *samples)
 
     monkeypatch.setattr(eigensolver, "_winding_count", recorded_winding_count)
     return boxes

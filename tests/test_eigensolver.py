@@ -12,6 +12,7 @@ from jumpdiff.eigensolver import (
     _assemble_eigenvalues,
     _moment_starts,
     _polish,
+    _split,
     _winding_count,
     auto_re_max,
     count_zeros,
@@ -241,19 +242,49 @@ def test_winding_count_one_kernel_call_per_round(mu, box):
 def test_power_sums_place_the_zeros(spec20):
     # the moment starts of a box lie within 1e-2 half-diagonals of each
     # closed-form zero it holds, from one zero (8 pi^2 + 80 pi i at mu = 20)
-    # to four (two of the real family 200 + 2 pi^2 m^2 and a complex pair)
+    # to four (two of the real family 200 + 2 pi^2 m^2 and a complex pair);
+    # so do those of the same box reached as a half of its parent, wound on
+    # the parent's samples and a new split line
     f = CharDeterminant(spec20)
-    for box, count in ((Box(58.96, 108.96, 226.33, 291.33), 1),
-                       (Box(50.0, 110.0, -300.0, 300.0), 2),
-                       (Box(150.0, 450.0, -60.0, 60.0), 3),
-                       (Box(250.0, 400.0, -600.0, 600.0), 4)):
-        zeros = centred_spectrum(1.0, 1.0, 20.0, box)
-        w = _winding_count(f, box)
-        assert w.count == len(zeros) == count
-        starts = _moment_starts(box, w)
-        assert len(starts) == count
-        for z in zeros:
-            assert min(abs(s - z) for s in starts) <= 1e-2 * 0.5 * box.diag, (z, starts)
+    for box, count, parent in (
+            (Box(58.96, 108.96, 226.33, 291.33), 1, Box(58.96, 108.96, 161.33, 291.33)),
+            (Box(50.0, 110.0, -300.0, 300.0), 2, Box(50.0, 110.0, -300.0, 900.0)),
+            (Box(150.0, 450.0, -60.0, 60.0), 3, Box(150.0, 750.0, -60.0, 60.0)),
+            (Box(250.0, 400.0, -600.0, 600.0), 4, Box(250.0, 400.0, -600.0, 1800.0))):
+        halves = _split(f, parent, _winding_count(f, parent))
+        (half, wh), = [(b, w) for b, w in halves if b.contains(box.center)]
+        assert half == pytest.approx(box, abs=1e-12)
+        for b, w in ((box, _winding_count(f, box)), (half, wh)):
+            zeros = centred_spectrum(1.0, 1.0, 20.0, b)
+            assert w.count == len(zeros) == count
+            starts = _moment_starts(b, w)
+            assert len(starts) == count
+            for z in zeros:
+                assert min(abs(s - z) for s in starts) <= 1e-2 * 0.5 * b.diag, (z, starts)
+
+
+@pytest.mark.parametrize("mu,box", [
+    (20.0, Box(-0.7, 150.0, -400.0, 400.0)),
+    (20.0, Box(-0.7, 150.0, 17.3, 400.0)),
+    (120.0, Box(-80.0, 9000.0, -3000.0, 3000.0)),
+    (0.0, Box(1.0, 250.0, 1.0, 20.0)),
+])
+def test_split_evaluates_only_new_points_once(mu, box):
+    # the halves reuse the parent's samples, including one that lies on the
+    # split line, and the second half reads the line the first evaluated
+    det = CountingDet(unit_spec(mu))
+    w = _winding_count(det, box)
+    wound = set(det.points)
+    start = len(det.points)
+    halves = _split(det, box, w)
+    assert sum(wb.count for _, wb in halves) == w.count
+    new = det.points[start:]
+    assert new and len(set(new)) == len(new)
+    assert not wound & set(new)
+    half = halves[0][0]
+    line = [z for z in new if (z.real == half.re_max if box.width >= box.height
+                               else z.imag == half.im_max)]
+    assert len(line) >= eigensolver.CONTOUR_INITIAL_SAMPLES - 1
 
 
 def test_gap_curve_kernel_call_budget(kernel_calls):
@@ -268,6 +299,15 @@ def test_full_box_kernel_call_budget(kernel_calls):
     spec = unit_spec(120.0)
     find_spectrum(spec, auto_re_max(spec))
     assert kernel_calls.total() <= 541, kernel_calls
+
+
+def test_full_box_contour_point_budget(kernel_calls):
+    # winding each half of a split afresh took 124 kernel calls and 15,110
+    # contour points on the mu = 120 full box; a split samples its new line
+    spec = unit_spec(120.0)
+    find_spectrum(spec, auto_re_max(spec))
+    assert kernel_calls.points["contour"] <= 5000, kernel_calls.points
+    assert kernel_calls.total() <= 90, kernel_calls
 
 
 def test_gap_curve_newton_budget(kernel_calls):
@@ -516,9 +556,9 @@ def test_gap_curve_winds_each_box_once(monkeypatch):
     wound, solved, raised = [], [], []
     wind, solve = eigensolver._winding_count, eigensolver._solve_counted
 
-    def counted_wind(f, box):
+    def counted_wind(f, box, *samples):
         wound.append((f.spec.mu, box))
-        return wind(f, box)
+        return wind(f, box, *samples)
 
     def counted_solve(f, *args):
         solved.append(f.spec.mu)
