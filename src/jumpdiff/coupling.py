@@ -21,8 +21,8 @@ between two lines in time: in stages I-II the midpoint moves by the drift
 alone and the gap is a driftless Brownian motion, and in stage III the gap
 is fixed and the midpoint moves.  So with drift a step is one two-barrier
 bridge test, and at mu = 0, where every line is constant, the stage times
-are drawn exactly, with no time step, and only traces and snapshots march.
-The mirror coupling takes no steps either.
+are drawn exactly, with no time step; a glued pair, one restarted path, moves
+exactly in time as well.  The mirror coupling takes no steps either.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from .simulate import (
     _check_counts,
     _check_dt,
     _check_times,
+    _ensemble_positions,
     _interval_exits,
+    _max_step,
     _step_count,
     _step_exits,
     _window_exit_times,
@@ -160,24 +162,20 @@ def _driftfree_coupling(spec: ProcessSpec, x: float, y: float, n: int,
 
 
 def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
-                  gen: np.random.Generator, horizon: float,
-                  trace: list | None = None, snapshot: bool = False):
-    """March n coupled pairs to the horizon, one coordinate and one bridge test per step.
-
-    At mu = 0, unless a trace or a snapshot is asked for, the stage times
-    are exact draws by _driftfree_coupling instead, and dt is ignored.
+                  gen: np.random.Generator, horizon: float, trace: list | None = None):
+    """March n coupled pairs until they glue, one coordinate and one bridge test per step.
 
     A pair is its midpoint s, the copies' positions ``hi >= lo`` and whether
     x is the upper copy; g = hi - lo.  x moves with +dW.  In stages I-II y
     moves with -dW, so s moves by mu dt alone and g / 2 is the coordinate,
     between 0 (the meet) and the lowest of the lines b - s (the upper copy
     at b), s - a (the lower copy at a) and, in stage II, L/4 (the gap at
-    half).  In stage III and after coalescence (stage 4) y moves with +dW,
-    g is fixed and s is the coordinate, between a + g/2 and b - g/2.  One
-    _step_exits call per step tests every pair.  Between restarts s moves
-    one way, so at most one step per stage has s crossing the midpoint,
-    where the exit lines cross (or a quarter point, where one crosses L/4);
-    that step is tested against the lowest line at each end.
+    half).  In stage III y moves with +dW, g is fixed and s is the
+    coordinate, between a + g/2 and b - g/2.  One _step_exits call per step
+    tests every pair.  Between restarts s moves one way, so at most one step
+    per stage has s crossing the midpoint, where the exit lines cross (or a
+    quarter point, where one crosses L/4); that step is tested against the
+    lowest line at each end.
 
     Events are booked at the end of their step (the last one clamped to the
     horizon), where the lowest line decides: a lower hit glues the pair at
@@ -185,19 +183,15 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     lowest line is L/4 enters stage III at gap half; any other stage I-II
     hit restarts at x0 the copy with the lowest line, both at a tie, and
     any copy that ended past an end.  A pair with both copies restarted
-    glues at x0 in stage II.  From stage III on an exit puts both copies at
-    x0.  The positions are stored, not formed from s, so starts and
-    restarts stay exact, and lo = hi - L/2 keeps the traced stage III gap
-    exact.
+    glues at x0 in stage II.  In stage III an exit glues the pair at x0.
+    The positions are stored, not formed from s, so starts and restarts
+    stay exact, and lo = hi - L/2 keeps the traced stage III gap exact.
 
-    Pairs with x == y coalesce at t = 0.  Coalesced pairs are dropped from
-    the working set (a merge keyed by original index), except in snapshot
-    mode, where they keep evolving as single restarted paths so the
-    x-positions returned at the horizon have the process law.  Optionally
-    records a per-step trace (n == 1 only).
+    A pair leaves the working set in the step it glues (a merge keyed by
+    original index); pairs with x == y glue at t = 0.  Returns the stage
+    times and x per pair: its glue point, or its position at the horizon
+    if it did not glue.  Optionally records a per-step trace (n == 1 only).
     """
-    if spec.mu == 0.0 and trace is None and not snapshot:
-        return _driftfree_coupling(spec, x, y, n, gen, horizon), None
     n_steps = _step_count(n, horizon, dt)
     a, b, x0 = spec.a, spec.b, spec.nu.locations[0]
     half, quarter = 0.5 * spec.length, 0.25 * spec.length
@@ -206,18 +200,17 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
     drift = spec.mu * dt
 
     res = _CouplingResult(n)
+    pos = np.full(n, float(x))
+    if x == y:
+        res.tau_1[:] = res.tau_2[:] = res.tau_c[:] = 0.0
+        res.coalesced_stage[:] = 1
+        return res, pos
     s = np.full(n, 0.5 * (x + y))
     hi = np.full(n, float(y))           # x <= y: y starts as the upper copy
     lo = np.full(n, float(x))
     x_up = np.zeros(n, dtype=bool)
     stage = np.ones(n, dtype=np.int8)
     orig = np.arange(n)
-    if x == y:
-        res.tau_1[:] = res.tau_2[:] = res.tau_c[:] = 0.0
-        res.coalesced_stage[:] = 1
-        if not snapshot:
-            return res, None
-        stage[:] = 4
 
     def barriers(hi, lo, opp, cap):
         # the coordinate's distances to its barriers; in stages I-II it is g / 2
@@ -247,9 +240,9 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         met = (st <= 2) & left & (d_b > 0.0)
         to3 = (st == 2) & ~left & (quarter < np.minimum(d_b, d_a))
         # the copy whose line is lowest restarts, and so does a copy that
-        # ended past an end; from stage III on an exit puts both at x0
-        up_out = (st >= 3) | (d_b <= np.maximum(d_a, h))
-        lo_out = (st >= 3) | (d_a <= np.maximum(d_b, h)) | (d_b <= -h)
+        # ended past an end; in stage III an exit puts both at x0
+        up_out = (st == 3) | (d_b <= np.maximum(d_a, h))
+        lo_out = (st == 3) | (d_a <= np.maximum(d_b, h)) | (d_b <= -h)
         p_up = np.where(met, s_e, np.where(up_out, x0, hi[e]))[~to3]
         p_lo = np.where(met, s_e, np.where(lo_out, x0, lo[e]))[~to3]
         r = e[~to3]
@@ -257,28 +250,27 @@ def _run_coupling(spec: ProcessSpec, x: float, y: float, n: int, dt: float,
         x_up[r] ^= p_lo > p_up
         res.tau_1[orig[e[st == 1]]] = t
         stage[e[(st == 1) & ~met]] = 2
-        done = e[met | (up_out & lo_out & ~to3 & (st <= 3))]
+        done = e[met | (up_out & lo_out & ~to3)]
+        to3 = e[to3]
+        hi[to3] = s[to3] + quarter
+        lo[to3], stage[to3] = hi[to3] - half, 3
+        res.tau_2[orig[to3]] = t
         if done.size:
             k = orig[done]
             res.tau_2[k] = np.minimum(res.tau_2[k], t)
             res.tau_c[k] = t
             res.coalesced_stage[k] = stage[done]
-            stage[done] = 4
-        to3 = e[to3]
-        hi[to3] = s[to3] + quarter
-        lo[to3], stage[to3] = hi[to3] - half, 3
-        res.tau_2[orig[to3]] = t
-
-        if done.size and not snapshot:
-            keep = stage < 4
-            s, hi, lo, x_up, stage, orig = (s[keep], hi[keep], lo[keep], x_up[keep],
-                                            stage[keep], orig[keep])
+            pos[k] = s[done]
+            keep = np.ones(s.size, dtype=bool)
+            keep[done] = False
+            s, hi, lo, x_up, stage, orig = (v[keep] for v in (s, hi, lo, x_up, stage, orig))
 
         if trace is not None and s.size:
             pair = (float(hi[0]), float(lo[0]))
             trace.append((t, *(pair if x_up[0] else pair[::-1]), int(stage[0]), float(z[0])))
 
-    return res, (np.where(x_up, hi, lo) if snapshot else None)
+    pos[orig] = np.where(x_up, hi, lo)
+    return res, pos
 
 
 def _check_staged_inputs(spec: ProcessSpec, x: float, y: float, dt: float) -> None:
@@ -304,7 +296,8 @@ def staged_coupling(spec: ProcessSpec, x: float, y: float, dt: float, rng: RngSt
     rows: list | None = [] if trace else None
     # coalescence happens on the diffusive time scale; 64 of them is plenty
     horizon = 64.0 * spec.length**2 / spec.sigma**2
-    res, _ = _run_coupling(spec, x, y, 1, dt, gen, horizon, trace=rows)
+    res = (_run_coupling(spec, x, y, 1, dt, gen, horizon, trace=rows)[0]
+           if trace or spec.mu > 0.0 else _driftfree_coupling(spec, x, y, 1, gen, horizon))
     if not np.isfinite(res.tau_c[0]):
         raise StepBudgetExceeded(f"pair did not coalesce within t={horizon:.6g}")
     record = CouplingRecord(
@@ -323,19 +316,24 @@ def coupling_records(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: fl
     _check_counts(n_pairs)
     _check_times([horizon])
     gen = RngStream(seed, 0).generator()
-    res, _ = _run_coupling(spec, x, y, n_pairs, dt, gen, horizon)
+    res = (_run_coupling(spec, x, y, n_pairs, dt, gen, horizon)[0] if spec.mu > 0.0
+           else _driftfree_coupling(spec, x, y, n_pairs, gen, horizon))
     return res.tau_1, res.tau_2, res.tau_c, res.coalesced_stage
 
 
 def coupling_marginal(spec: ProcessSpec, x: float, y: float, n_pairs: int, dt: float,
                       seed: int, t: float) -> np.ndarray:
-    """x-marginal of the coupled construction at time t (law check support)."""
+    """x-marginal of the coupled pairs at time t; a glued pair moves exactly in time."""
     _check_staged_inputs(spec, x, y, dt)
     _check_counts(n_pairs)
     _check_times([t])
     gen = RngStream(seed, 0).generator()
-    _, snap = _run_coupling(spec, x, y, n_pairs, dt, gen, t, snapshot=True)
-    return snap
+    res, pos = _run_coupling(spec, x, y, n_pairs, dt, gen, t)
+    glued = np.flatnonzero(np.isfinite(res.tau_c))
+    rest = t - res.tau_c[glued]
+    k = _step_count(glued.size, float(rest.max(initial=0.0)), _max_step(spec), up=True)
+    pos[glued] = next(_ensemble_positions(spec, pos[glued], [rest], [k], gen))
+    return pos
 
 
 def coupling_tail(spec: ProcessSpec, x: float, y: float, n_paths: int, dt: float,

@@ -240,11 +240,11 @@ def threshold_locate(spec_base: ProcessSpec, tol: float) -> ThresholdResult:
     conjecture-consistent, not as ground truth.
 
     Raises:
-        ConfigError: tol is not positive (zero, negative or NaN).
+        ConfigError: tol is not finite and positive (zero, negative, infinite or NaN).
         NoPlateauFound: the gap is off-plateau even at the bracket top.
     """
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     target = analytic.theoretical_gap(spec_base)
     upper = 4.0 * analytic.conjectured_threshold(spec_base)
     width = 1e-3 * upper / 4.0

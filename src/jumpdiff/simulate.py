@@ -11,8 +11,8 @@ per path.  The restarted ensembles (:func:`ensemble_snapshots`,
 steps sized by the far barrier, not by ``dt``, with an exact crossing time
 (:func:`_crossing_times`) from which the restarted path runs the rest of its
 step.  The conditioned-path check (:func:`verify_pathwise_lemma`) and the
-staged coupling with drift step on a uniform grid, booking an exit at the
-end of its step.  Each step moves one coordinate between two barriers and
+staged coupling with drift (for its x-marginal at any drift, until the pair
+glues) step on a uniform grid, booking an exit at the end of its step.  Each step moves one coordinate between two barriers and
 one kernel, :func:`_step_exits`, tests it by one-sided Brownian-bridge
 corrections (upper barrier first), so exit statistics converge at O(dt)
 instead of O(sqrt(dt)).  A stepping engine sizes its run with
@@ -134,10 +134,10 @@ class TVCurve:
 #     _interval_exits (window time, then side) for each path still inside, in
 #     path order; the mirror runs phase 1 (B until the copies meet or the copy
 #     from y exits), then phase 2 (the centre copy until it exits);
-#   staged coupling, when it steps: normals for the pairs still marching
-#     (in snapshot mode the coalesced pairs too), then one _step_exits call
-#     for all of them: upper-barrier uniforms (the lowest line of the gap in
-#     stages I-II), then lower-barrier uniforms;
+#   staged coupling, when it steps: normals for the pairs not yet glued,
+#     then one _step_exits call for all of them: upper-barrier uniforms (the
+#     lowest line of the gap in stages I-II), then lower-barrier uniforms;
+#     the coupled marginal then moves the glued pairs as one ensemble gap;
 #   drift-free staged coupling: no steps, the window rounds of
 #     _interval_exits for stage I (every pair), then stage II, then stage
 #     III (the pairs that reached it within the horizon), in pair order;
@@ -442,7 +442,7 @@ def _ensemble_positions(spec: ProcessSpec, x: np.ndarray, gaps, steps,
     """Yield the positions of restarted paths from x at the end of each gap.
 
     Gap j is steps[j] equal steps of at most _max_step, so only the near
-    barrier is in reach of a step.  Each round moves the paths with time left
+    barrier is in reach of a step; a gap is one length, or one per path.  Each round moves the paths with time left
     in the step to its end (_advance, one step length per path); a path that
     crossed a barrier restarts from nu at its crossing time
     (_crossing_times) and runs the rest of its step in the next round.  So

@@ -180,6 +180,19 @@ def test_coupled_marginal_has_process_law():
     assert tv < 0.02
 
 
+@pytest.mark.parametrize("mu", [0.0, 20.0])
+def test_coupled_marginal_from_equal_starts_is_the_ensemble(mu):
+    # a pair from x == y glues at t = 0, so its x-copy is one restarted path
+    # that the exact ensemble moves from x on the same stream: the histograms
+    # agree bin for bin, and the paths have left their start
+    spec, x, n, t, dt, seed = unit_spec(mu), 0.3, 4000, 0.05, 1e-3, 17
+    xs = coupling_marginal(spec, x, x, n, dt, seed, t)
+    hist = np.histogram(xs, bins=64, range=(spec.a, spec.b))[0] / n
+    snap = ensemble_snapshots(spec, x, [t], n, 64, dt, RngStream(seed, 0))[0]
+    assert hist.tolist() == list(snap.histogram)
+    assert max(snap.histogram) < 0.2
+
+
 def test_coupled_marginal_stays_inside_at_coarse_steps():
     # with a drift step of 0.4 both copies often end a stage I-II step past
     # b; each must restart, so no copy is ever outside the interval
@@ -234,14 +247,14 @@ def test_driftfree_coalescence_matches_the_sine_series(spec, x, times):
 
 
 def test_stepping_route_glues_symmetric_pairs_in_stage_two():
-    # the stepping route (taken at mu = 0 for snapshots) sees the tie of the
+    # the stepping route (taken at mu = 0 by the x-marginal) sees the tie of the
     # drift-free route: from starts symmetric about x0 both copies reach the
     # boundary at one instant and glue, so no pair reaches stage III, and the
     # pair coalesces as the sine series says; a coalescence is booked at the
     # end of its step, so the survival to grid time t counts the times past t + dt/2
     n, dt, horizon = 100_000, 5e-5, 0.025
     res, _ = coupling._run_coupling(unit_spec(0.0), 0.25, 0.75, n, dt,
-                                    RngStream(23).generator(), horizon, snapshot=True)
+                                    RngStream(23).generator(), horizon)
     assert not (res.coalesced_stage == 3).any()
     assert (res.coalesced_stage == 2).any()
     for t in (0.01, 0.015, 0.02):
@@ -424,3 +437,35 @@ def test_convolution_unsupported_times_are_nan():
                                       20_000, 5)
     assert math.isnan(rows[-1][3])
     assert rows[-1][4] < 10
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=st.floats(-1e3, 1e3), length=st.floats(1e-6, 1e3), sigma=st.floats(1e-3, 1e3),
+       mu=st.floats(0.0, 60.0), frac=st.floats(0.0, 1.0),
+       edge=st.sampled_from([None, None, "a", "b"]),
+       width=st.one_of(st.none(), st.floats(1e-3, 2.0),
+                       st.sampled_from([0.5, 0.5, 0.5, 0.0, -1.0, math.inf])),
+       ts=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5),
+       n=st.integers(1, 300),
+       seed=st.integers(0, 2**32))
+def test_convolution_rows_are_bounded_survivals(a, length, sigma, mu, frac, edge, width,
+                                                ts, n, seed):
+    # a random interval, volatility and atom (some within 1e-9 of an end), a
+    # drift in units of sigma^2 / length, a halfwidth in units of length /
+    # sigma (or none, or one that is not positive and finite) and a grid in
+    # units of the diffusive time: the rows are survivals, the ratio is NaN
+    # exactly where fewer than 10 windows survive, and a refusal is typed
+    grid = [t * length**2 / sigma**2 for t in ts]
+    try:
+        spec = make_spec(a=a, b=a + length, sigma=sigma, mu=mu * sigma**2 / length,
+                         atoms=((_fuzz_start(a, length, frac, edge), 1.0),))
+        h = None if width is None else width * length / sigma
+        rows, _ = convolution_bound_check(spec, h, grid, n, seed)
+    except JumpdiffError:
+        return
+    rhs = [r[2] for r in rows]
+    for _, lhs, rh, ratio, survivors in rows:
+        assert 0.0 <= lhs <= 1.0 and 0.0 <= rh <= 1.0
+        assert survivors == round(rh * n)
+        assert math.isnan(ratio) == (survivors < 10)
+    assert all(r1 <= r0 for r0, r1 in zip(rhs, rhs[1:]))

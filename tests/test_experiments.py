@@ -6,11 +6,15 @@ import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jumpdiff import experiments
 from jumpdiff.cli import main
 from jumpdiff.errors import ConfigError, NoPlateauFound
 from jumpdiff.experiments import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
     ExperimentConfig,
     invariant_limit_distance,
     report_corollary3,
@@ -108,6 +112,35 @@ def test_valid_config_roundtrip():
     assert cfg.seed == 7
     assert cfg.mu_grid == (0.0, 10.0)
     assert cfg.spec == unit_spec(0.0)
+
+
+# any JSON value two levels deep, and values shaped like the keys' own
+_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
+         | st.sampled_from(["", "x", "invariant", *EXPERIMENTS]))
+_INNER = _LEAF | st.lists(_LEAF, max_size=3)
+_JSON = (_INNER | st.lists(_INNER, max_size=3)
+         | st.dictionaries(st.sampled_from(["a", "b", "sigma", "mu", "nu", "x"]), _INNER))
+_SHAPED = st.one_of(
+    st.integers(-2, 10**6), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    st.fixed_dictionaries({k: st.floats(-2.0, 2.0) for k in ("a", "b", "sigma", "mu")}
+                          | {"nu": st.lists(st.tuples(st.floats(-1.0, 2.0), st.just(1.0)),
+                                            min_size=1, max_size=1)}))
+
+
+@settings(max_examples=4000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(experiment=st.sampled_from(EXPERIMENTS), key=st.sampled_from([*CONFIG_KEYS, "bogus"]),
+       value=_JSON | _SHAPED)
+def test_any_config_is_refused_or_echoes_to_itself(experiment, key, value):
+    # a valid base with any key set to any JSON value: validation refuses it
+    # with ConfigError, or the config's echo validates again to the same echo
+    raw = {"spec": BASE_SPEC, "experiment": experiment, key: value}
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    echo = cfg.to_json_dict()
+    assert validate_config(echo).to_json_dict() == echo
 
 
 FULL_RAW = {"spec": dict(BASE_SPEC, mu=3.0), "mu_grid": [0, 2.5], "dt": 2e-4,
@@ -473,7 +506,7 @@ def test_threshold_brackets_the_closed_form_edge(monkeypatch, length, sigma, tol
 
 
 def test_threshold_rejects_bad_tol():
-    for tol in (0.0, -1e-4, math.nan):
+    for tol in (0.0, -1e-4, math.nan, math.inf):
         with pytest.raises(ConfigError):
             threshold_locate(unit_spec(), tol)
 

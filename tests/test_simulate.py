@@ -214,7 +214,7 @@ def test_one_step_count_for_every_sampler():
     # time is divided by dt or rounded to a step anywhere else
     calls = _calls_by_function(simulate) + _calls_by_function(coupling)
     assert {owner for owner, callee in calls if callee == "_step_count"} == {
-        "ensemble_snapshots", "verify_pathwise_lemma", "_run_coupling"}
+        "ensemble_snapshots", "verify_pathwise_lemma", "_run_coupling", "coupling_marginal"}
     assert {owner for owner, callee in calls if callee in ("round", ".round", ".rint")} == {
         "_step_count"}
     for module in (simulate, coupling):
